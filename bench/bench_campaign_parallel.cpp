@@ -1,23 +1,23 @@
 // Campaign maintain-tick thread sweep: runs the same campaign with the
 // in-situ analysis plane on 1/2/4/8 pool workers, checks the bit-identity
 // contract (science_fingerprint byte-equal across every thread count), and
-// writes bench_outputs/campaign_parallel.json with wall time plus a
-// deterministic virtual-speedup model of the per-tick pipeline schedule.
-// bench_smoke.sh validates the JSON; wall scaling is host-dependent and
-// informational (the tick is a small slice of total campaign wall time).
+// writes bench_outputs/campaign_parallel.json with the median measured wall
+// time per thread count, the measured speedup against the 1-thread row, and
+// the host's CPU count. bench_smoke.sh validates the JSON and, on hosts with
+// at least 4 CPUs, a measured speedup floor at 4 threads.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/campaign_common.hpp"
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
 #include "util/thread_pool.hpp"
-#include "wm/insitu.hpp"
 
 using namespace mummi;
 
@@ -31,46 +31,11 @@ std::string fingerprint_hex(const util::Bytes& bytes) {
   return buf;
 }
 
-// Relative task costs in the tick pipeline, from the work each stage does
-// per sim: stepping regenerates 22 bead positions; analysis runs the RDF
-// pair loops (4 species x 4 heads x 6 protein beads) plus the candidate and
-// descriptor draws. Only the ratio matters to the schedule.
-constexpr double kStepCostPerSim = 22.0;
-constexpr double kAnalysisCostPerSim = 96.0;
-
-/// Deterministic speedup model for the tick schedule: per tick, stepping
-/// tasks (granularity kInSituChunk) and analysis tasks (granularity
-/// kInSituSubBlock) are greedily list-scheduled onto T workers in pipeline
-/// order — the two stages overlap, which is exactly what pipeline_two_stage
-/// buys. virtual_speedup = sum(serial) / sum(makespan) over all ticks;
-/// depends only on (tick_sims, T), so it is identical on every host.
-double virtual_speedup(const std::vector<std::uint32_t>& tick_sims,
-                       int threads) {
-  double serial = 0.0, makespan = 0.0;
-  std::vector<double> worker(static_cast<std::size_t>(threads), 0.0);
-  for (const std::uint32_t n : tick_sims) {
-    if (n == 0) continue;
-    std::fill(worker.begin(), worker.end(), 0.0);
-    auto submit = [&](double cost) {
-      serial += cost;
-      *std::min_element(worker.begin(), worker.end()) += cost;
-    };
-    for (std::size_t lo = 0; lo < n; lo += wm::kInSituChunk) {
-      const std::size_t chunk = std::min<std::size_t>(wm::kInSituChunk, n - lo);
-      submit(kStepCostPerSim * static_cast<double>(chunk));
-      for (std::size_t slo = 0; slo < chunk; slo += wm::kInSituSubBlock)
-        submit(kAnalysisCostPerSim *
-               static_cast<double>(
-                   std::min<std::size_t>(wm::kInSituSubBlock, chunk - slo)));
-    }
-    makespan += *std::max_element(worker.begin(), worker.end());
-  }
-  return makespan > 0 ? serial / makespan : 1.0;
-}
+constexpr int kReps = 3;  // wall time per thread count is the median of these
 
 struct Row {
   int threads;
-  double wall_s, virt;
+  double wall_s, speedup;
   bool identical;
   std::string fingerprint;
 };
@@ -80,40 +45,47 @@ struct Row {
 int main(int argc, char** argv) {
   wm::CampaignConfig base = bench::campaign_config(argc, argv);
   base.seed = 7;
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
   std::printf("=== campaign maintain tick: in-situ thread sweep ===\n");
-  std::printf("(%s schedule, chunk %zu, sub-block %zu)\n\n",
-              bench::scale_label(argc, argv), wm::kInSituChunk,
-              wm::kInSituSubBlock);
+  std::printf("(%s schedule, median of %d runs per row, nproc %u)\n\n",
+              bench::scale_label(argc, argv), kReps, nproc);
 
   std::vector<Row> rows;
   std::string serial_fp;
-  std::vector<std::uint32_t> serial_ticks;
+  std::size_t ticks = 0;
   std::uint64_t analysis_frames = 0;
-  std::printf("%8s %12s %14s %10s\n", "threads", "wall s", "virt speedup",
+  std::printf("%8s %12s %10s %10s\n", "threads", "wall s", "speedup",
               "identical");
   for (const int threads : {1, 2, 4, 8}) {
     util::ThreadPool pool(static_cast<std::size_t>(threads));
     // A 1-worker pool takes the inline path; pass null to make that explicit.
     auto cfg = base;
     cfg.insitu_pool = threads > 1 ? &pool : nullptr;
-    util::Stopwatch wall;
-    const auto result = wm::Campaign(cfg).run();
-    const double wall_s = wall.elapsed();
-    const std::string fp = fingerprint_hex(result.science_fingerprint());
-    if (threads == 1) {
-      serial_fp = fp;
-      serial_ticks = result.tick_sims;
-      analysis_frames = result.analysis_frames;
+    std::vector<double> walls;
+    std::string fp;
+    bool identical = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      util::Stopwatch wall;
+      const auto result = wm::Campaign(cfg).run();
+      walls.push_back(wall.elapsed());
+      fp = fingerprint_hex(result.science_fingerprint());
+      if (serial_fp.empty()) {
+        serial_fp = fp;
+        ticks = result.tick_sims.size();
+        analysis_frames = result.analysis_frames;
+      }
+      identical = identical && fp == serial_fp;
     }
-    const bool identical = fp == serial_fp;
-    const double virt = virtual_speedup(serial_ticks, threads);
-    std::printf("%8d %12.3f %14.2f %10s\n", threads, wall_s, virt,
+    std::sort(walls.begin(), walls.end());
+    const double wall_s = walls[walls.size() / 2];
+    const double speedup = rows.empty() ? 1.0 : rows.front().wall_s / wall_s;
+    std::printf("%8d %12.3f %9.2fx %10s\n", threads, wall_s, speedup,
                 identical ? "yes" : "NO");
-    rows.push_back({threads, wall_s, virt, identical, fp});
+    rows.push_back({threads, wall_s, speedup, identical, fp});
   }
   std::printf("\n%llu frames analyzed across %zu ticks; fingerprint %s\n",
-              static_cast<unsigned long long>(analysis_frames),
-              serial_ticks.size(), serial_fp.c_str());
+              static_cast<unsigned long long>(analysis_frames), ticks,
+              serial_fp.c_str());
 
   std::filesystem::create_directories("bench_outputs");
   std::FILE* f = std::fopen("bench_outputs/campaign_parallel.json", "w");
@@ -123,18 +95,20 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"campaign_parallel\",\n"
+               "  \"nproc\": %u,\n  \"reps\": %d,\n"
                "  \"ticks\": %zu,\n  \"analysis_frames\": %llu,\n"
                "  \"rows\": [\n",
-               serial_ticks.size(),
+               nproc, kReps, ticks,
                static_cast<unsigned long long>(analysis_frames));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"threads\": %d, \"wall_s\": %.3f, "
-                 "\"virtual_speedup\": %.3f, \"identical\": %s, "
+                 "\"speedup\": %.3f, \"identical\": %s, "
                  "\"fingerprint\": \"%s\"}%s\n",
-                 r.threads, r.wall_s, r.virt, r.identical ? "true" : "false",
-                 r.fingerprint.c_str(), i + 1 < rows.size() ? "," : "");
+                 r.threads, r.wall_s, r.speedup,
+                 r.identical ? "true" : "false", r.fingerprint.c_str(),
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -321,10 +321,9 @@ check_continuum_kernels
 
 # Campaign maintain-tick contract: the in-situ thread sweep must produce a
 # byte-identical science fingerprint at every pool size (rows carry the
-# fingerprint and an "identical" flag against the serial run), and the
-# deterministic tick-schedule model must reach >= 3x at 8 threads. Wall time
-# is host-dependent and not checked (the tick is a small slice of campaign
-# wall time; the virtual model isolates the schedule itself).
+# fingerprint and an "identical" flag against the serial run). Speedups are
+# measured wall time against the 1-thread row; on hosts with at least 4 CPUs
+# the 4-thread row must reach 1.5x (the tick is most of the campaign's wall).
 run_bench bench_campaign_parallel campaign_parallel.json --small
 check_campaign_parallel() {
   local path="bench_outputs/campaign_parallel.json"
@@ -347,9 +346,9 @@ for r in rows:
         sys.exit(f"{sys.argv[1]}: fingerprint diverged from serial: {r}")
 if doc.get("analysis_frames", 0) <= 0:
     sys.exit(f"{sys.argv[1]}: no frames analyzed")
-eight = [r for r in rows if r["threads"] == 8][0]
-if eight.get("virtual_speedup", 0.0) < 3.0:
-    sys.exit(f"{sys.argv[1]}: virtual speedup at 8 threads below 3x: {eight}")
+four = [r for r in rows if r["threads"] == 4][0]
+if doc.get("nproc", 0) >= 4 and four.get("speedup", 0.0) < 1.5:
+    sys.exit(f"{sys.argv[1]}: measured speedup at 4 threads below 1.5x: {four}")
 EOF
   else
     grep -q '"identical": true' "$path" && ! grep -q '"identical": false' "$path"

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full build + test cycle, then the fault/resilience tests
-# again under ASan+UBSan (the paths that juggle raw state across crash,
-# restart and retry deserve the extra scrutiny), and the concurrent KV /
-# feedback paths under TSan (shared_mutex shards + pool fan-out).
+# Tier-1 gate: the full build + test cycle, the floating-point contract tests
+# on a -march=native build, then the whole suite again under ASan+UBSan, and
+# the concurrent KV / feedback / pool fan-out paths under TSan.
 #
 # Usage: scripts/tier1.sh [--no-sanitize] [--bench] [-L <label>]
 #   --bench additionally runs scripts/bench_smoke.sh (reduced-scale JSON
@@ -46,6 +45,16 @@ if [[ "$bench" == 1 ]]; then
   scripts/bench_smoke.sh build
 fi
 
+echo "=== tier 1: -march=native build, floating-point contract tests ==="
+# The determinism contracts compare bytes, so they must survive an ISA level
+# with FMA: mummi_util pins -ffp-contract=off for everything built on src/,
+# and this stage proves it by running the golden corpus and the
+# exact-reproduction tests on the host's full ISA.
+cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native >/dev/null
+cmake --build build-native -j "$jobs" --target mummi_tests
+./build-native/tests/mummi_tests \
+  --gtest_filter='GoldenFingerprintContract.*:*LegacyKernelsMatchEngineExactly*:*NanFieldsFreezeProteinsInsideBox*'
+
 echo "=== tier 1: telemetry-off build compiles obs:: to no-ops ==="
 # The instrumented call sites stay in the source; -DMUMMI_TELEMETRY=OFF must
 # still build them (against the no-op shells) and the probe must observe a
@@ -59,18 +68,14 @@ if [[ "$no_sanitize" == 1 ]]; then
   exit 0
 fi
 
-echo "=== tier 1: ASan+UBSan build, fault/resilience tests ==="
+echo "=== tier 1: ASan+UBSan build, whole suite ==="
+# UBSan is built with -fno-sanitize-recover=all: the first report fails the
+# run. The whole suite takes seconds here; the fault, crash-point sweep and
+# hostile-input tests (SimulatedCrash thrown through half-finished I/O
+# stacks, forged snapshot bytes) are where use-after-scope and UB hide.
 cmake -B build-asan -S . -DMUMMI_SANITIZE="address;undefined" >/dev/null
 cmake --build build-asan -j "$jobs" --target mummi_tests
-./build-asan/tests/mummi_tests \
-  --gtest_filter='*Backoff*:*FaultPlan*:*ResilientKv*:*FailNode*:*Resilience*:*FsStoreFault*:*JobTrackerBoundary*'
-
-echo "=== tier 1: ASan+UBSan build, crash-point sweep ==="
-# The crash-consistency sweep throws SimulatedCrash through half-finished
-# I/O stacks and then reuses the survivors — exactly where use-after-scope
-# or leaked-state bugs would hide; run the whole sweep under ASan.
-./build-asan/tests/mummi_tests \
-  --gtest_filter='*CrashPoint*:*CrashConsistency*:*CrashSweep*:*Checkpoint*'
+./build-asan/tests/mummi_tests
 
 echo "=== tier 1: TSan build, concurrent KV + feedback tests ==="
 # The shared-lock shards, pooled scans/mgets and batch retry paths are the
@@ -104,11 +109,11 @@ echo "=== tier 1: TSan build, threaded continuum engine tests ==="
   --gtest_filter='*ParallelContinuum*'
 
 echo "=== tier 1: TSan build, threaded campaign tick tests ==="
-# The campaign maintain tick pipelines in-situ stepping (pool) against
-# analysis fan-out + serial fold (caller) over shared SimStates; the
-# determinism suites drive 2/4/8-worker pools against the serial reference,
-# so a racy chunk handoff or cross-stage access trips here.
+# The campaign maintain tick steps and analyzes each block of sims on the
+# pool while the caller folds finished blocks in order, over shared
+# SimStates; the determinism suites drive 2/3/4/8-worker pools against the
+# serial reference, so a racy block handoff or early fold trips here.
 ./build-tsan/tests/mummi_tests \
-  --gtest_filter='*PipelineTwoStage*:*InSitu*:*ParallelCampaign*'
+  --gtest_filter='*ForBlocksOrdered*:*InSitu*:*ParallelCampaign*'
 
 echo "=== tier 1: PASS ==="

@@ -1,6 +1,7 @@
 #include "continuum/gridsim2d.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -100,6 +101,11 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
   if (stamp) {
     const int reach = std::max(2, static_cast<int>(3 * sigma_g));
     const double denom = 2 * sigma_g * sigma_g;
+    // Cell coordinates beyond this bound would overflow int in the cast or
+    // in ci + di; like NaN/inf (which fail the comparison too), they leave
+    // no footprint.
+    const double max_cell =
+        static_cast<double>(std::numeric_limits<int>::max() - reach - 1);
     const std::size_t block = detail::protein_block(np);
     auto wrap = [n](int i) { return ((i % n) + n) % n; };
     util::for_blocks(pool, np, block, [&](std::size_t lo, std::size_t hi) {
@@ -108,7 +114,7 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
         const Protein& p = proteins_[pi];
         const double gi = p.x / h_;
         const double gj = p.y / h_;
-        if (!std::isfinite(gi) || !std::isfinite(gj)) continue;
+        if (!(std::abs(gi) <= max_cell && std::abs(gj) <= max_cell)) continue;
         double* f = fp_scratch_.grid(b, static_cast<std::size_t>(p.state));
         const int ci = static_cast<int>(std::floor(gi));
         const int cj = static_cast<int>(std::floor(gj));

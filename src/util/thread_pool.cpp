@@ -113,39 +113,37 @@ void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
     fn(b * block, std::min((b + 1) * block, n));
 }
 
-void pipeline_two_stage(
-    ThreadPool* pool, std::size_t n, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t)>& produce,
+void for_blocks_ordered(
+    ThreadPool* pool, std::size_t n, std::size_t block,
+    const std::function<void(std::size_t, std::size_t)>& work,
     const std::function<void(std::size_t, std::size_t)>& consume) {
   if (n == 0) return;
-  if (chunk == 0) chunk = 1;
-  const std::size_t nchunks = (n + chunk - 1) / chunk;
-  auto lo = [chunk](std::size_t c) { return c * chunk; };
-  auto hi = [chunk, n](std::size_t c) { return std::min((c + 1) * chunk, n); };
-  if (pool == nullptr || pool->size() <= 1 || nchunks <= 1 || t_in_worker) {
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      produce(lo(c), hi(c));
-      consume(lo(c), hi(c));
+  if (block == 0) block = 1;
+  const std::size_t nblocks = (n + block - 1) / block;
+  auto lo = [block](std::size_t b) { return b * block; };
+  auto hi = [block, n](std::size_t b) { return std::min((b + 1) * block, n); };
+  if (pool == nullptr || pool->size() <= 1 || nblocks <= 1 || t_in_worker) {
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      work(lo(b), hi(b));
+      consume(lo(b), hi(b));
     }
     return;
   }
-  std::future<void> ahead =
-      pool->submit([&produce, lo, hi] { produce(lo(0), hi(0)); });
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    try {
-      ahead.get();  // rethrows a produce failure for chunk c
-      if (c + 1 < nchunks) {
-        const std::size_t next = c + 1;
-        ahead = pool->submit(
-            [&produce, lo, hi, next] { produce(lo(next), hi(next)); });
-      }
-      consume(lo(c), hi(c));
-    } catch (...) {
-      // An in-flight produce task captures locals by reference; it must not
-      // outlive this frame even when a stage throws.
-      if (ahead.valid()) ahead.wait();
-      throw;
+  std::vector<std::future<void>> done;
+  done.reserve(nblocks);
+  try {
+    for (std::size_t b = 0; b < nblocks; ++b)
+      done.push_back(pool->submit([&work, lo, hi, b] { work(lo(b), hi(b)); }));
+    for (std::size_t b = 0; b < nblocks; ++b) {
+      done[b].get();  // rethrows a work failure for block b
+      consume(lo(b), hi(b));
     }
+  } catch (...) {
+    // In-flight tasks capture locals by reference; none may outlive this
+    // frame, whichever callable threw.
+    for (auto& f : done)
+      if (f.valid()) f.wait();
+    throw;
   }
 }
 

@@ -94,18 +94,20 @@ ThreadPool& global_pool();
 void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
                 const std::function<void(std::size_t, std::size_t)>& fn);
 
-/// Two-stage bounded pipeline over [0, n) in chunks of `chunk`: stage one
-/// (`produce`) for chunk c+1 runs as a pool task while stage two (`consume`)
-/// for chunk c runs on the caller, in ascending chunk order, with a lookahead
-/// of exactly one chunk. The chunk boundaries are a function of (n, chunk)
-/// only, and each stage sees every chunk exactly once in ascending order on
-/// both the serial and the pipelined path — so a caller that keeps per-item
-/// state disjoint (produce writes item i, consume reads item i) gets
-/// bit-identical results at any pool size. `consume` may itself fan out
-/// through the pool (e.g. via for_blocks); `produce` must not. Serial when
-/// pool is null or single-threaded.
-void pipeline_two_stage(ThreadPool* pool, std::size_t n, std::size_t chunk,
-                        const std::function<void(std::size_t, std::size_t)>& produce,
+/// Ordered fan-out over [0, n) in blocks of `block` (0 is treated as 1):
+/// `work(lo, hi)` runs for every block as a pool task, concurrently across
+/// blocks, while the caller runs `consume(lo, hi)` for block b in ascending
+/// block order as soon as work(b) has finished — so the serial consume
+/// overlaps the blocks still in flight. Block boundaries are a function of
+/// (n, block) only and consume sees every block exactly once in ascending
+/// order on both paths, so a caller whose work writes only its own items and
+/// whose consume folds them gets bit-identical results at any pool size.
+/// Runs serially (work(b) then consume(b), block by block) when pool is null
+/// or has one worker, when there is a single block, or inside a worker. If
+/// either callable throws, every in-flight block is waited out before the
+/// exception propagates, so no task outlives the caller's frame.
+void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
+                        const std::function<void(std::size_t, std::size_t)>& work,
                         const std::function<void(std::size_t, std::size_t)>& consume);
 
 /// Pool resolution for engine configs whose `pool` field is null: the shared

@@ -51,6 +51,13 @@ coupling::CgSystemInfo make_proto(const InSituConfig& config) {
   return info;
 }
 
+/// Sims per fan-out block: a function of the payload count only, so block
+/// seams never depend on the pool. At least 16 sims amortize the per-task
+/// dispatch; past 512 sims the tick is capped at 32 blocks.
+std::size_t tick_block(std::size_t n) {
+  return std::max<std::size_t>(16, (n + 31) / 32);
+}
+
 }  // namespace
 
 struct InSituPlane::SimState {
@@ -78,17 +85,6 @@ std::uint64_t InSituPlane::stream_seed(std::uint64_t seed, std::uint64_t sim,
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-InSituPlane::SimState& InSituPlane::state_for(std::uint64_t payload) {
-  auto it = states_.find(payload);
-  if (it == states_.end())
-    it = states_
-             .emplace(payload, std::make_unique<SimState>(
-                                   proto_, payload, config_.rdf_rmax,
-                                   config_.rdf_bins))
-             .first;
-  return *it->second;
 }
 
 void InSituPlane::step_sim(std::uint64_t payload, SimState& st,
@@ -133,39 +129,41 @@ std::uint64_t InSituPlane::tick(
     const std::vector<std::uint64_t>& payloads, std::uint64_t tick_key,
     double candidate_mean,
     const std::function<void(const InSituResult&)>& fold) {
-  // Prune sims that stopped running, create the newly started ones (serial:
-  // allocation and hash-map mutation stay off the workers).
-  for (auto it = states_.begin(); it != states_.end();) {
-    if (!std::binary_search(payloads.begin(), payloads.end(), it->first))
-      it = states_.erase(it);
-    else
-      ++it;
-  }
+  // Merge the ascending payloads against the ascending live states: keep the
+  // sims still running, create the newly started ones, drop the departed
+  // (serial: allocation stays off the workers). Afterwards states_[i]
+  // belongs to payloads[i].
   const std::size_t n = payloads.size();
-  std::vector<SimState*> slots(n);
-  for (std::size_t i = 0; i < n; ++i) slots[i] = &state_for(payloads[i]);
+  std::vector<std::pair<std::uint64_t, std::unique_ptr<SimState>>> live;
+  live.reserve(n);
+  auto old = states_.begin();
+  for (const std::uint64_t payload : payloads) {
+    while (old != states_.end() && old->first < payload) ++old;
+    if (old != states_.end() && old->first == payload)
+      live.push_back(std::move(*old++));
+    else
+      live.emplace_back(payload, std::make_unique<SimState>(
+                                     proto_, payload, config_.rdf_rmax,
+                                     config_.rdf_bins));
+  }
+  states_ = std::move(live);
 
   std::uint64_t fold_ns = 0;
-  util::pipeline_two_stage(
-      config_.pool, n, kInSituChunk,
-      // Stage one (pool task, one chunk ahead): stepping.
+  util::for_blocks_ordered(
+      config_.pool, n, tick_block(n),
+      // Pool task per block: step, then analyze, each of the block's sims.
       [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          step_sim(payloads[i], *slots[i], tick_key);
+        for (std::size_t i = lo; i < hi; ++i) {
+          SimState& st = *states_[i].second;
+          step_sim(payloads[i], st, tick_key);
+          analyze_sim(payloads[i], st, tick_key, candidate_mean, st.result);
+        }
       },
-      // Stage two (caller, ascending chunks): fan the analyses out across
-      // the pool, then fold this chunk serially — so the fold is globally
-      // ascending in sim id while the next chunk's stepping is in flight.
+      // Caller, ascending blocks: fold each block as soon as it finishes —
+      // globally ascending in sim id while later blocks are still in flight.
       [&](std::size_t lo, std::size_t hi) {
-        util::for_blocks(
-            config_.pool, hi - lo, kInSituSubBlock,
-            [&](std::size_t b, std::size_t e) {
-              for (std::size_t i = lo + b; i < lo + e; ++i)
-                analyze_sim(payloads[i], *slots[i], tick_key, candidate_mean,
-                            slots[i]->result);
-            });
         const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = lo; i < hi; ++i) fold(slots[i]->result);
+        for (std::size_t i = lo; i < hi; ++i) fold(states_[i].second->result);
         fold_ns += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)

@@ -10,16 +10,18 @@
 // (stepping), runs the real coupling::CgAnalysis over it (RDF accumulation +
 // encoder feature extraction), and draws the per-sim candidate counts — all
 // under the engines' bit-level discipline: per-sim counter-based RNG streams,
-// chunk boundaries a function of data only, a two-stage bounded pipeline
-// (stepping of chunk c+1 overlaps analysis of chunk c), and a serial fold in
-// ascending sim-id order. Threads change wall time, never output.
+// block boundaries a function of the sim count only, and one ordered fan-out
+// (util::for_blocks_ordered): each pool task steps and then analyzes its own
+// block of sims, while the caller folds finished blocks in ascending sim-id
+// order as the later blocks are still running. Threads change wall time,
+// never output.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "coupling/analysis.hpp"
@@ -41,12 +43,6 @@ struct InSituConfig {
   /// Pool for the fan-out; null runs serially (same outputs either way).
   util::ThreadPool* pool = nullptr;
 };
-
-/// Pipeline chunk: sims whose stepping is submitted as one pool task, and
-/// whose analysis is folded before the next chunk's. Data-only constant.
-constexpr std::size_t kInSituChunk = 32;
-/// Analysis fan-out granularity within a chunk. Data-only constant.
-constexpr std::size_t kInSituSubBlock = 8;
 
 /// Per-sim outcome of one tick, handed to the fold callback.
 struct InSituResult {
@@ -70,7 +66,9 @@ class InSituPlane {
   /// unique) for the tick identified by `tick_key`, then folds results
   /// serially in ascending payload order via `fold`. `candidate_mean` is the
   /// Poisson mean of candidate frames per sim this tick. Returns nanoseconds
-  /// spent in the serial fold (wm.tick.fold_ns).
+  /// spent in the serial fold (wm.tick.fold_ns). `fold` runs on the calling
+  /// thread; if it throws, the tick waits out its in-flight blocks and
+  /// rethrows, and the plane stays usable for the next tick.
   ///
   /// Output is a pure function of (seed, payloads, tick_key, candidate_mean):
   /// per-sim streams are counter-based, positions are regenerated statelessly
@@ -91,7 +89,6 @@ class InSituPlane {
  private:
   struct SimState;
 
-  SimState& state_for(std::uint64_t payload);
   void step_sim(std::uint64_t payload, SimState& st,
                 std::uint64_t tick_key) const;
   void analyze_sim(std::uint64_t payload, SimState& st, std::uint64_t tick_key,
@@ -102,7 +99,8 @@ class InSituPlane {
   /// Geometry template shared by every sim (per-sim state differs only in
   /// positions, which are regenerated statelessly each tick).
   coupling::CgSystemInfo proto_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<SimState>> states_;
+  /// Live sims, ascending by payload (the order of the last tick's payloads).
+  std::vector<std::pair<std::uint64_t, std::unique_ptr<SimState>>> states_;
 };
 
 }  // namespace mummi::wm

@@ -224,6 +224,41 @@ TEST(ParallelContinuum, NanFieldsFreezeProteinsInsideBox) {
   }
 }
 
+TEST(ParallelContinuum, HugeFiniteProteinCoordinateLeavesNoFootprint) {
+  // A restored frame may carry a finite protein coordinate far beyond the
+  // int range of cell indices. The footprint stamp must skip it exactly as
+  // it skips NaN: no footprint, no overflow in the cell arithmetic.
+  auto step_with_first_protein_at = [](double x) {
+    ContinuumConfig cfg = small_config(16, 4, 6);
+    GridSim2D sim(cfg);
+    const util::Bytes frame = sim.serialize();
+    util::ByteReader r(frame);
+    util::ByteWriter w;
+    w.u64(r.u64());  // frame sentinel
+    w.u32(r.u32());  // frame version
+    Snapshot snap = Snapshot::deserialize(r.bytes());
+    snap.proteins[0].x = x;
+    w.bytes(snap.serialize());
+    util::Bytes rest(r.remaining());
+    r.raw(rest.data(), rest.size());
+    w.raw(rest.data(), rest.size());
+    sim.restore(std::move(w).take());
+    sim.step(1);
+    std::vector<Grid2d> fields;
+    for (int s = 0; s < sim.n_species(); ++s) fields.push_back(sim.field(s));
+    return fields;
+  };
+  const auto skipped = step_with_first_protein_at(std::nan(""));
+  // Grid spacing is 1000 nm / 16 = 62.5 nm: the last value lands exactly on
+  // cell INT_MAX.
+  for (const double x : {1e12, -1e12, 1e300, 62.5 * 2147483647.0}) {
+    const auto got = step_with_first_protein_at(x);
+    ASSERT_EQ(got.size(), skipped.size());
+    for (std::size_t s = 0; s < got.size(); ++s)
+      EXPECT_EQ(got[s].data(), skipped[s].data()) << "x=" << x << " s=" << s;
+  }
+}
+
 TEST(ParallelContinuum, BlockBoundariesDependOnSizeOnly) {
   // The whole determinism argument rests on this: boundaries are f(n) only.
   EXPECT_EQ(detail::row_block(24), 8u);

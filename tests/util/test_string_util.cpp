@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -44,6 +45,14 @@ struct GlobCase {
   const char* text;
   bool expect;
 };
+
+// Without this, gtest prints a GlobCase as its raw bytes — two string
+// pointers that move with every build — and ctest's discovered test names
+// embed that text, so the case names would change from build to build.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+  *os << "'" << c.pattern << "' vs '" << c.text << "' -> "
+      << (c.expect ? "match" : "no match");
+}
 
 class GlobMatch : public ::testing::TestWithParam<GlobCase> {};
 

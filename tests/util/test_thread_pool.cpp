@@ -148,50 +148,53 @@ TEST(ThreadPool, WaitIdleUnderConcurrentEnqueue) {
   pool.wait_idle();
 }
 
-TEST(PipelineTwoStage, CoversRangeInOrderSerial) {
-  std::vector<int> produced, consumed;
-  pipeline_two_stage(
+TEST(ForBlocksOrdered, CoversRangeInOrderSerial) {
+  std::vector<int> worked, consumed;
+  for_blocks_ordered(
       nullptr, 10, 4,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
-          produced.push_back(static_cast<int>(i));
+          worked.push_back(static_cast<int>(i));
       },
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
           consumed.push_back(static_cast<int>(i));
       });
   const std::vector<int> want{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  EXPECT_EQ(produced, want);
+  EXPECT_EQ(worked, want);
   EXPECT_EQ(consumed, want);
 }
 
-TEST(PipelineTwoStage, ConsumeSeesProducedChunkAndStaysOrdered) {
-  // The pipeline contract: consume(c) starts only after produce(c) finished,
-  // and consume chunks run serially in ascending order on the caller thread.
+TEST(ForBlocksOrdered, ConsumeSeesFinishedWorkAndStaysOrdered) {
+  // The contract: consume(b) starts only after work(b) finished, and consume
+  // blocks run serially in ascending order on the caller thread.
   ThreadPool pool(4);
-  const std::size_t n = 1000, chunk = 64;
+  const std::size_t n = 1000, block = 64;
   std::vector<int> staged(n, 0);
   std::vector<std::size_t> consume_los;
-  pipeline_two_stage(
-      &pool, n, chunk,
+  const auto caller = std::this_thread::get_id();
+  for_blocks_ordered(
+      &pool, n, block,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) staged[i] = static_cast<int>(i);
       },
       [&](std::size_t lo, std::size_t hi) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
         consume_los.push_back(lo);
         for (std::size_t i = lo; i < hi; ++i)
           EXPECT_EQ(staged[i], static_cast<int>(i));
       });
-  ASSERT_EQ(consume_los.size(), (n + chunk - 1) / chunk);
-  EXPECT_TRUE(std::is_sorted(consume_los.begin(), consume_los.end()));
+  ASSERT_EQ(consume_los.size(), (n + block - 1) / block);
+  for (std::size_t b = 0; b < consume_los.size(); ++b)
+    EXPECT_EQ(consume_los[b], b * block);
 }
 
-TEST(PipelineTwoStage, SerialAndPooledFoldIdentical) {
+TEST(ForBlocksOrdered, SerialAndPooledTracesIdentical) {
   // Threads change wall time, never output: the consume-side fold sequence
-  // is byte-identical with and without a pool.
+  // is byte-identical with and without a pool, at any pool size.
   auto fold_trace = [](ThreadPool* pool) {
     std::vector<std::size_t> trace;
-    pipeline_two_stage(
+    for_blocks_ordered(
         pool, 337, 16, [](std::size_t, std::size_t) {},
         [&](std::size_t lo, std::size_t hi) {
           trace.push_back(lo);
@@ -199,57 +202,71 @@ TEST(PipelineTwoStage, SerialAndPooledFoldIdentical) {
         });
     return trace;
   };
-  ThreadPool p2(2), p8(8);
+  ThreadPool p1(1), p2(2), p8(8);
   const auto want = fold_trace(nullptr);
+  ASSERT_EQ(want.size(), 2u * 22u);
+  EXPECT_EQ(want.back(), 337u);
+  EXPECT_EQ(fold_trace(&p1), want);
   EXPECT_EQ(fold_trace(&p2), want);
   EXPECT_EQ(fold_trace(&p8), want);
 }
 
-TEST(PipelineTwoStage, EmptyAndSingleChunkEdges) {
+TEST(ForBlocksOrdered, EmptyAndSingleBlockEdges) {
   ThreadPool pool(2);
-  int produce_calls = 0, consume_calls = 0;
-  pipeline_two_stage(
-      &pool, 0, 8, [&](std::size_t, std::size_t) { ++produce_calls; },
+  int work_calls = 0, consume_calls = 0;
+  for_blocks_ordered(
+      &pool, 0, 8, [&](std::size_t, std::size_t) { ++work_calls; },
       [&](std::size_t, std::size_t) { ++consume_calls; });
-  EXPECT_EQ(produce_calls, 0);
+  EXPECT_EQ(work_calls, 0);
   EXPECT_EQ(consume_calls, 0);
-  pipeline_two_stage(
-      &pool, 5, 8, [&](std::size_t lo, std::size_t hi) {
-        ++produce_calls;
+  // A single block runs inline on the caller: no synchronization needed.
+  const auto caller = std::this_thread::get_id();
+  for_blocks_ordered(
+      &pool, 5, 8,
+      [&](std::size_t lo, std::size_t hi) {
+        ++work_calls;
+        EXPECT_EQ(std::this_thread::get_id(), caller);
         EXPECT_EQ(lo, 0u);
         EXPECT_EQ(hi, 5u);
       },
       [&](std::size_t, std::size_t) { ++consume_calls; });
-  EXPECT_EQ(produce_calls, 1);
+  EXPECT_EQ(work_calls, 1);
   EXPECT_EQ(consume_calls, 1);
 }
 
-TEST(PipelineTwoStage, ZeroChunkTreatedAsOne) {
-  std::vector<std::size_t> los;
-  pipeline_two_stage(
-      nullptr, 3, 0, [](std::size_t, std::size_t) {},
-      [&](std::size_t lo, std::size_t hi) {
-        EXPECT_EQ(hi, lo + 1);
-        los.push_back(lo);
-      });
-  EXPECT_EQ(los, (std::vector<std::size_t>{0, 1, 2}));
+TEST(ForBlocksOrdered, ZeroBlockTreatedAsOne) {
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::size_t> los;
+    for_blocks_ordered(
+        p, 3, 0, [](std::size_t, std::size_t) {},
+        [&](std::size_t lo, std::size_t hi) {
+          EXPECT_EQ(hi, lo + 1);
+          los.push_back(lo);
+        });
+    EXPECT_EQ(los, (std::vector<std::size_t>{0, 1, 2}));
+  }
 }
 
-TEST(PipelineTwoStage, ProduceExceptionPropagates) {
+TEST(ForBlocksOrdered, WorkExceptionPropagates) {
   ThreadPool pool(4);
-  EXPECT_THROW(pipeline_two_stage(
+  std::vector<std::size_t> consumed;
+  EXPECT_THROW(for_blocks_ordered(
                    &pool, 1000, 16,
                    [](std::size_t lo, std::size_t) {
-                     if (lo == 512) throw std::runtime_error("produce");
+                     if (lo == 512) throw std::runtime_error("work");
                    },
-                   [](std::size_t, std::size_t) {}),
+                   [&](std::size_t lo, std::size_t) { consumed.push_back(lo); }),
                std::runtime_error);
   pool.wait_idle();  // no stranded tasks referencing dead stack frames
+  // Every block before the failing one was consumed, none after it.
+  ASSERT_EQ(consumed.size(), 512u / 16u);
+  EXPECT_EQ(consumed.back(), 512u - 16u);
 }
 
-TEST(PipelineTwoStage, ConsumeExceptionPropagates) {
+TEST(ForBlocksOrdered, ConsumeExceptionPropagates) {
   ThreadPool pool(4);
-  EXPECT_THROW(pipeline_two_stage(
+  EXPECT_THROW(for_blocks_ordered(
                    &pool, 1000, 16, [](std::size_t, std::size_t) {},
                    [](std::size_t lo, std::size_t) {
                      if (lo == 512) throw std::runtime_error("consume");
@@ -258,16 +275,20 @@ TEST(PipelineTwoStage, ConsumeExceptionPropagates) {
   pool.wait_idle();
 }
 
-TEST(PipelineTwoStage, NestedInsideWorkerRunsInline) {
+TEST(ForBlocksOrdered, NestedInsideWorkerRunsInline) {
   // Same no-deadlock guarantee as parallel_for_blocks: a worker task that
-  // itself pipelines must not wait on the occupied pool.
+  // itself fans out must not wait on the occupied pool.
   ThreadPool pool(2);
   std::atomic<int> total{0};
   std::vector<std::future<void>> futures;
   for (int t = 0; t < 4; ++t)
     futures.push_back(pool.submit([&pool, &total] {
-      pipeline_two_stage(
-          &pool, 100, 10, [](std::size_t, std::size_t) {},
+      const auto self = std::this_thread::get_id();
+      for_blocks_ordered(
+          &pool, 100, 10,
+          [&](std::size_t, std::size_t) {
+            EXPECT_EQ(std::this_thread::get_id(), self);
+          },
           [&](std::size_t lo, std::size_t hi) {
             total += static_cast<int>(hi - lo);
           });

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -112,14 +113,14 @@ TEST(InSitu, TickOutputStatelessAcrossRebuild) {
   EXPECT_EQ(std::move(warm_bytes).take(), std::move(cold_bytes).take());
 }
 
-// Satellite: CgAnalysis-backed thread-sweep determinism. The whole in-situ
-// fan-out (stepping, CgAnalysis::analyze, RdfSet accumulation, candidate
-// draws) must be byte-identical at pool sizes 1, 2 and 8.
+// CgAnalysis-backed thread-sweep determinism. The whole in-situ fan-out
+// (stepping, CgAnalysis::analyze, RdfSet accumulation, candidate draws) must
+// be byte-identical at pool sizes 1, 2, 3, 4 and 8.
 TEST(InSituProperty, ThreadSweepBitIdentical) {
   InSituPlane serial_plane(2024);
   const util::Bytes want = run_schedule(serial_plane);
   EXPECT_FALSE(want.empty());
-  for (const std::size_t nthreads : {1u, 2u, 8u}) {
+  for (const std::size_t nthreads : {1u, 2u, 3u, 4u, 8u}) {
     util::ThreadPool pool(nthreads);
     InSituConfig cfg;
     cfg.pool = &pool;
@@ -129,22 +130,58 @@ TEST(InSituProperty, ThreadSweepBitIdentical) {
 }
 
 TEST(InSituProperty, ChunkBoundarySimCounts) {
-  // Payload counts straddling the chunk and sub-block constants: the fold
-  // must stay ascending and complete exactly at the pipeline seams.
+  // Payload counts straddling the fan-out block seams — one block up to 16
+  // sims, 16-sim blocks up to 512, then at most 32 blocks of ceil(n/32): the
+  // fold must stay ascending and complete, and match the serial plane byte
+  // for byte.
   util::ThreadPool pool(4);
   InSituConfig cfg;
   cfg.pool = &pool;
   InSituPlane plane(5, cfg);
-  for (const std::size_t n :
-       {kInSituSubBlock - 1, kInSituSubBlock, kInSituChunk - 1, kInSituChunk,
-        kInSituChunk + 1, 2 * kInSituChunk + 3}) {
+  InSituPlane serial(5);
+  for (const std::size_t n : {15u, 16u, 17u, 511u, 512u, 513u, 2200u}) {
     std::vector<std::uint64_t> payloads(n);
     for (std::size_t i = 0; i < n; ++i) payloads[i] = 10 * (i + 1);
     std::vector<std::uint64_t> seen;
-    plane.tick(payloads, n, 1.5,
-               [&](const InSituResult& r) { seen.push_back(r.sim); });
+    util::ByteWriter got, want;
+    plane.tick(payloads, n, 1.5, [&](const InSituResult& r) {
+      seen.push_back(r.sim);
+      got.bytes(encode(r));
+    });
+    serial.tick(payloads, n, 1.5,
+                [&](const InSituResult& r) { want.bytes(encode(r)); });
     EXPECT_EQ(seen, payloads) << "n=" << n;
+    EXPECT_EQ(std::move(got).take(), std::move(want).take()) << "n=" << n;
   }
+}
+
+TEST(InSitu, FoldThrowMidTickLeavesPlaneReusable) {
+  // A fold that throws partway through a pooled tick must not strand a
+  // block task on the pool, and the plane's next tick must still match a
+  // fresh plane's (output is stateless per tick).
+  util::ThreadPool pool(4);
+  InSituConfig cfg;
+  cfg.pool = &pool;
+  InSituPlane plane(77, cfg);
+  std::vector<std::uint64_t> payloads(300);
+  for (std::size_t i = 0; i < payloads.size(); ++i) payloads[i] = 3 * i + 1;
+  std::size_t folded = 0;
+  EXPECT_THROW(plane.tick(payloads, 9, 2.0,
+                          [&](const InSituResult&) {
+                            if (++folded == 100)
+                              throw std::runtime_error("fold");
+                          }),
+               std::runtime_error);
+  pool.wait_idle();
+  EXPECT_EQ(folded, 100u);
+
+  util::ByteWriter got, want;
+  plane.tick(payloads, 10, 2.0,
+             [&](const InSituResult& r) { got.bytes(encode(r)); });
+  InSituPlane fresh(77);
+  fresh.tick(payloads, 10, 2.0,
+             [&](const InSituResult& r) { want.bytes(encode(r)); });
+  EXPECT_EQ(std::move(got).take(), std::move(want).take());
 }
 
 }  // namespace
