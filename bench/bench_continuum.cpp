@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "continuum/gridsim2d.hpp"
-#include "continuum/parallel_kernels.hpp"
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
 #include "util/thread_pool.hpp"
@@ -64,13 +63,16 @@ double virtual_speedup(int grid, int ns, int np, int threads) {
     return *std::max_element(worker.begin(), worker.end());
   };
   const double row_cost = static_cast<double>(n) * ns;  // cells per row
+  // The engine's block rules (gridsim2d.cpp): rows 8 / 16, proteins 16 / 8.
+  const std::size_t rows_per_block = util::block_size(n, 8, 16);
+  const std::size_t proteins_per_block = util::block_size(p, 16, 8);
   double serial = 0.0, makespan = 0.0;
-  makespan += phase(n, cont::detail::row_block(n), row_cost, &serial);  // mu
-  makespan += phase(n, cont::detail::row_block(n), row_cost, &serial);  // flux
+  makespan += phase(n, rows_per_block, row_cost, &serial);  // mu
+  makespan += phase(n, rows_per_block, row_cost, &serial);  // flux
   if (np > 0) {
     // Footprint stamps (~37x37 Gaussian per protein) + protein force pass.
-    makespan += phase(p, cont::detail::protein_block(p), 37.0 * 37.0, &serial);
-    makespan += phase(p, cont::detail::protein_block(p), 200.0, &serial);
+    makespan += phase(p, proteins_per_block, 37.0 * 37.0, &serial);
+    makespan += phase(p, proteins_per_block, 200.0, &serial);
   }
   return makespan > 0 ? serial / makespan : 1.0;
 }
@@ -87,8 +89,8 @@ int run(bool small) {
   const int steps = small ? 8 : 20;
   const int ns = 14, np = 30;
   const auto cells = static_cast<double>(grid) * grid * ns;
-  const std::size_t nblocks =
-      cont::detail::row_blocks(static_cast<std::size_t>(grid));
+  const auto n = static_cast<std::size_t>(grid);
+  const std::size_t nblocks = util::block_count(n, util::block_size(n, 8, 16));
   std::printf("=== continuum DDFT engine: thread sweep ===\n");
   std::printf("(grid=%d^2, %d species, %d proteins, %zu row blocks, "
               "%d steps%s)\n\n",

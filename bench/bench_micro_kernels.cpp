@@ -17,7 +17,6 @@
 #include "datastore/kv_cluster.hpp"
 #include "datastore/taridx.hpp"
 #include "mdengine/integrator.hpp"
-#include "mdengine/parallel_kernels.hpp"
 #include "mdengine/simulation.hpp"
 #include "ml/ann_index.hpp"
 #include "ml/fps_sampler.hpp"
@@ -215,8 +214,9 @@ double legacy_force_kernel(const md::TypeMatrixForceField& ff, md::System& s,
 /// on the list and T — same answer on any host.
 double virtual_speedup(const md::NeighborList& list, std::size_t n,
                        int threads) {
-  const std::size_t block = md::detail::kernel_block(n);
-  const std::size_t nblocks = md::detail::kernel_blocks(n);
+  // The force engine's block rule (force_field.cpp): 512 / 16.
+  const std::size_t block = util::block_size(n, 512, 16);
+  const std::size_t nblocks = util::block_count(n, block);
   const auto& row_start = list.row_start();
   std::vector<double> cost(nblocks, 0.0);
   for (std::size_t b = 0; b < nblocks; ++b) {
@@ -249,7 +249,8 @@ int run_md_kernels(bool small) {
   md::NeighborList list(1.2, 0.3);
   list.build(ref);
   const std::size_t pairs = list.n_pairs();
-  const std::size_t nblocks = md::detail::kernel_blocks(ref.size());
+  const std::size_t nblocks =
+      util::block_count(ref.size(), util::block_size(ref.size(), 512, 16));
   std::printf("=== MD force kernel: thread sweep ===\n");
   std::printf("(n=%d, %zu pairs, %zu blocks, %d reps%s)\n\n", n, pairs,
               nblocks, reps, small ? ", --small" : "");

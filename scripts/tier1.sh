@@ -108,12 +108,15 @@ echo "=== tier 1: TSan build, threaded continuum engine tests ==="
 ./build-tsan/tests/mummi_tests \
   --gtest_filter='*ParallelContinuum*'
 
-echo "=== tier 1: TSan build, threaded campaign tick tests ==="
-# The campaign maintain tick steps and analyzes each block of sims on the
-# pool while the caller folds finished blocks in order, over shared
-# SimStates; the determinism suites drive 2/3/4/8-worker pools against the
-# serial reference, so a racy block handoff or early fold trips here.
+echo "=== tier 1: TSan build, blocked-parallel primitive + campaign tick ==="
+# util::for_blocks(_ordered) and util::BlockScratch are the one layer every
+# engine fans out through; their own suites (block handoff, exception
+# wait-out, scratch fold, block-size rule, pool resolution) run here first. The campaign maintain tick then
+# steps and analyzes each block of sims on the pool while the caller folds
+# finished blocks in order, over shared SimStates; the determinism suites
+# drive 2/3/4/8-worker pools against the serial reference, so a racy block
+# handoff or early fold trips here.
 ./build-tsan/tests/mummi_tests \
-  --gtest_filter='*ForBlocksOrdered*:*InSitu*:*ParallelCampaign*'
+  --gtest_filter='*ForBlocks*:*BlockScratch*:*BlockSize*:*EnvSharedPool*:*InSitu*:*ParallelCampaign*'
 
 echo "=== tier 1: PASS ==="

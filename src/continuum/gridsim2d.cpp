@@ -1,5 +1,6 @@
 #include "continuum/gridsim2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -19,12 +20,10 @@ constexpr std::uint32_t kFrameVersion = 2;
 
 }  // namespace
 
-util::ThreadPool* default_continuum_pool() { return util::env_shared_pool(); }
-
 GridSim2D::GridSim2D(ContinuumConfig config)
     : config_(config),
       h_(config.extent / config.grid),
-      pool_(config.pool != nullptr ? config.pool : default_continuum_pool()),
+      pool_(config.pool != nullptr ? config.pool : util::env_shared_pool()),
       rng_(config.seed) {
   const int ns = n_species();
   MUMMI_CHECK_MSG(ns > 0 && config_.grid > 2 && config_.dt > 0,
@@ -42,8 +41,9 @@ GridSim2D::GridSim2D(ContinuumConfig config)
   }
   mu_.assign(static_cast<std::size_t>(ns), Grid2d(config_.grid));
   next_.assign(static_cast<std::size_t>(ns), Grid2d(config_.grid));
-  footprint_.assign(static_cast<std::size_t>(kNumProteinStates),
-                    Grid2d(config_.grid));
+  footprint_.assign(static_cast<std::size_t>(kNumProteinStates) *
+                        static_cast<std::size_t>(config_.grid) * config_.grid,
+                    0.0);
 
   // Symmetric lipid-lipid interaction matrix: mild self-attraction drives
   // domain formation; cross terms are random but weak.
@@ -95,9 +95,9 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
   // sigma == 0 (pointlike protein) would divide by zero in the Gaussian:
   // such proteins simply leave no footprint.
   const bool stamp = sigma_g > 0 && np > 0;
-  const std::size_t nblocks = stamp ? detail::protein_blocks(np) : 0;
-  fp_scratch_.reset(nblocks, static_cast<std::size_t>(kNumProteinStates),
-                    cells);
+  const std::size_t block = util::block_size(np, 16, 8);
+  const std::size_t nblocks = stamp ? util::block_count(np, block) : 0;
+  fp_scratch_.reset(nblocks, footprint_.size());
   if (stamp) {
     const int reach = std::max(2, static_cast<int>(3 * sigma_g));
     const double denom = 2 * sigma_g * sigma_g;
@@ -106,16 +106,15 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
     // no footprint.
     const double max_cell =
         static_cast<double>(std::numeric_limits<int>::max() - reach - 1);
-    const std::size_t block = detail::protein_block(np);
     auto wrap = [n](int i) { return ((i % n) + n) % n; };
     util::for_blocks(pool, np, block, [&](std::size_t lo, std::size_t hi) {
-      const std::size_t b = lo / block;
+      double* buf = fp_scratch_.block(lo / block);
       for (std::size_t pi = lo; pi < hi; ++pi) {
         const Protein& p = proteins_[pi];
         const double gi = p.x / h_;
         const double gj = p.y / h_;
         if (!(std::abs(gi) <= max_cell && std::abs(gj) <= max_cell)) continue;
-        double* f = fp_scratch_.grid(b, static_cast<std::size_t>(p.state));
+        double* f = buf + static_cast<std::size_t>(p.state) * cells;
         const int ci = static_cast<int>(std::floor(gi));
         const int cj = static_cast<int>(std::floor(gj));
         for (int di = -reach; di <= reach; ++di) {
@@ -131,8 +130,10 @@ void GridSim2D::build_footprints(util::ThreadPool* pool) {
       }
     });
   }
-  // Ascending-block fold (zeroes the grids when nothing was stamped).
-  fp_scratch_.reduce_and_clear(footprint_, pool);
+  // footprint = 0.0 + block 0 + block 1 + ..., ascending per cell.
+  std::fill(footprint_.begin(), footprint_.end(), 0.0);
+  fp_scratch_.fold(footprint_.data(), pool,
+                   util::block_size(footprint_.size(), 4096, 16));
 }
 
 void GridSim2D::step_lipids() {
@@ -143,6 +144,10 @@ void GridSim2D::step_lipids() {
   const double coeff = config_.mobility * config_.dt;
 
   build_footprints(pool_);
+  // Row blocks: ~16 for large grids, never below 8 rows. Each row is
+  // computed whole by one block, so the seams never touch a sum.
+  const std::size_t rows_per_block =
+      util::block_size(static_cast<std::size_t>(n), 8, 16);
 
   // Excess chemical potential, fused over row blocks: the chi contraction,
   // gradient penalty and protein coupling land on each mu cell in the same
@@ -151,7 +156,7 @@ void GridSim2D::step_lipids() {
   // bit-identical to the legacy kernel. Interior columns use direct +-1
   // offsets; only j = 0 and j = n-1 pay the periodic wrap.
   util::for_blocks(
-      pool_, static_cast<std::size_t>(n), detail::row_block(n),
+      pool_, static_cast<std::size_t>(n), rows_per_block,
       [&](std::size_t rlo, std::size_t rhi) {
         for (std::size_t i = rlo; i < rhi; ++i) {
           const std::size_t r = i * n;
@@ -192,7 +197,8 @@ void GridSim2D::step_lipids() {
             for (int st = 0; st < kNumProteinStates; ++st) {
               const double w = coupling_[static_cast<std::size_t>(st) * ns + s];
               if (w == 0) continue;
-              const double* fp = footprint_[st].data().data() + r;
+              const double* fp =
+                  footprint_.data() + static_cast<std::size_t>(st) * n * n + r;
               for (int j = 0; j < n; ++j) mu[j] += w * fp[j];
             }
           }
@@ -203,7 +209,7 @@ void GridSim2D::step_lipids() {
   // into the persistent next_ grids and swapped in — no per-step allocation.
   // Face fluxes and their combination order match the legacy kernel exactly.
   util::for_blocks(
-      pool_, static_cast<std::size_t>(n), detail::row_block(n),
+      pool_, static_cast<std::size_t>(n), rows_per_block,
       [&](std::size_t rlo, std::size_t rhi) {
         for (std::size_t i = rlo; i < rhi; ++i) {
           const std::size_t r = i * n;
@@ -299,8 +305,9 @@ void GridSim2D::step_proteins() {
   bins_.build(proteins_, l, rep_range);
   c_rebuilds_->inc();
 
-  const std::size_t block = detail::protein_block(np);
-  const std::size_t nblocks = detail::protein_blocks(np);
+  // Protein blocks: ~8, never below 16 proteins (as in build_footprints).
+  const std::size_t block = util::block_size(np, 16, 8);
+  const std::size_t nblocks = util::block_count(np, block);
   if (cand_scratch_.size() < nblocks) cand_scratch_.resize(nblocks);
   pair_counts_.assign(nblocks, 0);
 
@@ -369,7 +376,8 @@ void GridSim2D::step_lipids_legacy() {
         v -= config_.kappa * fields_[s].laplacian(i, j, h_);
         for (int st = 0; st < kNumProteinStates; ++st) {
           const double w = coupling_[static_cast<std::size_t>(st) * ns + s];
-          if (w != 0) v += w * footprint_[st].at(i, j);
+          if (w != 0)
+            v += w * footprint_[(static_cast<std::size_t>(st) * n + i) * n + j];
         }
         mu.at(i, j) = v;
       }

@@ -40,6 +40,7 @@
 #include "continuum/parallel_kernels.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mummi::obs {
 class Counter;
@@ -65,12 +66,6 @@ struct Protein {
   ProteinState state = ProteinState::kRasA;
 };
 
-/// Pool the engine threads its kernels through when ContinuumConfig.pool is
-/// null: the shared util::global_pool() when MUMMI_POOL_SIZE requests more
-/// than one worker, nullptr (serial) otherwise — the same resolution as
-/// md::default_md_pool(). Output is bit-identical either way.
-util::ThreadPool* default_continuum_pool();
-
 struct ContinuumConfig {
   int grid = 192;            // cells per side (paper: 2400)
   double extent = 1000.0;    // box edge, nm (1 um)
@@ -85,7 +80,10 @@ struct ContinuumConfig {
   double state_switch_rate = 2e-3;  // 1/us Markov jumps between states
   int n_proteins = 30;
   std::uint64_t seed = 42;
-  util::ThreadPool* pool = nullptr;  // null -> default_continuum_pool()
+  /// Pool the kernels thread through; null resolves through
+  /// util::env_shared_pool() (MUMMI_POOL_SIZE). Output is bit-identical
+  /// either way.
+  util::ThreadPool* pool = nullptr;
   /// Test-only: run the pre-refactor serial reference kernels (per-species
   /// loops, all-pairs repulsion, per-step allocations). Bit-identical to the
   /// block-parallel engine by construction — benches and tests assert it.
@@ -162,8 +160,8 @@ class GridSim2D {
   std::vector<Grid2d> fields_;
   std::vector<Grid2d> mu_;      // scratch: excess chemical potential
   std::vector<Grid2d> next_;    // scratch: updated densities (swapped in)
-  std::vector<Grid2d> footprint_;  // scratch: per-state protein footprints
-  detail::FootprintScratch fp_scratch_;
+  std::vector<double> footprint_;  // scratch: [state * cells + cell]
+  util::BlockScratch<double> fp_scratch_;  // per-protein-block footprints
   detail::ProteinCellBins bins_;
   std::vector<std::vector<std::size_t>> cand_scratch_;  // per-block neighbors
   std::vector<std::uint64_t> pair_counts_;              // per-block partials

@@ -7,43 +7,6 @@
 
 namespace mummi::cont::detail {
 
-void FootprintScratch::reset(std::size_t nblocks, std::size_t nstates,
-                             std::size_t cells) {
-  const std::size_t span = nstates * cells;
-  if (buf_.size() < nblocks) buf_.resize(nblocks);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    // Buffers left behind by reduce_and_clear are already zero; only a shape
-    // change (or an exception between reset and reduce) forces a re-clear.
-    if (buf_[b].size() != span || dirty_) buf_[b].assign(span, 0.0);
-  }
-  nblocks_ = nblocks;
-  nstates_ = nstates;
-  cells_ = cells;
-  dirty_ = true;
-}
-
-void FootprintScratch::reduce_and_clear(std::vector<Grid2d>& out,
-                                        util::ThreadPool* pool) {
-  // Cell-block boundaries are f(cells) only; the fold over blocks is in
-  // ascending order, so the sum is independent of the worker count.
-  const std::size_t cell_block = std::max<std::size_t>(4096, (cells_ + 15) / 16);
-  util::for_blocks(
-      pool, cells_, cell_block, [this, &out](std::size_t lo, std::size_t hi) {
-        for (std::size_t st = 0; st < nstates_; ++st) {
-          double* o = out[st].data().data();
-          for (std::size_t c = lo; c < hi; ++c) o[c] = 0.0;
-          for (std::size_t b = 0; b < nblocks_; ++b) {
-            double* f = buf_[b].data() + st * cells_;
-            for (std::size_t c = lo; c < hi; ++c) {
-              o[c] += f[c];
-              f[c] = 0.0;
-            }
-          }
-        }
-      });
-  dirty_ = false;
-}
-
 void ProteinCellBins::build(const std::vector<Protein>& proteins, double extent,
                             double range) {
   const std::size_t p = proteins.size();
@@ -75,11 +38,13 @@ void ProteinCellBins::build(const std::vector<Protein>& proteins, double extent,
   cx_.resize(p);
   cy_.resize(p);
   cell_start_.assign(ncells + 1, 0);
+  // Compare before the cast: casting NaN or a value beyond int range is
+  // undefined. Those land in bin 0, as the INT_MIN that x86's conversion
+  // gave them did, so binning (and every pinned result) is unchanged.
   auto bin = [this](double v) {
-    auto c = static_cast<int>(v / cell_w_);
-    if (!(c >= 0)) c = 0;  // also catches NaN (comparison is false)
-    if (c >= ncell_) c = ncell_ - 1;
-    return c;
+    const double c = v / cell_w_;
+    if (!(c >= 0 && c < 2147483648.0)) return 0;  // NaN fails both
+    return std::min(static_cast<int>(c), ncell_ - 1);
   };
   for (std::size_t i = 0; i < p; ++i) {
     cx_[i] = bin(px_[i]);

@@ -1,52 +1,22 @@
-// Deterministic block-parallel helpers for the continuum (DDFT) hot path.
+// Protein-side helpers for the continuum (DDFT) engine: per-protein RNG
+// stream seeds and the periodic cell bins behind the repulsion search.
 //
-// Same discipline as the MD force engine (DESIGN.md 4h): every parallel loop
-// runs through util::for_blocks with block boundaries that are a function of
-// the problem size ONLY — never the worker count — and every floating-point
-// accumulation whose result could depend on scheduling folds per-block
-// partials in fixed (ascending-block) order. A serial run, a 2-thread pool
-// and an 8-thread pool therefore produce bit-identical density fields,
-// protein trajectories and serialized snapshots.
+// The engine's parallel loops run through util::for_blocks with block sizes
+// from util::block_size, and its footprint stamps scatter into a
+// util::BlockScratch (DESIGN.md 4h/4j). The helpers here keep protein
+// updates free of hidden state and of scheduling-dependent order, so a
+// serial run and any pool produce bit-identical frames.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "continuum/grid2d.hpp"
-#include "util/thread_pool.hpp"
-
 namespace mummi::cont {
 struct Protein;  // gridsim2d.hpp
 }  // namespace mummi::cont
 
 namespace mummi::cont::detail {
-
-/// Row-block size for an n-row grid: ~16 blocks for large grids (enough
-/// slack for an 8-worker pool to balance), never below 8 rows so small test
-/// grids do not pay fan-out overhead. Depends on n only.
-inline std::size_t row_block(std::size_t n) {
-  return std::max<std::size_t>(8, (n + 15) / 16);
-}
-
-/// Number of row blocks row_block(n) yields over [0, n).
-inline std::size_t row_blocks(std::size_t n) {
-  if (n == 0) return 0;
-  const std::size_t block = row_block(n);
-  return (n + block - 1) / block;
-}
-
-/// Protein-block size: ~8 blocks, never below 16 proteins. Depends on the
-/// protein count only.
-inline std::size_t protein_block(std::size_t p) {
-  return std::max<std::size_t>(16, (p + 7) / 8);
-}
-
-inline std::size_t protein_blocks(std::size_t p) {
-  if (p == 0) return 0;
-  const std::size_t block = protein_block(p);
-  return (p + block - 1) / block;
-}
 
 /// Counter-based per-protein RNG stream seed: a splitmix64-style avalanche
 /// over (campaign seed, protein index, step index). Each protein draws from
@@ -62,39 +32,6 @@ inline std::uint64_t protein_stream_seed(std::uint64_t seed, std::uint64_t idx,
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-/// Per-block protein-footprint accumulators with a fixed-order reduction
-/// (the ForceScratch pattern applied to Gaussian stamps).
-///
-/// Writers: protein block b stamps freely into grid(b, state) — a zeroed
-/// cells-sized buffer per configurational state. reduce_and_clear folds the
-/// buffers into the output grids per cell in ascending block order —
-/// bit-identical for any worker count — and re-zeroes them on the way out,
-/// so the next reset() on the same shape skips the O(nblocks * cells) clear.
-/// Buffers persist across steps; steady-state cost is the reduction pass,
-/// not allocation.
-class FootprintScratch {
- public:
-  /// Ensures `nblocks` zeroed buffers of `nstates * cells` doubles each.
-  void reset(std::size_t nblocks, std::size_t nstates, std::size_t cells);
-
-  /// Block b's accumulator for `state` (cells doubles, zeroed on entry).
-  [[nodiscard]] double* grid(std::size_t b, std::size_t state) {
-    return buf_[b].data() + state * cells_;
-  }
-
-  /// out[state][cell] = sum over blocks (ascending) of grid(b, state)[cell];
-  /// zeroes the buffers. `out` must hold `nstates` grids of `cells` cells;
-  /// their previous contents are overwritten (zeroed when nblocks == 0).
-  void reduce_and_clear(std::vector<Grid2d>& out, util::ThreadPool* pool);
-
- private:
-  std::size_t nblocks_ = 0;
-  std::size_t nstates_ = 0;
-  std::size_t cells_ = 0;
-  bool dirty_ = false;  // writes pending that reduce_and_clear has not folded
-  std::vector<std::vector<double>> buf_;  // [block][state * cells + cell]
-};
 
 /// Periodic cell bins over protein positions: makes the soft-repulsion
 /// neighbor search O(P) instead of O(P^2).

@@ -281,12 +281,13 @@ std::vector<std::string> KvCluster::scan(const std::string* ns,
   };
 
   if (n_shards >= kParallelGroups) {
-    // Fan out over the process pool; tasks capture errors instead of
-    // throwing so every task completes before any rethrow (futures must not
-    // outlive the locals they reference). Slot order keeps results
-    // deterministic regardless of execution order.
-    util::global_pool().parallel_for_blocks(
-        n_shards, 1, [&](std::size_t begin, std::size_t end) {
+    // Fan out over the process pool. Tasks capture errors instead of
+    // throwing, so the serial and pooled paths both visit every shard even
+    // when one is down, and the error rethrown below is the lowest-index
+    // one. Slot order keeps results deterministic regardless of execution
+    // order.
+    util::for_blocks(
+        &util::global_pool(), n_shards, 1, [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) visit(i);
         });
   } else {
@@ -427,8 +428,8 @@ void KvCluster::mget(const std::vector<std::string>& keys,
     }
   };
   if (groups.touched.size() >= kParallelGroups) {
-    util::global_pool().parallel_for_blocks(
-        groups.touched.size(), 1, [&](std::size_t begin, std::size_t end) {
+    util::for_blocks(
+        &util::global_pool(), groups.touched.size(), 1, [&](std::size_t begin, std::size_t end) {
           for (std::size_t gi = begin; gi < end; ++gi) visit(gi);
         });
   } else {

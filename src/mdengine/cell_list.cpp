@@ -4,9 +4,9 @@
 #include <atomic>
 #include <cmath>
 
-#include "mdengine/parallel_kernels.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mummi::md {
 
@@ -20,9 +20,9 @@ void CellList::build(const System& system, real range,
   cell_of_.resize(n);
 
   // Cell assignment is pure per-particle work: parallel, trivially
-  // deterministic.
-  detail::for_blocks(
-      pool, n, detail::kernel_block(n),
+  // deterministic. Same blocks as the force kernels: ~16, at least 512 items.
+  util::for_blocks(
+      pool, n, util::block_size(n, 512, 16),
       [this, &system](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const Vec3 p = system.box.wrap(system.pos[i]);
@@ -73,8 +73,8 @@ void NeighborList::build(const System& system, util::ThreadPool* pool) {
   const real range = cutoff_ + skin_;
   cells_.build(system, range, pool);
 
-  const std::size_t block = detail::kernel_block(n);
-  const std::size_t nblocks = detail::kernel_blocks(n);
+  const std::size_t block = util::block_size(n, 512, 16);
+  const std::size_t nblocks = util::block_count(n, block);
   if (scratch_.size() < nblocks) scratch_.resize(nblocks);
   row_start_.assign(n + 1, 0);
 
@@ -86,7 +86,7 @@ void NeighborList::build(const System& system, util::ThreadPool* pool) {
   // Pass 1: every block gathers its rows into its own scratch buffer
   // (capacity persists across rebuilds) and records per-row lengths. Row
   // content depends only on the system, never on which worker ran the block.
-  detail::for_blocks(
+  util::for_blocks(
       pool, n, block,
       [&, this](std::size_t begin, std::size_t end) {
         std::vector<int>& js = scratch_[begin / block];
@@ -129,14 +129,14 @@ void NeighborList::build(const System& system, util::ThreadPool* pool) {
   // place — disjoint contiguous spans, so the copy parallelizes freely.
   for (std::size_t i = 0; i < n; ++i) row_start_[i + 1] += row_start_[i];
   nbr_.resize(row_start_[n]);
-  detail::for_blocks(pool, n, block,
-                     [this, block](std::size_t begin, std::size_t end) {
-                       (void)end;
-                       const std::vector<int>& js = scratch_[begin / block];
-                       std::copy(js.begin(), js.end(),
-                                 nbr_.begin() + static_cast<std::ptrdiff_t>(
-                                                    row_start_[begin]));
-                     });
+  util::for_blocks(pool, n, block,
+                   [this, block](std::size_t begin, std::size_t end) {
+                     (void)end;
+                     const std::vector<int>& js = scratch_[begin / block];
+                     std::copy(js.begin(), js.end(),
+                               nbr_.begin() + static_cast<std::ptrdiff_t>(
+                                                  row_start_[begin]));
+                   });
 
   ref_pos_ = system.pos;
   ++rebuilds_;
@@ -159,8 +159,8 @@ bool NeighborList::needs_rebuild(const System& system,
   // Parallel scan with a relaxed early-out; the OR of per-block verdicts is
   // order-independent, so the answer matches the serial scan exactly.
   std::atomic<bool> moved{false};
-  detail::for_blocks(
-      pool, n, detail::kernel_block(n),
+  util::for_blocks(
+      pool, n, util::block_size(n, 512, 16),
       [&, this](std::size_t begin, std::size_t end) {
         if (moved.load(std::memory_order_relaxed)) return;
         for (std::size_t i = begin; i < end; ++i) {

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
-#include "mdengine/parallel_kernels.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mummi::md {
 
@@ -99,18 +100,25 @@ real TypeMatrixForceField::compute(System& system,
   const real* f6t = f6_.data();
   const auto ntypes = static_cast<std::size_t>(n_types_);
 
-  const std::size_t block = detail::kernel_block(n);
-  const std::size_t nblocks = detail::kernel_blocks(n);
+  // Kernel blocks: ~16 per pass for large inputs (slack for an 8-worker
+  // pool), never below 512 items so small systems skip the fan-out. Block
+  // seams decide the force fold order, so the constants are part of the
+  // bit-identity contract.
+  const std::size_t block = util::block_size(n, 512, 16);
+  const std::size_t nblocks = util::block_count(n, block);
   // One scratch per *calling* thread, bound through a local reference so the
   // block lambda captures this thread's instance — pool workers referencing
   // the thread_local directly would each see their own (empty) scratch.
-  static thread_local detail::ForceScratch scratch_tls;
-  detail::ForceScratch& scratch = scratch_tls;
-  scratch.reset(nblocks, n, nblocks);
+  static thread_local util::BlockScratch<Vec3> scratch_tls;
+  static thread_local std::vector<real> energy_tls;
+  util::BlockScratch<Vec3>& scratch = scratch_tls;
+  std::vector<real>& energy_slots = energy_tls;
+  scratch.reset(nblocks, n);
+  energy_slots.assign(nblocks, 0);
 
-  detail::for_blocks(pool, n, block, [&](std::size_t begin, std::size_t end) {
+  util::for_blocks(pool, n, block, [&](std::size_t begin, std::size_t end) {
     const std::size_t b = begin / block;
-    Vec3* f = scratch.force(b);
+    Vec3* f = scratch.block(b);
     real energy = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const Vec3 pi = pos[i];
@@ -149,13 +157,14 @@ real TypeMatrixForceField::compute(System& system,
       }
       f[i] += fi;
     }
-    scratch.energy(b) = energy;
+    energy_slots[b] = energy;
   });
 
-  scratch.reduce_and_clear(system.force, pool);
+  scratch.fold(system.force.data(), pool, block);
   static obs::Counter& pair_counter = obs::counter("md.force.pairs");
   pair_counter.inc(neighbors.n_pairs());
-  return scratch.energy_sum();
+  // Energy partials summed in ascending slot order.
+  return std::accumulate(energy_slots.begin(), energy_slots.end(), real{0});
 }
 
 real compute_bonded(System& system, util::ThreadPool* pool) {
@@ -163,26 +172,29 @@ real compute_bonded(System& system, util::ThreadPool* pool) {
   const std::size_t nangles = system.angles.size();
   if (nbonds + nangles == 0) return 0;
   const std::size_t n = system.size();
-  const std::size_t bond_block = detail::kernel_block(nbonds);
-  const std::size_t nb_bonds = detail::kernel_blocks(nbonds);
-  const std::size_t angle_block = detail::kernel_block(nangles);
-  const std::size_t nb_angles = detail::kernel_blocks(nangles);
+  const std::size_t bond_block = util::block_size(nbonds, 512, 16);
+  const std::size_t nb_bonds = util::block_count(nbonds, bond_block);
+  const std::size_t angle_block = util::block_size(nangles, 512, 16);
+  const std::size_t nb_angles = util::block_count(nangles, angle_block);
 
-  static thread_local detail::ForceScratch scratch_tls;
-  detail::ForceScratch& scratch = scratch_tls;  // see compute(): capture the
-                                                // caller's instance, not the
-                                                // workers' thread_locals
-  scratch.reset(std::max(nb_bonds, nb_angles), n, nb_bonds + nb_angles);
+  // See compute(): capture the caller's instances, not the workers'
+  // thread_locals.
+  static thread_local util::BlockScratch<Vec3> scratch_tls;
+  static thread_local std::vector<real> energy_tls;
+  util::BlockScratch<Vec3>& scratch = scratch_tls;
+  std::vector<real>& energy_slots = energy_tls;
+  scratch.reset(std::max(nb_bonds, nb_angles), n);
+  energy_slots.assign(nb_bonds + nb_angles, 0);
   const Box box = system.box;
   const Vec3* pos = system.pos.data();
 
   // Bond blocks, then angle blocks on top of the same buffers (the passes
   // are separated by a join, and block b always lands in buffer b) — one
   // fixed-order reduction covers both terms.
-  detail::for_blocks(
+  util::for_blocks(
       pool, nbonds, bond_block, [&](std::size_t begin, std::size_t end) {
         const std::size_t b = begin / bond_block;
-        Vec3* f = scratch.force(b);
+        Vec3* f = scratch.block(b);
         real energy = 0;
         for (std::size_t k = begin; k < end; ++k) {
           const Bond& bond = system.bonds[k];
@@ -195,13 +207,13 @@ real compute_bonded(System& system, util::ThreadPool* pool) {
           f[bond.i] += fv;
           f[bond.j] -= fv;
         }
-        scratch.energy(b) = energy;
+        energy_slots[b] = energy;
       });
 
-  detail::for_blocks(
+  util::for_blocks(
       pool, nangles, angle_block, [&](std::size_t begin, std::size_t end) {
         const std::size_t b = begin / angle_block;
-        Vec3* f = scratch.force(b);
+        Vec3* f = scratch.block(b);
         real energy = 0;
         for (std::size_t k = begin; k < end; ++k) {
           const Angle& angle = system.angles[k];
@@ -230,11 +242,12 @@ real compute_bonded(System& system, util::ThreadPool* pool) {
           f[angle.k] += coeff * dk;
           f[angle.j] -= coeff * (di + dk);
         }
-        scratch.energy(nb_bonds + b) = energy;
+        energy_slots[nb_bonds + b] = energy;
       });
 
-  scratch.reduce_and_clear(system.force, pool);
-  return scratch.energy_sum();
+  scratch.fold(system.force.data(), pool, util::block_size(n, 512, 16));
+  // Energy partials summed in ascending slot order.
+  return std::accumulate(energy_slots.begin(), energy_slots.end(), real{0});
 }
 
 real Restraints::compute(System& system) const {

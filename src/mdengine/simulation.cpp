@@ -7,8 +7,6 @@
 
 namespace mummi::md {
 
-util::ThreadPool* default_md_pool() { return util::env_shared_pool(); }
-
 Simulation::Simulation(System system, std::shared_ptr<const ForceField> ff,
                        std::unique_ptr<Integrator> integrator,
                        SimulationConfig config)
@@ -16,7 +14,7 @@ Simulation::Simulation(System system, std::shared_ptr<const ForceField> ff,
       ff_(std::move(ff)),
       integrator_(std::move(integrator)),
       config_(config),
-      pool_(config.pool != nullptr ? config.pool : default_md_pool()),
+      pool_(config.pool != nullptr ? config.pool : util::env_shared_pool()),
       neighbors_(ff_->cutoff(), config.skin) {
   MUMMI_CHECK(ff_ != nullptr && integrator_ != nullptr);
   if (config_.checkpoint_interval > 0)

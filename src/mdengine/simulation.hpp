@@ -19,19 +19,16 @@ class ThreadPool;
 
 namespace mummi::md {
 
-/// Pool the engine threads its kernels through when SimulationConfig.pool is
-/// null: the shared util::global_pool() when MUMMI_POOL_SIZE requests more
-/// than one worker, nullptr (serial) otherwise. Output is bit-identical
-/// either way — the env var only trades wall time.
-util::ThreadPool* default_md_pool();
-
 struct SimulationConfig {
   real dt = 0.02;            // ps (Martini-scale); AA uses ~0.002
   real skin = 0.3;           // neighbor-list skin, nm
   int frame_interval = 100;  // steps between frame callbacks (0 = off)
   int checkpoint_interval = 0;  // steps between checkpoints (0 = off)
   std::string checkpoint_path;  // required if checkpoint_interval > 0
-  util::ThreadPool* pool = nullptr;  // null -> default_md_pool()
+  /// Pool the kernels thread through; null resolves through
+  /// util::env_shared_pool() (MUMMI_POOL_SIZE). Output is bit-identical
+  /// either way.
+  util::ThreadPool* pool = nullptr;
 };
 
 class Simulation {

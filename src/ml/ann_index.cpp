@@ -251,10 +251,7 @@ void KdTreeIndex::knn_batch(std::span<const float> queries, std::size_t nq,
         out[q * k + j] = j < best.size() ? best[j] : Neighbor{0, kInf};
     }
   };
-  if (pool != nullptr)
-    pool->parallel_for_blocks(nq, kBatchBlock, run);
-  else
-    run(0, nq);
+  util::for_blocks(pool, nq, kBatchBlock, run);
 }
 
 }  // namespace mummi::ml

@@ -11,7 +11,7 @@ namespace mummi::ml {
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// Slots per parallel_for_blocks block in update_ranks. Fixed (never derived
+// Slots per util::for_blocks block in update_ranks. Fixed (never derived
 // from the worker count) so per-block work — and therefore every float
 // produced — is identical on any pool size.
 constexpr std::size_t kRefreshBlock = 1024;
@@ -108,8 +108,8 @@ void FpsSampler::refresh_slot(std::size_t slot, std::size_t n_sel) {
 void FpsSampler::update_ranks() {
   selected_index_.flush();
   const std::size_t n_sel = selected_.size();
-  util::global_pool().parallel_for_blocks(
-      pool_.size(), kRefreshBlock, [&](std::size_t begin, std::size_t end) {
+  util::for_blocks(
+      &util::global_pool(), pool_.size(), kRefreshBlock, [&](std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) refresh_slot(s, n_sel);
       });
   evict_to_capacity();

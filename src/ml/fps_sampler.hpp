@@ -12,8 +12,8 @@
 //    seen_[s] counts how many selected points slot s's rank already folded
 //    in, so rank tightening is lazy and batched.
 //  - update_ranks() refreshes every stale slot in one pass, fanned out over
-//    util::ThreadPool::parallel_for_blocks with fixed block boundaries —
-//    results are identical for any worker count.
+//    util::for_blocks with fixed block boundaries — results are identical
+//    for any worker count.
 //  - select() pops from a lazy max-heap of (rank2 upper bound, id) entries;
 //    stale entries are detected by value/id mismatch, so each pick costs
 //    O(log n) amortized instead of a full scan.

@@ -6,7 +6,7 @@
 namespace mummi::util {
 
 namespace {
-// Set while a pool worker is executing a task; lets parallel_for_blocks run
+// Set while a pool worker is executing a task; lets for_blocks_ordered run
 // nested calls inline instead of deadlocking on its own (possibly busy) pool.
 thread_local bool t_in_worker = false;
 }  // namespace
@@ -53,73 +53,16 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t nblocks = std::min(target_, n);
-  if (nblocks <= 1 || n < 64) {
-    fn(0, n);
-    return;
-  }
-  std::vector<std::future<void>> futs;
-  futs.reserve(nblocks);
-  const std::size_t chunk = (n + nblocks - 1) / nblocks;
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t begin = b * chunk;
-    const std::size_t end = std::min(begin + chunk, n);
-    if (begin >= end) break;
-    futs.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-}
-
-void ThreadPool::parallel_for_blocks(
-    std::size_t n, std::size_t block,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (block == 0) block = 1;
-  const std::size_t nblocks = (n + block - 1) / block;
-  // The boundary sequence below depends only on (n, block); the worker count
-  // (and whether we execute inline) only changes *where* blocks run.
-  if (nblocks <= 1 || target_ <= 1 || t_in_worker) {
-    for (std::size_t b = 0; b < nblocks; ++b)
-      fn(b * block, std::min((b + 1) * block, n));
-    return;
-  }
-  std::vector<std::future<void>> futs;
-  futs.reserve(nblocks);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t begin = b * block;
-    const std::size_t end = std::min(begin + block, n);
-    futs.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-  }
-  for (auto& f : futs) f.get();
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mutex_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
-                const std::function<void(std::size_t, std::size_t)>& fn) {
+void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
+                        const BlockFn& work, const BlockFn& consume) {
   if (n == 0) return;
   if (block == 0) block = 1;
-  if (pool != nullptr) {
-    pool->parallel_for_blocks(n, block, fn);
-    return;
-  }
-  for (std::size_t b = 0; b * block < n; ++b)
-    fn(b * block, std::min((b + 1) * block, n));
-}
-
-void for_blocks_ordered(
-    ThreadPool* pool, std::size_t n, std::size_t block,
-    const std::function<void(std::size_t, std::size_t)>& work,
-    const std::function<void(std::size_t, std::size_t)>& consume) {
-  if (n == 0) return;
-  if (block == 0) block = 1;
-  const std::size_t nblocks = (n + block - 1) / block;
+  const std::size_t nblocks = block_count(n, block);
   auto lo = [block](std::size_t b) { return b * block; };
   auto hi = [block, n](std::size_t b) { return std::min((b + 1) * block, n); };
   if (pool == nullptr || pool->size() <= 1 || nblocks <= 1 || t_in_worker) {
@@ -147,6 +90,11 @@ void for_blocks_ordered(
   }
 }
 
+void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
+                const BlockFn& fn) {
+  for_blocks_ordered(pool, n, block, fn, [](std::size_t, std::size_t) {});
+}
+
 ThreadPool* env_shared_pool() {
   if (const char* env = std::getenv("MUMMI_POOL_SIZE")) {
     const long n = std::strtol(env, nullptr, 10);
@@ -157,8 +105,8 @@ ThreadPool* env_shared_pool() {
 
 ThreadPool& global_pool() {
   // MUMMI_POOL_SIZE overrides the hardware-concurrency default; campaign
-  // output is identical for every setting (parallel_for_blocks pins block
-  // boundaries to the data, not the workers), and CI exercises that claim by
+  // output is identical for every setting (for_blocks pins block boundaries
+  // to the data, not the workers), and CI exercises that claim by
   // rerunning benches under different sizes.
   static ThreadPool pool([] {
     if (const char* env = std::getenv("MUMMI_POOL_SIZE")) {

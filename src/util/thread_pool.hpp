@@ -1,10 +1,22 @@
-// Fixed-size worker pool with task futures and a blocked-range parallel_for.
+// Fixed-size worker pool plus the one deterministic blocked-parallel layer
+// every engine runs through.
 //
-// This is the process-pool analogue of the paper's "tailored multiprocessing
-// pools" (Task 4) and also drives the thread-parallel force/field loops in
-// the MD and DDFT engines.
+// The pool is the process-pool analogue of the paper's "tailored
+// multiprocessing pools" (Task 4). On top of it sit three pieces, shared by
+// the MD force engine, the continuum (DDFT) stencils, the in-situ campaign
+// tick, the KV scans and the ML selectors:
+//   - block_size / block_count: the one rule that turns a problem size into
+//     block boundaries. Boundaries depend on (n, min_block, target_blocks)
+//     only, never on the worker count.
+//   - for_blocks / for_blocks_ordered: a blocked map over [0, n), optionally
+//     with an ordered consume step on the caller. One body serves both.
+//   - BlockScratch<T>: per-block scatter buffers folded into an output in
+//     ascending block order.
+// A caller that writes only its own block's items, or scatters into its own
+// BlockScratch buffer and folds, is bit-identical at any pool size.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -46,23 +58,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs fn(begin, end) over [0, n) split into roughly equal blocks, one per
-  /// worker, and waits for completion. Executes inline when the pool has a
-  /// single worker or the range is tiny.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Like parallel_for, but the block boundaries are a function of `n` and
-  /// `block` only — NOT of the worker count. Any reduction whose result could
-  /// depend on block boundaries (e.g. per-block argmax merged with a
-  /// tie-break) is therefore identical on a 1-thread and a 64-thread pool.
-  /// Blocks are executed in unspecified order; fn must only touch state owned
-  /// by its [begin, end) range or merge results deterministically afterwards.
-  /// Safe to call from inside a worker task (runs inline, same boundaries).
-  void parallel_for_blocks(
-      std::size_t n, std::size_t block,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Blocks until every queued and running task has finished.
   void wait_idle();
 
@@ -85,14 +80,21 @@ class ThreadPool {
 /// stencils). Sized once from hardware concurrency.
 ThreadPool& global_pool();
 
-/// Runs fn(begin, end) over [0, n) in blocks of `block`: serial in ascending
-/// block order when pool is null, pool->parallel_for_blocks otherwise. The
-/// block boundaries are identical either way, so a kernel that only touches
-/// state owned by its block (or folds per-block partials in ascending block
-/// order afterwards) is thread-count independent by construction. Both the
-/// MD force engine and the continuum stencil engine run through this.
-void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
-                const std::function<void(std::size_t, std::size_t)>& fn);
+using BlockFn = std::function<void(std::size_t, std::size_t)>;
+
+/// Block size for n items: ceil(n / target_blocks) items, never below
+/// min_block so small inputs do not pay fan-out overhead. A function of its
+/// arguments only, so block seams never depend on the pool.
+inline std::size_t block_size(std::size_t n, std::size_t min_block,
+                              std::size_t target_blocks) {
+  return std::max(min_block, (n + target_blocks - 1) / target_blocks);
+}
+
+/// Number of blocks of `block` items over [0, n) (0 is treated as 1, as in
+/// for_blocks).
+inline std::size_t block_count(std::size_t n, std::size_t block) {
+  return block == 0 ? n : (n + block - 1) / block;
+}
 
 /// Ordered fan-out over [0, n) in blocks of `block` (0 is treated as 1):
 /// `work(lo, hi)` runs for every block as a pool task, concurrently across
@@ -103,12 +105,70 @@ void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
 /// order on both paths, so a caller whose work writes only its own items and
 /// whose consume folds them gets bit-identical results at any pool size.
 /// Runs serially (work(b) then consume(b), block by block) when pool is null
-/// or has one worker, when there is a single block, or inside a worker. If
-/// either callable throws, every in-flight block is waited out before the
-/// exception propagates, so no task outlives the caller's frame.
+/// or has one worker, when there is a single block, or inside a worker (so a
+/// nested call cannot deadlock on its own busy pool). If either callable
+/// throws, every in-flight block is waited out before the exception
+/// propagates, so no task outlives the caller's frame; the exception is the
+/// one from the lowest failing block.
 void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
-                        const std::function<void(std::size_t, std::size_t)>& work,
-                        const std::function<void(std::size_t, std::size_t)>& consume);
+                        const BlockFn& work, const BlockFn& consume);
+
+/// for_blocks_ordered with no consume step: runs fn(lo, hi) over every block
+/// and returns once all blocks have finished.
+void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
+                const BlockFn& fn);
+
+/// Per-block scatter buffers with a fixed-order fold.
+///
+/// Block b writes freely into block(b), n zeroed elements. fold() adds the
+/// buffers into an output array per element in ascending block order —
+/// bit-identical for any worker count — and re-zeroes them on the way out,
+/// so the next reset() on the same shape skips the O(nblocks * n) clear.
+/// Buffers persist across calls; steady-state cost is the fold, not
+/// allocation or clearing.
+template <typename T>
+class BlockScratch {
+ public:
+  /// Ensures `nblocks` zeroed buffers of `n` elements each.
+  void reset(std::size_t nblocks, std::size_t n) {
+    // Buffers a completed fold left behind are already zero. Writes that
+    // were never folded (an exception between reset and fold) force a
+    // re-clear of every buffer, including ones this shape does not use.
+    if (dirty_)
+      for (auto& buf : buf_) std::fill(buf.begin(), buf.end(), T{});
+    if (buf_.size() < nblocks) buf_.resize(nblocks);
+    for (std::size_t b = 0; b < nblocks; ++b)
+      if (buf_[b].size() != n) buf_[b].assign(n, T{});
+    nblocks_ = nblocks;
+    n_ = n;
+    dirty_ = true;
+  }
+
+  [[nodiscard]] T* block(std::size_t b) { return buf_[b].data(); }
+
+  /// out[i] += block(b)[i] for b ascending, over [0, n) in element blocks of
+  /// `block` on the pool; then re-zeroes the buffers. Each element folds
+  /// independently, so `block` only trades wall time.
+  void fold(T* out, ThreadPool* pool, std::size_t block) {
+    if (nblocks_ > 0)
+      for_blocks(pool, n_, block, [this, out](std::size_t lo, std::size_t hi) {
+        for (std::size_t b = 0; b < nblocks_; ++b) {
+          T* f = buf_[b].data();
+          for (std::size_t i = lo; i < hi; ++i) {
+            out[i] += f[i];
+            f[i] = T{};
+          }
+        }
+      });
+    dirty_ = false;
+  }
+
+ private:
+  std::size_t nblocks_ = 0;
+  std::size_t n_ = 0;
+  bool dirty_ = false;  // writes pending that fold has not cleared
+  std::vector<std::vector<T>> buf_;
+};
 
 /// Pool resolution for engine configs whose `pool` field is null: the shared
 /// global_pool() when MUMMI_POOL_SIZE requests more than one worker, nullptr

@@ -51,13 +51,6 @@ coupling::CgSystemInfo make_proto(const InSituConfig& config) {
   return info;
 }
 
-/// Sims per fan-out block: a function of the payload count only, so block
-/// seams never depend on the pool. At least 16 sims amortize the per-task
-/// dispatch; past 512 sims the tick is capped at 32 blocks.
-std::size_t tick_block(std::size_t n) {
-  return std::max<std::size_t>(16, (n + 31) / 32);
-}
-
 }  // namespace
 
 struct InSituPlane::SimState {
@@ -150,7 +143,9 @@ std::uint64_t InSituPlane::tick(
 
   std::uint64_t fold_ns = 0;
   util::for_blocks_ordered(
-      config_.pool, n, tick_block(n),
+      // At least 16 sims per block amortize the per-task dispatch; past
+      // 512 sims the tick is capped at 32 blocks.
+      config_.pool, n, util::block_size(n, 16, 32),
       // Pool task per block: step, then analyze, each of the block's sims.
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <tuple>
 #include <vector>
 
@@ -30,6 +31,24 @@ ContinuumConfig small_config(int grid, std::uint64_t seed, int n_proteins) {
   cfg.n_proteins = n_proteins;
   cfg.seed = seed;
   return cfg;
+}
+
+/// Rewrites the engine's proteins through a serialize / edit / restore
+/// round trip — the way a restored frame would deliver them.
+void restore_with_proteins(
+    GridSim2D& sim, const std::function<void(std::vector<Protein>&)>& edit) {
+  const util::Bytes frame = sim.serialize();
+  util::ByteReader r(frame);
+  util::ByteWriter w;
+  w.u64(r.u64());  // frame sentinel
+  w.u32(r.u32());  // frame version
+  Snapshot snap = Snapshot::deserialize(r.bytes());
+  edit(snap.proteins);
+  w.bytes(snap.serialize());
+  util::Bytes rest(r.remaining());
+  r.raw(rest.data(), rest.size());
+  w.raw(rest.data(), rest.size());
+  sim.restore(std::move(w).take());
 }
 
 class ParallelContinuumDeterminism
@@ -231,18 +250,7 @@ TEST(ParallelContinuum, HugeFiniteProteinCoordinateLeavesNoFootprint) {
   auto step_with_first_protein_at = [](double x) {
     ContinuumConfig cfg = small_config(16, 4, 6);
     GridSim2D sim(cfg);
-    const util::Bytes frame = sim.serialize();
-    util::ByteReader r(frame);
-    util::ByteWriter w;
-    w.u64(r.u64());  // frame sentinel
-    w.u32(r.u32());  // frame version
-    Snapshot snap = Snapshot::deserialize(r.bytes());
-    snap.proteins[0].x = x;
-    w.bytes(snap.serialize());
-    util::Bytes rest(r.remaining());
-    r.raw(rest.data(), rest.size());
-    w.raw(rest.data(), rest.size());
-    sim.restore(std::move(w).take());
+    restore_with_proteins(sim, [x](std::vector<Protein>& ps) { ps[0].x = x; });
     sim.step(1);
     std::vector<Grid2d> fields;
     for (int s = 0; s < sim.n_species(); ++s) fields.push_back(sim.field(s));
@@ -259,17 +267,55 @@ TEST(ParallelContinuum, HugeFiniteProteinCoordinateLeavesNoFootprint) {
   }
 }
 
+TEST(ParallelContinuum, NonFiniteAndHugeProteinCoordinatesStepWithoutUb) {
+  // Casting NaN or a double beyond int range to int is undefined. A restored
+  // frame can carry such coordinates into the cell bins, the field
+  // interpolation and the footprint stamp; a full step must get through all
+  // three (the sanitizer build checks the casts), keep the fields finite
+  // and stay thread-count independent.
+  auto run = [](util::ThreadPool* pool) {
+    ContinuumConfig cfg = small_config(16, 5, 40);
+    cfg.pool = pool;
+    GridSim2D sim(cfg);
+    const double nan = std::nan("");
+    restore_with_proteins(sim, [nan](std::vector<Protein>& ps) {
+      ps[0].x = 1e300;
+      ps[0].y = 1e300;
+      ps[1].x = nan;
+      ps[1].y = nan;
+      ps[2].x = -1e300;
+      ps[2].y = nan;
+      ps[3].y = -1e300;
+    });
+    sim.step(3);
+    int non_finite = 0;
+    for (int s = 0; s < sim.n_species(); ++s)
+      for (const double v : sim.field(s).data())
+        non_finite += !std::isfinite(v);
+    EXPECT_EQ(non_finite, 0);
+    return sim.serialize();
+  };
+  ::unsetenv("MUMMI_POOL_SIZE");
+  util::ThreadPool four(4);
+  const util::Bytes serial = run(nullptr);
+  EXPECT_EQ(run(&four), serial);
+}
+
 TEST(ParallelContinuum, BlockBoundariesDependOnSizeOnly) {
   // The whole determinism argument rests on this: boundaries are f(n) only.
-  EXPECT_EQ(detail::row_block(24), 8u);
-  EXPECT_EQ(detail::row_blocks(24), 3u);
-  EXPECT_EQ(detail::row_blocks(0), 0u);
-  EXPECT_EQ(detail::row_blocks(192), 16u);
-  EXPECT_EQ(detail::protein_block(30), 16u);
-  EXPECT_EQ(detail::protein_blocks(30), 2u);
-  EXPECT_EQ(detail::protein_blocks(0), 0u);
-  EXPECT_GE(detail::protein_blocks(100000), 7u);
-  EXPECT_LE(detail::protein_blocks(100000), 9u);
+  // The engine blocks grid rows with util::block_size(n, 8, 16), proteins
+  // with util::block_size(np, 16, 8) and the footprint fold with
+  // util::block_size(len, 4096, 16).
+  EXPECT_EQ(util::block_size(24, 8, 16), 8u);
+  EXPECT_EQ(util::block_count(24, util::block_size(24, 8, 16)), 3u);
+  EXPECT_EQ(util::block_count(0, util::block_size(0, 8, 16)), 0u);
+  EXPECT_EQ(util::block_count(192, util::block_size(192, 8, 16)), 16u);
+  EXPECT_EQ(util::block_size(30, 16, 8), 16u);
+  EXPECT_EQ(util::block_count(30, util::block_size(30, 16, 8)), 2u);
+  EXPECT_EQ(util::block_count(0, util::block_size(0, 16, 8)), 0u);
+  EXPECT_EQ(util::block_count(100000, util::block_size(100000, 16, 8)), 8u);
+  EXPECT_EQ(util::block_size(16 * 16 * 4, 4096, 16), 4096u);
+  EXPECT_EQ(util::block_size(192 * 192 * 4, 4096, 16), 9216u);
 }
 
 TEST(ParallelContinuum, ProteinStreamSeedsAreDistinct) {
@@ -284,13 +330,20 @@ TEST(ParallelContinuum, ProteinStreamSeedsAreDistinct) {
 }
 
 TEST(ParallelContinuum, PoolSizeEnvSelectsSharedPool) {
+  // A null ContinuumConfig::pool resolves through MUMMI_POOL_SIZE when the
+  // engine is built.
+  auto resolved_pool = [] { return GridSim2D(small_config(16, 3, 4)).pool(); };
   ::unsetenv("MUMMI_POOL_SIZE");
-  EXPECT_EQ(default_continuum_pool(), nullptr);
+  EXPECT_EQ(resolved_pool(), nullptr);
   ::setenv("MUMMI_POOL_SIZE", "1", 1);
-  EXPECT_EQ(default_continuum_pool(), nullptr);  // one worker: stay serial
+  EXPECT_EQ(resolved_pool(), nullptr);  // one worker: stay serial
   ::setenv("MUMMI_POOL_SIZE", "4", 1);
-  EXPECT_EQ(default_continuum_pool(), &util::global_pool());
+  EXPECT_EQ(resolved_pool(), &util::global_pool());
   ::unsetenv("MUMMI_POOL_SIZE");
+  util::ThreadPool two(2);
+  ContinuumConfig cfg = small_config(16, 3, 4);
+  cfg.pool = &two;
+  EXPECT_EQ(GridSim2D(cfg).pool(), &two);  // an explicit pool always wins
 }
 
 TEST(ParallelContinuum, StepCountersAdvance) {

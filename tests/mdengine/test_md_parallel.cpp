@@ -15,7 +15,6 @@
 #include "mdengine/cell_list.hpp"
 #include "mdengine/force_field.hpp"
 #include "mdengine/integrator.hpp"
-#include "mdengine/parallel_kernels.hpp"
 #include "mdengine/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -124,8 +123,8 @@ TEST_P(ParallelMdDeterminism, ForcesAndEnergyBitIdenticalAcrossThreadCounts) {
 
 TEST_P(ParallelMdDeterminism, TrajectoriesBitIdenticalAcrossThreadCounts) {
   const auto [n, box_len, seed] = GetParam();
-  // cfg.pool = nullptr resolves through default_md_pool(); make sure the
-  // serial reference really runs serial regardless of the test environment.
+  // cfg.pool = nullptr resolves through util::env_shared_pool(); make sure
+  // the serial reference really runs serial regardless of the environment.
   ::unsetenv("MUMMI_POOL_SIZE");
   util::ThreadPool two(2), eight(8);
 
@@ -255,22 +254,37 @@ TEST(ParallelMd, NeighborListReusesStorageAcrossRebuilds) {
 
 TEST(ParallelMd, KernelBlockBoundariesDependOnSizeOnly) {
   // The whole determinism argument rests on this: boundaries are f(n) only.
-  EXPECT_EQ(detail::kernel_block(100), 512u);
-  EXPECT_EQ(detail::kernel_blocks(100), 1u);
-  EXPECT_EQ(detail::kernel_blocks(0), 0u);
+  // Every MD kernel (neighbor fill, pair/bond/angle forces, the force fold)
+  // blocks its range with util::block_size(n, 512, 16).
+  EXPECT_EQ(util::block_size(100, 512, 16), 512u);
+  EXPECT_EQ(util::block_count(100, util::block_size(100, 512, 16)), 1u);
+  EXPECT_EQ(util::block_count(0, util::block_size(0, 512, 16)), 0u);
   const std::size_t n = 100000;
-  EXPECT_GE(detail::kernel_blocks(n), 15u);
-  EXPECT_LE(detail::kernel_blocks(n), 17u);
+  EXPECT_EQ(util::block_size(n, 512, 16), 6250u);
+  EXPECT_EQ(util::block_count(n, util::block_size(n, 512, 16)), 16u);
 }
 
 TEST(ParallelMd, PoolSizeEnvSelectsSharedPool) {
+  // A null SimulationConfig::pool resolves through MUMMI_POOL_SIZE when the
+  // engine is built.
+  auto resolved_pool = [] {
+    Simulation sim(messy_system(30, 5.0, 5), messy_ff(),
+                   std::make_unique<VelocityVerlet>(), SimulationConfig{});
+    return sim.pool();
+  };
   ::unsetenv("MUMMI_POOL_SIZE");
-  EXPECT_EQ(default_md_pool(), nullptr);
+  EXPECT_EQ(resolved_pool(), nullptr);
   ::setenv("MUMMI_POOL_SIZE", "1", 1);
-  EXPECT_EQ(default_md_pool(), nullptr);  // one worker: stay serial
+  EXPECT_EQ(resolved_pool(), nullptr);  // one worker: stay serial
   ::setenv("MUMMI_POOL_SIZE", "4", 1);
-  EXPECT_EQ(default_md_pool(), &util::global_pool());
+  EXPECT_EQ(resolved_pool(), &util::global_pool());
   ::unsetenv("MUMMI_POOL_SIZE");
+  util::ThreadPool two(2);
+  SimulationConfig explicit_cfg;
+  explicit_cfg.pool = &two;
+  Simulation sim(messy_system(30, 5.0, 5), messy_ff(),
+                 std::make_unique<VelocityVerlet>(), explicit_cfg);
+  EXPECT_EQ(sim.pool(), &two);  // an explicit pool always wins
 }
 
 TEST(ParallelMd, EnvPooledSimulationMatchesSerialBitwise) {

@@ -4,7 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mummi::util {
@@ -32,31 +39,6 @@ TEST(ThreadPool, ManyTasksAllRun) {
   EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForSmallRangeInline) {
-  ThreadPool pool(4);
-  int sum = 0;  // no atomics needed: tiny ranges run inline
-  pool.parallel_for(10, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) sum += static_cast<int>(i);
-  });
-  EXPECT_EQ(sum, 45);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(ThreadPool, WaitIdleBlocksUntilDone) {
   ThreadPool pool(2);
   std::atomic<int> done{0};
@@ -72,7 +54,7 @@ TEST(ThreadPool, WaitIdleBlocksUntilDone) {
 TEST(ThreadPool, ParallelForBlocksCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for_blocks(1000, 64, [&](std::size_t lo, std::size_t hi) {
+  for_blocks(&pool, 1000, 64, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) ++hits[i];
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -84,7 +66,7 @@ TEST(ThreadPool, ParallelForBlocksBoundariesIndependentOfPoolSize) {
   auto block_set = [](ThreadPool& pool, std::size_t n, std::size_t block) {
     std::mutex m;
     std::vector<std::pair<std::size_t, std::size_t>> blocks;
-    pool.parallel_for_blocks(n, block, [&](std::size_t lo, std::size_t hi) {
+    for_blocks(&pool, n, block, [&](std::size_t lo, std::size_t hi) {
       std::lock_guard lock(m);
       blocks.emplace_back(lo, hi);
     });
@@ -100,14 +82,14 @@ TEST(ThreadPool, ParallelForBlocksBoundariesIndependentOfPoolSize) {
 }
 
 TEST(ThreadPool, ParallelForBlocksNestedInsideWorkerRunsInline) {
-  // A worker task issuing its own parallel_for_blocks must not deadlock
-  // waiting on the (occupied) pool — the nested call runs inline.
+  // A worker task issuing its own for_blocks must not deadlock waiting on
+  // the (occupied) pool — the nested call runs inline.
   ThreadPool pool(2);
   std::atomic<int> total{0};
   std::vector<std::future<void>> futures;
   for (int t = 0; t < 4; ++t)
     futures.push_back(pool.submit([&pool, &total] {
-      pool.parallel_for_blocks(100, 10, [&](std::size_t lo, std::size_t hi) {
+      for_blocks(&pool, 100, 10, [&](std::size_t lo, std::size_t hi) {
         total += static_cast<int>(hi - lo);
       });
     }));
@@ -117,12 +99,178 @@ TEST(ThreadPool, ParallelForBlocksNestedInsideWorkerRunsInline) {
 
 TEST(ThreadPool, ParallelForBlocksPropagatesException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for_blocks(1000, 16,
-                               [&](std::size_t lo, std::size_t) {
-                                 if (lo == 512) throw std::runtime_error("x");
-                               }),
-      std::runtime_error);
+  EXPECT_THROW(for_blocks(&pool, 1000, 16,
+                          [&](std::size_t lo, std::size_t) {
+                            if (lo == 512) throw std::runtime_error("x");
+                          }),
+               std::runtime_error);
+}
+
+TEST(ForBlocks, ThrowWaitsOutEveryStartedBlock) {
+  // Blocks capture the caller's callable by reference, so none may still be
+  // running when the exception reaches the caller. Block 0 throws once
+  // another block has started; the others sleep, so a rethrow that does not
+  // wait them out sees started blocks that have not finished.
+  ThreadPool pool(4);
+  std::atomic<int> started{0}, finished{0};
+  int started_at_catch = -1, finished_at_catch = -1;
+  try {
+    for_blocks(&pool, 8, 1, [&](std::size_t lo, std::size_t) {
+      if (lo == 0) {
+        while (started.load() == 0) std::this_thread::yield();
+        throw std::runtime_error("block 0");
+      }
+      ++started;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      ++finished;
+    });
+  } catch (const std::runtime_error&) {
+    finished_at_catch = finished.load();
+    started_at_catch = started.load();
+  }
+  pool.wait_idle();
+  EXPECT_EQ(started_at_catch, 7);
+  EXPECT_EQ(finished_at_catch, started_at_catch);
+}
+
+TEST(ForBlocks, LowestFailingBlockWins) {
+  // Every block throws its own index; the caller sees block 0's, at any
+  // pool size.
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    try {
+      for_blocks(p, 64, 4, [](std::size_t lo, std::size_t) {
+        throw std::runtime_error(std::to_string(lo));
+      });
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "0");
+    }
+  }
+}
+
+TEST(BlockSize, EngineConstantsPinned) {
+  // Block seams decide the fold order of the MD forces, the continuum
+  // footprints and the in-situ tick, so these pairs are part of the
+  // bit-identity contract (and of the golden corpus).
+  EXPECT_EQ(block_count(0, 512), 0u);
+  EXPECT_EQ(block_count(5, 0), 5u);  // block 0 is treated as 1
+  // MD kernels: 512 / 16.
+  EXPECT_EQ(block_size(100, 512, 16), 512u);
+  EXPECT_EQ(block_count(100, block_size(100, 512, 16)), 1u);
+  EXPECT_EQ(block_size(100000, 512, 16), 6250u);
+  EXPECT_EQ(block_count(100000, block_size(100000, 512, 16)), 16u);
+  // Continuum rows: 8 / 16.
+  EXPECT_EQ(block_size(24, 8, 16), 8u);
+  EXPECT_EQ(block_count(24, block_size(24, 8, 16)), 3u);
+  EXPECT_EQ(block_count(192, block_size(192, 8, 16)), 16u);
+  // Continuum proteins: 16 / 8.
+  EXPECT_EQ(block_size(30, 16, 8), 16u);
+  EXPECT_EQ(block_count(30, block_size(30, 16, 8)), 2u);
+  EXPECT_EQ(block_count(100000, block_size(100000, 16, 8)), 8u);
+  // In-situ tick: 16 / 32.
+  EXPECT_EQ(block_size(100, 16, 32), 16u);
+  EXPECT_EQ(block_count(512, block_size(512, 16, 32)), 32u);
+  EXPECT_EQ(block_size(2200, 16, 32), 69u);
+  EXPECT_EQ(block_count(2200, block_size(2200, 16, 32)), 32u);
+  // Footprint fold: 4096 / 16.
+  EXPECT_EQ(block_size(16 * 16 * 4, 4096, 16), 4096u);
+  EXPECT_EQ(block_size(192 * 192 * 4, 4096, 16), 9216u);
+}
+
+TEST(BlockScratch, FoldMatchesSerialAscendingSumBitwise) {
+  // Magnitudes spread over 30 decades, so the per-element sum depends on
+  // the order its terms are added in.
+  const std::size_t n = 1000, nblocks = 6;
+  std::vector<std::vector<double>> parts(nblocks, std::vector<double>(n));
+  std::uint64_t x = 88172645463325252ULL;
+  for (auto& part : parts)
+    for (double& v : part) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      v = std::ldexp(static_cast<double>(x >> 11), -53) - 0.5;
+      v *= std::pow(10.0, static_cast<double>(x % 31) - 15);
+    }
+  std::vector<double> base(n, 0.25), want = base, reversed = base;
+  for (std::size_t b = 0; b < nblocks; ++b)
+    for (std::size_t i = 0; i < n; ++i) want[i] += parts[b][i];
+  for (std::size_t b = nblocks; b-- > 0;)
+    for (std::size_t i = 0; i < n; ++i) reversed[i] += parts[b][i];
+  ASSERT_NE(std::memcmp(want.data(), reversed.data(), n * sizeof(double)), 0)
+      << "values do not exercise summation order";
+
+  ThreadPool p2(2), p8(8);
+  BlockScratch<double> scratch;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p2, &p8}) {
+    scratch.reset(nblocks, n);
+    for (std::size_t b = 0; b < nblocks; ++b)
+      std::copy(parts[b].begin(), parts[b].end(), scratch.block(b));
+    std::vector<double> out = base;
+    scratch.fold(out.data(), pool, 64);
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), n * sizeof(double)), 0);
+  }
+}
+
+TEST(BlockScratch, BuffersZeroAfterFold) {
+  ThreadPool pool(4);
+  BlockScratch<double> scratch;
+  scratch.reset(3, 500);
+  for (std::size_t b = 0; b < 3; ++b)
+    for (std::size_t i = 0; i < 500; ++i) scratch.block(b)[i] = 1.0 + b;
+  std::vector<double> out(500, 0.0);
+  scratch.fold(out.data(), &pool, 100);
+  for (std::size_t i = 0; i < 500; ++i) ASSERT_EQ(out[i], 6.0);
+  for (std::size_t b = 0; b < 3; ++b)
+    for (std::size_t i = 0; i < 500; ++i) ASSERT_EQ(scratch.block(b)[i], 0.0);
+  // Same shape again: the buffers are reused, not reallocated.
+  const double* first = scratch.block(0);
+  scratch.reset(3, 500);
+  EXPECT_EQ(scratch.block(0), first);
+}
+
+TEST(BlockScratch, ThrowBetweenResetAndFoldForcesReClear) {
+  BlockScratch<double> scratch;
+  auto scatter_then_throw = [&](std::size_t nblocks) {
+    scratch.reset(nblocks, 16);
+    try {
+      for_blocks(nullptr, nblocks, 1, [&](std::size_t lo, std::size_t) {
+        scratch.block(lo)[3] = 7.0;
+        if (lo + 1 == nblocks) throw std::runtime_error("mid-scatter");
+      });
+    } catch (const std::runtime_error&) {
+    }
+  };
+  auto all_zero = [&](std::size_t nblocks) {
+    for (std::size_t b = 0; b < nblocks; ++b)
+      for (std::size_t i = 0; i < 16; ++i)
+        if (scratch.block(b)[i] != 0.0) return false;
+    return true;
+  };
+  // Same shape: the unfolded writes must not leak into the next pass.
+  scatter_then_throw(2);
+  scratch.reset(2, 16);
+  EXPECT_TRUE(all_zero(2));
+  // Fewer blocks after the throw, then more: the buffers the short pass did
+  // not use must not keep their stale writes either.
+  scatter_then_throw(4);
+  scratch.reset(1, 16);
+  std::vector<double> out(16, 0.0);
+  scratch.fold(out.data(), nullptr, 16);
+  scratch.reset(4, 16);
+  EXPECT_TRUE(all_zero(4));
+}
+
+TEST(EnvSharedPool, ResolvesFromPoolSizeEnv) {
+  // Engine configs with a null pool (SimulationConfig, ContinuumConfig,
+  // CampaignConfig) resolve through this.
+  ::unsetenv("MUMMI_POOL_SIZE");
+  EXPECT_EQ(env_shared_pool(), nullptr);
+  ::setenv("MUMMI_POOL_SIZE", "1", 1);
+  EXPECT_EQ(env_shared_pool(), nullptr);  // one worker: stay serial
+  ::setenv("MUMMI_POOL_SIZE", "4", 1);
+  EXPECT_EQ(env_shared_pool(), &global_pool());
+  ::unsetenv("MUMMI_POOL_SIZE");
 }
 
 TEST(ThreadPool, WaitIdleUnderConcurrentEnqueue) {
@@ -276,7 +424,7 @@ TEST(ForBlocksOrdered, ConsumeExceptionPropagates) {
 }
 
 TEST(ForBlocksOrdered, NestedInsideWorkerRunsInline) {
-  // Same no-deadlock guarantee as parallel_for_blocks: a worker task that
+  // Same no-deadlock guarantee as for_blocks: a worker task that
   // itself fans out must not wait on the occupied pool.
   ThreadPool pool(2);
   std::atomic<int> total{0};
