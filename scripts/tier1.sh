@@ -34,10 +34,12 @@ ctest --test-dir build --output-on-failure -j "$jobs" \
   ${label_args[@]+"${label_args[@]}"} | tee "$ctest_log"
 
 echo "=== tier 1: slowest 10 tests ==="
+# The last stage reads all of sort's output: `head` would exit early and,
+# under pipefail, sort's SIGPIPE would fail the gate at random.
 awk '/ Test +#[0-9]+:/ && / sec$/ {
        for (i = 1; i <= NF; i++) if ($i == "sec") t = $(i - 1);
        print t, $4
-     }' "$ctest_log" | sort -rn | head -10
+     }' "$ctest_log" | sort -rn | awk 'NR <= 10'
 rm -f "$ctest_log"
 
 if [[ "$bench" == 1 ]]; then

@@ -12,9 +12,7 @@ namespace mummi::cont {
 
 namespace {
 
-// v2 frame sentinel: a v1 frame begins with the u64 byte length of its
-// snapshot section, which is always far below 2^48 — the all-ones high word
-// makes the sentinel unmistakable while keeping old frames readable.
+// Frame header: sentinel and version word.
 constexpr std::uint64_t kFrameSentinelV2 = 0xFFFFFFFF434E5446ULL;  // ..'CNTF'
 constexpr std::uint32_t kFrameVersion = 2;
 
@@ -551,39 +549,16 @@ util::Bytes GridSim2D::serialize() const {
 
 void GridSim2D::restore(const util::Bytes& bytes) {
   util::ByteReader r(bytes);
-  const std::uint64_t head = r.u64();
-  Snapshot snap;
-  std::vector<double> coupling, chi;
-  std::uint64_t steps = 0;
-  if (head == kFrameSentinelV2) {
-    const std::uint32_t version = r.u32();
-    if (version != kFrameVersion)
-      throw util::FormatError("unknown continuum frame version");
-    snap = Snapshot::deserialize(r.bytes());
-    coupling = r.vec<double>();
-    chi = r.vec<double>();
-    steps = r.u64();
-    util::Rng::State st{};
-    for (auto& word : st.s) word = r.u64();
-    st.has_spare = r.u8() != 0;
-    st.spare = r.f64();
-    rng_.load_state(st);
-  } else {
-    // v1 frame (pre-versioning): `head` is the length prefix of the
-    // snapshot section. No step counter or RNG state was persisted; the
-    // counter is recovered from the frame time (exact for an unchanged dt)
-    // and the init-time generator keeps its current state — stepping draws
-    // only from counter-based per-protein streams, so a v1 resume still
-    // replays bit-identically.
-    if (head > r.remaining())
-      throw util::FormatError("continuum frame truncated");
-    util::Bytes sb(static_cast<std::size_t>(head));
-    r.raw(sb.data(), sb.size());
-    snap = Snapshot::deserialize(sb);
-    coupling = r.vec<double>();
-    chi = r.vec<double>();
-    steps = static_cast<std::uint64_t>(std::llround(snap.time_us / config_.dt));
-  }
+  if (r.u64() != kFrameSentinelV2 || r.u32() != kFrameVersion)
+    throw util::FormatError("unknown continuum frame version");
+  const Snapshot snap = Snapshot::deserialize(r.bytes());
+  std::vector<double> coupling = r.vec<double>();
+  std::vector<double> chi = r.vec<double>();
+  const std::uint64_t steps = r.u64();
+  util::Rng::State st{};
+  for (auto& word : st.s) word = r.u64();
+  st.has_spare = r.u8() != 0;
+  st.spare = r.f64();
   const auto ns = static_cast<std::size_t>(n_species());
   MUMMI_CHECK_MSG(snap.grid == config_.grid && snap.fields.size() == ns,
                   "restore() config mismatch");
@@ -597,6 +572,7 @@ void GridSim2D::restore(const util::Bytes& bytes) {
   proteins_ = snap.proteins;
   coupling_ = std::move(coupling);
   chi_ = std::move(chi);
+  rng_.load_state(st);
 }
 
 }  // namespace mummi::cont

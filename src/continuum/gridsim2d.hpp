@@ -131,9 +131,9 @@ class GridSim2D {
   [[nodiscard]] double protein_lipid_coupling(ProteinState state,
                                               int species) const;
 
-  /// Checkpoint/restore of the full model state. Frames are versioned: v2
-  /// carries the step counter and RNG stream so a resumed campaign replays
-  /// bit-identically; legacy v1 frames (no version header) remain readable.
+  /// Checkpoint/restore of the full model state. Frames are versioned and
+  /// carry the step counter and RNG stream, so a resumed campaign replays
+  /// bit-identically; restore() rejects any other frame version.
   [[nodiscard]] util::Bytes serialize() const;
   void restore(const util::Bytes& bytes);
 

@@ -14,8 +14,6 @@ namespace fs = std::filesystem;
 namespace mummi::util {
 
 namespace {
-// Frame v2 ("MuMMICKP"): magic, size, checksum, payload. Read-compatible.
-constexpr std::uint64_t kMagicV2 = 0x4d754d4d49434b50ULL;
 // Frame v3 ("MuMMICK3"): magic, generation, size, checksum, payload. The
 // generation is a per-path monotone counter so load() can pick the newest
 // *complete* state among {path, .bak, .tmp} — a crash between the .bak
@@ -41,13 +39,9 @@ struct Unframed {
 std::optional<Unframed> unframe(const Bytes& raw) {
   try {
     ByteReader r(raw);
-    const auto magic = r.u64();
+    if (r.u64() != kMagicV3) return std::nullopt;
     Unframed out;
-    if (magic == kMagicV3) {
-      out.generation = r.u64();
-    } else if (magic != kMagicV2) {
-      return std::nullopt;  // v2 frames carry generation 0
-    }
+    out.generation = r.u64();
     const auto size = r.u64();
     const auto checksum = r.u64();
     if (size > r.remaining()) return std::nullopt;
@@ -180,8 +174,8 @@ void CheckpointFile::save(const Bytes& payload) const {
 }
 
 std::optional<Bytes> CheckpointFile::load() const {
-  // Highest valid generation wins; ties (legacy v2 frames are all
-  // generation 0) keep the historical preference order primary > bak > tmp.
+  // Highest valid generation wins; ties keep the preference order
+  // primary > bak > tmp.
   struct Candidate {
     const char* label;
     std::string path;

@@ -54,8 +54,8 @@ class CheckpointFile {
   void save(const Bytes& payload) const;
 
   /// Loads the newest complete checkpoint: the highest-generation candidate
-  /// among {primary, .bak, .tmp} that passes its checksum (ties — legacy v2
-  /// frames — prefer primary, then .bak). Logs and counts
+  /// among {primary, .bak, .tmp} that passes its checksum (ties prefer
+  /// primary, then .bak). Logs and counts
   /// (`ckpt.recovered_from`) when a non-primary wins. Returns nullopt when
   /// no valid candidate exists.
   [[nodiscard]] std::optional<Bytes> load() const;

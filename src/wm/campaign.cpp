@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "fault/fault_injector.hpp"
@@ -25,125 +27,816 @@ constexpr std::uint64_t kFrameIdBase = 1ULL << 40;  // keep ids disjoint
 /// calibrated so the full campaign lands near the paper's 1.03B files.
 constexpr double kFilesPerCgFrame = 5.0;
 
-constexpr std::uint32_t kCheckpointVersion = 3;  // v3: in-situ accumulators
+// v4: one field list for both directions, run tally split out, no
+// hours-at-run-start word.
+constexpr std::uint32_t kCheckpointVersion = 4;
 
-void write_str_list(util::ByteWriter& w, const std::vector<std::string>& v) {
-  w.u64(v.size());
-  for (const auto& s : v) w.str(s);
+// Field lists: each is written once as a template over `Io`, which is Save
+// (encode the fields) or Load (decode them in place), so a field added to a
+// list is saved and loaded in the same position by construction.
+
+template <typename Io, typename Stats>
+void supervision_fields(Io& io, Stats& s) {
+  io(s.hangs_detected, s.speculations, s.spec_wins, s.spec_losses,
+     s.quarantined, s.node_probations, s.canaries_ok, s.canaries_failed,
+     s.shed_transitions, s.degraded_time_s, s.first_quarantine_s);
 }
 
-std::vector<std::string> read_str_list(util::ByteReader& r) {
-  std::vector<std::string> v(r.u64());
-  for (auto& s : v) s = r.str();
-  return v;
+/// Fault and supervision totals: CampaignResult's over the finished runs, or
+/// one run's RunTally.
+template <typename Io, typename Totals>
+void tally_fields(Io& io, Totals& t) {
+  io(t.faults_injected, t.fault_jobs_killed);
+  supervision_fields(io, t.supervision);
+  io(t.supervision_log);
 }
 
-void write_supervision(util::ByteWriter& w,
-                       const supervise::SupervisionStats& s) {
-  w.u64(s.hangs_detected);
-  w.u64(s.speculations);
-  w.u64(s.spec_wins);
-  w.u64(s.spec_losses);
-  w.u64(s.quarantined);
-  w.u64(s.node_probations);
-  w.u64(s.canaries_ok);
-  w.u64(s.canaries_failed);
-  w.u64(s.shed_transitions);
-  w.f64(s.degraded_time_s);
-  w.f64(s.first_quarantine_s);
+/// The campaign checkpoint after its version word.
+template <typename Io, typename Resume, typename Result, typename Tally>
+void checkpoint_fields(Io& io, Resume& rs, Result& result, Tally&& tally) {
+  io(rs.flat_run, rs.time_into_run_s, rs.rng.s[0], rs.rng.s[1], rs.rng.s[2],
+     rs.rng.s[3], rs.rng.has_spare, rs.rng.spare, rs.next_patch_id,
+     rs.next_frame_id);
+  io.each(rs.sims, [&io](auto& sim) {
+    auto& [payload, ls] = sim;
+    io(payload, ls.is_aa, ls.target, ls.progress, ls.rate_per_s, ls.size);
+  });
+  io(rs.inflight_cg, rs.inflight_aa, rs.inflight_cg_setup,
+     rs.inflight_aa_setup);
+
+  // Result accumulators. The profiler timeline and feedback iteration stats
+  // are diagnostics, not campaign state, and are not checkpointed.
+  io(result.snapshots, result.patches_created, result.frame_candidates,
+     result.continuum_total_us, result.cg_total_us, result.aa_total_ns);
+  auto& ledger = result.ledger;
+  io(ledger.bytes_continuum, ledger.bytes_patches, ledger.bytes_cg_frames,
+     ledger.bytes_cg_analysis, ledger.bytes_aa_frames, ledger.bytes_backmap,
+     ledger.files_total);
+  io(result.cg_lengths_us, result.aa_lengths_ns, result.continuum_ms_per_day,
+     result.cg_perf, result.aa_perf, result.checkpoints_written);
+  // In-situ accumulators are fingerprinted science state: a resumed campaign
+  // must keep merging RDFs into the same totals.
+  io(result.analysis_frames, result.rdf_feedback);
+  // Totals of the finished runs, then the interrupted run's share so far
+  // (the quarantine ledger itself rides inside wm_blob).
+  tally_fields(io, result);
+  tally_fields(io, tally);
+  // Last, because it is by far the largest field: the writer grows once for
+  // it and never again while the blob is alive.
+  io(rs.wm_blob);
 }
 
-supervise::SupervisionStats read_supervision(util::ByteReader& r) {
-  supervise::SupervisionStats s;
-  s.hangs_detected = r.u64();
-  s.speculations = r.u64();
-  s.spec_wins = r.u64();
-  s.spec_losses = r.u64();
-  s.quarantined = r.u64();
-  s.node_probations = r.u64();
-  s.canaries_ok = r.u64();
-  s.canaries_failed = r.u64();
-  s.shed_transitions = r.u64();
-  s.degraded_time_s = r.f64();
-  s.first_quarantine_s = r.f64();
-  return s;
-}
+struct Save {
+  util::ByteWriter& w;
 
-void write_u64_list(util::ByteWriter& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (const auto x : v) w.u64(x);
-}
+  void operator()(std::uint64_t v) { w.u64(v); }
+  void operator()(double v) { w.f64(v); }
+  void operator()(bool v) { w.u8(v ? 1 : 0); }
+  void operator()(const std::string& s) { w.str(s); }
+  void operator()(const coupling::RdfSet& s) { w.bytes(s.serialize()); }
+  template <typename A, typename B>
+  void operator()(const std::pair<A, B>& p) {
+    (*this)(p.first, p.second);
+  }
+  template <typename T>
+  void operator()(const std::vector<T>& v) {
+    if constexpr (std::is_trivially_copyable_v<T>)
+      w.vec(v);
+    else
+      each(v, [this](const T& x) { (*this)(x); });
+  }
+  template <typename... T>
+    requires(sizeof...(T) > 1)
+  void operator()(const T&... fields) { ((*this)(fields), ...); }
 
-std::vector<std::uint64_t> read_u64_list(util::ByteReader& r) {
-  std::vector<std::uint64_t> v(r.u64());
-  for (auto& x : v) x = r.u64();
-  return v;
-}
+  template <typename T, typename Fn>
+  void each(const std::vector<T>& v, Fn fn) {
+    w.u64(v.size());
+    for (const auto& x : v) fn(x);
+  }
+};
 
-// std::pair is not trivially copyable, so the perf samples get explicit
-// element-wise framing instead of ByteWriter::vec.
-void write_pairs(util::ByteWriter& w,
-                 const std::vector<std::pair<double, double>>& v) {
-  w.u64(v.size());
-  for (const auto& [a, b] : v) {
-    w.f64(a);
-    w.f64(b);
+struct Load {
+  util::ByteReader& r;
+
+  void operator()(std::uint64_t& v) { v = r.u64(); }
+  void operator()(double& v) { v = r.f64(); }
+  void operator()(bool& v) { v = r.u8() != 0; }
+  void operator()(std::string& s) { s = r.str(); }
+  void operator()(coupling::RdfSet& s) {
+    s = coupling::RdfSet::deserialize(r.bytes());
+  }
+  template <typename A, typename B>
+  void operator()(std::pair<A, B>& p) {
+    (*this)(p.first, p.second);
+  }
+  template <typename T>
+  void operator()(std::vector<T>& v) {
+    if constexpr (std::is_trivially_copyable_v<T>)
+      v = r.vec<T>();
+    else
+      each(v, [this](T& x) { (*this)(x); });
+  }
+  template <typename... T>
+    requires(sizeof...(T) > 1)
+  void operator()(T&... fields) { ((*this)(fields), ...); }
+
+  template <typename T, typename Fn>
+  void each(std::vector<T>& v, Fn fn) {
+    // Every list element encodes at least one 8-byte word, so a count the
+    // remaining bytes cannot hold is forged: fail before allocating for it.
+    const std::uint64_t n = r.u64();
+    if (n > r.remaining() / 8)
+      throw util::FormatError("campaign checkpoint: list count too large");
+    v.resize(static_cast<std::size_t>(n));
+    for (auto& x : v) fn(x);
+  }
+};
+
+/// One run's share of the fault and supervision totals. Teardown folds it
+/// into the result; a mid-run checkpoint stores it apart and Load folds it.
+struct RunTally {
+  std::uint64_t faults_injected = 0;
+  std::uint64_t fault_jobs_killed = 0;
+  supervise::SupervisionStats supervision;
+  std::vector<std::string> supervision_log;
+
+  void fold_into(CampaignResult& r) const {
+    r.faults_injected += faults_injected;
+    r.fault_jobs_killed += fault_jobs_killed;
+    r.supervision.merge(supervision);
+    r.supervision_log.insert(r.supervision_log.end(), supervision_log.begin(),
+                             supervision_log.end());
+  }
+};
+
+/// Records a sim's trajectory length and performance sample in `r`: at
+/// completion, terminal failure, teardown or the end of the campaign.
+void record_sim(CampaignResult& r, const auto& ls) {
+  if (ls.is_aa) {
+    r.aa_lengths_ns.push_back(ls.progress);
+    r.aa_perf.emplace_back(ls.size, ls.rate_per_s * 86400.0);
+    r.aa_total_ns += ls.progress;
+  } else {
+    r.cg_lengths_us.push_back(ls.progress);
+    r.cg_perf.emplace_back(ls.size, ls.rate_per_s * 86400.0);
+    r.cg_total_us += ls.progress;
   }
 }
 
-std::vector<std::pair<double, double>> read_pairs(util::ByteReader& r) {
-  std::vector<std::pair<double, double>> v(r.u64());
-  for (auto& [a, b] : v) {
-    a = r.f64();
-    b = r.f64();
-  }
-  return v;
+/// Puts `front` ahead of `q`, in order.
+void prepend(std::deque<std::uint64_t>& q,
+             const std::vector<std::uint64_t>& front) {
+  q.insert(q.begin(), front.begin(), front.end());
+}
+
+/// Virtual cost of one feedback iteration over `frames` Redis records.
+fb::IterationStats feedback_iteration(std::size_t frames,
+                                      double process_virtual) {
+  const auto costs = fb::FeedbackCosts::redis();
+  fb::IterationStats stats;
+  stats.frames = frames;
+  stats.collect_virtual = static_cast<double>(frames) *
+                          (costs.identify_per_key + costs.read_per_record);
+  stats.process_virtual = process_virtual;
+  stats.tag_virtual = static_cast<double>(frames) * costs.tag_per_record;
+  return stats;
+}
+
+/// Job trackers for the four application job types. Durations are
+/// lognormal(sigma=0.25 in log space); ~0.25*mean is the absolute spread the
+/// watchdog deadlines are derived from.
+TrackerSet make_trackers(const PerfModel& perf) {
+  TrackerSet trackers;
+  auto add = [&](const std::string& type, int cores, int gpus, double mean_s) {
+    JobTypeConfig cfg;
+    cfg.type = type;
+    cfg.request.slot = sched::Slot{cores, gpus};
+    cfg.mean_duration = mean_s;
+    cfg.sigma_duration = 0.25 * mean_s;
+    trackers.add(std::make_unique<JobTracker>(cfg));
+  };
+  add("cg_setup", 24, 0, perf.createsim_mean_s);
+  add("cg_sim", 3, 1, 86400);
+  add("aa_setup", 18, 0, perf.backmap_mean_s);
+  add("aa_sim", 3, 1, 86400);
+  return trackers;
+}
+
+/// Fault injection (Sec. 4.4). Each run draws its own plan; the seed mixes
+/// the flat run index so the whole campaign (and any crash-restart
+/// continuation) stays deterministic.
+fault::FaultPlan run_fault_plan(const fault::FaultSpec& faults,
+                                std::uint64_t flat_run, double walltime_s,
+                                int nodes) {
+  if (faults.empty()) return {};
+  fault::FaultSpec spec = faults;
+  spec.seed ^= 0x9e3779b97f4a7c15ULL * (flat_run + 1);
+  return fault::FaultPlan::generate(spec, walltime_s, nodes, /*n_shards=*/0);
 }
 }  // namespace
 
 util::Bytes CampaignResult::science_fingerprint() const {
   util::ByteWriter w;
+  Save io{w};
   w.u64(table1.size());
-  for (const auto& row : table1) {
-    w.u64(static_cast<std::uint64_t>(row.nodes));
-    w.f64(row.walltime_h);
-    w.u64(static_cast<std::uint64_t>(row.count));
-  }
-  w.f64(node_hours);
-  w.u64(snapshots);
-  w.u64(patches_created);
-  w.u64(patches_selected);
-  w.u64(frame_candidates);
-  w.u64(frames_selected);
-  w.f64(continuum_total_us);
-  w.f64(cg_total_us);
-  w.f64(aa_total_ns);
-  w.vec(cg_lengths_us);
-  w.vec(aa_lengths_ns);
-  w.vec(continuum_ms_per_day);
-  write_pairs(w, cg_perf);
-  write_pairs(w, aa_perf);
-  w.f64(ledger.bytes_continuum);
-  w.f64(ledger.bytes_patches);
-  w.f64(ledger.bytes_cg_frames);
-  w.f64(ledger.bytes_cg_analysis);
-  w.f64(ledger.bytes_aa_frames);
-  w.f64(ledger.bytes_backmap);
-  w.u64(ledger.files_total);
-  w.u64(faults_injected);
-  w.u64(fault_jobs_killed);
-  write_supervision(w, supervision);
-  write_str_list(w, supervision_log);
-  write_str_list(w, quarantined);
-  w.u64(analysis_frames);
-  w.bytes(rdf_feedback.serialize());
+  for (const auto& row : table1)
+    io(static_cast<std::uint64_t>(row.nodes), row.walltime_h,
+       static_cast<std::uint64_t>(row.count));
+  io(node_hours, snapshots, patches_created, patches_selected,
+     frame_candidates, frames_selected, continuum_total_us, cg_total_us,
+     aa_total_ns, cg_lengths_us, aa_lengths_ns, continuum_ms_per_day, cg_perf,
+     aa_perf);
+  io(ledger.bytes_continuum, ledger.bytes_patches, ledger.bytes_cg_frames,
+     ledger.bytes_cg_analysis, ledger.bytes_aa_frames, ledger.bytes_backmap,
+     ledger.files_total);
+  io(faults_injected, fault_jobs_killed);
+  supervision_fields(io, supervision);
+  io(supervision_log, quarantined, analysis_frames, rdf_feedback);
   return std::move(w).take();
 }
 
-Campaign::Campaign(CampaignConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
-  next_frame_id_ = kFrameIdBase;
+/// One allocation of the run schedule: the components that live for one
+/// batch job, and the stages that drive them. Construction is the setup
+/// stage (and the resume from a checkpoint); the scheduler callbacks, the
+/// recurring ticks and the checkpoint save run inside the engine; teardown
+/// carries unfinished work to the next allocation.
+///
+/// Three orders decide the science and are kept stage by stage (DESIGN.md
+/// 4c): the draws on the campaign rng_ (the executor's split() is the
+/// first of each run), the callback registrations (campaign on_finish before
+/// the WM's, supervisor after both) and the first schedule of each tick.
+class CampaignRun {
+ public:
+  CampaignRun(Campaign& campaign, CampaignResult& result,
+              const WorkflowManager::CarryOver& carry, std::uint64_t flat_run,
+              int nodes, double walltime_h, double hours_done,
+              double hours_total);
+  CampaignRun(const CampaignRun&) = delete;  // callbacks capture `this`
+  CampaignRun& operator=(const CampaignRun&) = delete;
+
+  /// Runs the allocation to walltime and returns the work it carries over.
+  WorkflowManager::CarryOver run();
+
+ private:
+  using LogicalSim = Campaign::LogicalSim;
+
+  // --- setup ---------------------------------------------------------------
+  void restore(const WorkflowManager::CarryOver& carry);
+  void start_supervisor();
+  void every(double interval_s, void (CampaignRun::*tick)());
+
+  // --- scheduler callbacks -------------------------------------------------
+  void on_finish(const sched::Job& job);
+  void on_sim_failed(const sched::Job& job);
+  void on_start(const sched::Job& job);
+  double job_duration(const sched::Job& job);
+  [[nodiscard]] sched::JobSpec continuum_spec() const;
+
+  // --- recurring ticks -----------------------------------------------------
+  void supervise_tick();
+  void snapshot_tick();
+  void maintain_tick();
+  void analyze_insitu();
+  void feedback_tick();
+  void profile_tick();
+
+  // --- checkpoint ----------------------------------------------------------
+  void checkpoint_tick();
+  void save_checkpoint();
+
+  // --- teardown ------------------------------------------------------------
+  WorkflowManager::CarryOver teardown();
+  [[nodiscard]] RunTally tally() const;
+
+  Campaign& c_;
+  const CampaignConfig& cfg_;
+  CampaignResult& result_;
+  const std::uint64_t flat_run_;  // index into the flattened run schedule
+  const double walltime_s_;
+  const double t_offset_;         // campaign seconds before this run
+  const bool degraded_;
+  const int continuum_nodes_;
+  double resume_base_s_ = 0;      // checkpointed offset into this run
+  bool continuum_running_ = false;
+
+  event::SimEngine engine_;
+  sched::Scheduler scheduler_;
+  sched::QueueManager queue_;
+  QueuedBackend maestro_;
+  TrackerSet trackers_;
+  fault::FaultInjector injector_;
+  std::optional<WorkflowManager> wm_;  // built after on_finish registration
+  sched::SimExecutor executor_;
+  std::optional<supervise::Supervisor> supervisor_;
+};
+
+CampaignRun::CampaignRun(Campaign& campaign, CampaignResult& result,
+                         const WorkflowManager::CarryOver& carry,
+                         std::uint64_t flat_run, int nodes, double walltime_h,
+                         double hours_done, double hours_total)
+    : c_(campaign),
+      cfg_(campaign.config_),
+      result_(result),
+      flat_run_(flat_run),
+      walltime_s_(walltime_h * 3600.0),
+      t_offset_(hours_done * 3600.0),
+      degraded_(hours_done / hours_total < cfg_.degraded_until_fraction),
+      continuum_nodes_(
+          std::max(1, std::min(cfg_.continuum_nodes_max, nodes / 4))),
+      scheduler_(sched::ClusterSpec::summit(nodes), cfg_.match_policy,
+                 engine_.clock()),
+      queue_(engine_, scheduler_, cfg_.queue),
+      maestro_(scheduler_, queue_),
+      trackers_(make_trackers(cfg_.perf)),
+      injector_(run_fault_plan(cfg_.faults, flat_run, walltime_s_, nodes)),
+      executor_(engine_, c_.rng_.split(), cfg_.sim_failure_prob) {
+  injector_.bind_scheduler(&scheduler_);
+
+  // Campaign-level accounting must see completions *before* the WM resubmits
+  // failed jobs (so remaining-duration models read fresh progress), hence it
+  // registers first.
+  scheduler_.on_finish([this](const sched::Job& job) { on_finish(job); });
+  // Selectors persist across the campaign.
+  wm_.emplace(cfg_.wm, maestro_, trackers_, *c_.patch_selector_,
+              *c_.frame_selector_);
+  restore(carry);
+  wm_->on_sim_finished([this](const sched::Job& job) { on_sim_failed(job); });
+
+  // Executor: virtual-time job durations.
+  executor_.set_duration_model(
+      [this](const sched::Job& job) { return job_duration(job); });
+  scheduler_.on_start([this](const sched::Job& job) { on_start(job); });
+  injector_.bind_executor(&executor_);  // hang/straggler faults target it
+  injector_.arm(engine_);
+
+  // Poison work: a deterministic subset of payloads kills every attempt of
+  // its job type — the repeat offender the quarantine ledger is keyed for.
+  if (cfg_.poison_payload_modulus > 0)
+    executor_.set_poison([this](const sched::Job& job) {
+      return job.spec.type == cfg_.poison_job_type && job.spec.payload != 0 &&
+             job.spec.payload % cfg_.poison_payload_modulus == 0;
+    });
+
+  // Off by default: bit-identical figure runs.
+  if (cfg_.supervise.enabled) start_supervisor();
 }
+
+void CampaignRun::restore(const WorkflowManager::CarryOver& carry) {
+  if (!c_.resume_) {
+    wm_->restore_carry_over(carry);
+    return;
+  }
+  // Crash-restart: restore buffers, restart counts and both selectors from
+  // the checkpoint, then line up the payloads that were in flight when it
+  // was taken ahead of fresh work.
+  const Campaign::ResumeState& rs = *c_.resume_;
+  wm_->restore(rs.wm_blob);
+  auto restored = wm_->carry_over();
+  prepend(restored.ready_cg, rs.inflight_cg);
+  prepend(restored.ready_aa, rs.inflight_aa);
+  prepend(restored.requeued_cg_setup, rs.inflight_cg_setup);
+  prepend(restored.requeued_aa_setup, rs.inflight_aa_setup);
+  wm_->restore_carry_over(restored);
+  resume_base_s_ = rs.time_into_run_s;
+  c_.resume_.reset();
+}
+
+void CampaignRun::start_supervisor() {
+  // Constructed after the WM so the winner of a speculative pair reaches the
+  // workload before the supervisor cancels the loser. Watchdog deadlines come
+  // from the tracker duration models; sims legitimately outlive any deadline
+  // shorter than the allocation, so in practice the watchdog covers setup and
+  // canary jobs within a run while hung sims are reclaimed at teardown (no
+  // progress credited, payload carried to the next allocation).
+  supervisor_.emplace(scheduler_, engine_.clock(), *wm_, cfg_.supervise);
+  for (const auto& type : trackers_.types()) {
+    const auto& tc = trackers_.tracker(type).config();
+    supervisor_->set_timing(type, {tc.mean_duration, tc.sigma_duration});
+  }
+  supervisor_->set_timing(cfg_.wm.canary_type,
+                          {cfg_.wm.canary_duration_s, 0.0});
+  // Latency-spike faults stretch real durations; deadlines stretch along.
+  supervisor_->set_duration_stretch(
+      [this](double now) { return injector_.latency_factor(now); });
+  wm_->set_resubmit_veto([this](const sched::Job& job) {
+    return supervisor_->has_live_twin(job.id);
+  });
+}
+
+WorkflowManager::CarryOver CampaignRun::run() {
+  // SimEngine fires equal-time events in scheduling order, so this order is
+  // part of the science.
+  if (supervisor_)
+    every(cfg_.supervise.tick_interval_s, &CampaignRun::supervise_tick);
+  maestro_.submit(continuum_spec());  // the continuum job loads first
+  every(cfg_.snapshot_interval_s, &CampaignRun::snapshot_tick);
+  every(cfg_.maintain_interval_s, &CampaignRun::maintain_tick);
+  every(cfg_.feedback_interval_s, &CampaignRun::feedback_tick);
+  every(cfg_.profile_interval_s, &CampaignRun::profile_tick);
+  if (cfg_.checkpoint_interval_s > 0 && !cfg_.checkpoint_path.empty())
+    every(cfg_.checkpoint_interval_s, &CampaignRun::checkpoint_tick);
+
+  if (cfg_.crash_at_campaign_h > 0) {
+    const double crash_s = cfg_.crash_at_campaign_h * 3600.0 - t_offset_;
+    if (crash_s >= 0 && crash_s < walltime_s_)
+      engine_.schedule_at(crash_s, [] {
+        throw SimulatedCrash("simulated coordination-process crash");
+      });
+  }
+
+  engine_.run_until(walltime_s_);
+  return teardown();
+}
+
+/// Schedules `tick` every `interval_s`; each tick reschedules itself after
+/// its body runs.
+void CampaignRun::every(double interval_s, void (CampaignRun::*tick)()) {
+  engine_.schedule_after(interval_s, [this, interval_s, tick] {
+    (this->*tick)();
+    every(interval_s, tick);
+  });
+}
+
+void CampaignRun::on_finish(const sched::Job& job) {
+  const auto& type = job.spec.type;
+  if (type == "continuum") {
+    if (job.state == sched::JobState::kFailed) {
+      // A node crash took the continuum down. It is untracked (no WM
+      // restart policy), so the campaign itself reloads it from its
+      // snapshot; fail_node() drained the dead node first, so the new
+      // allocation lands elsewhere.
+      continuum_running_ = false;
+      maestro_.submit(continuum_spec());
+    } else if (job.state == sched::JobState::kCancelled) {
+      continuum_running_ = false;
+    }
+    return;
+  }
+  if (type != "cg_sim" && type != "aa_sim") return;
+  auto it = c_.sims_.find(job.spec.payload);
+  if (it == c_.sims_.end()) return;
+  LogicalSim& ls = it->second;
+  if (job.state == sched::JobState::kCompleted) {
+    ls.progress = ls.target;
+    record_sim(result_, ls);
+    c_.sims_.erase(it);
+  } else if (job.state == sched::JobState::kFailed) {
+    // Crash partway: progress up to the failure point survives via the
+    // 15-minute checkpoints; the WM resubmits (registered after us).
+    const double elapsed = std::max(0.0, engine_.now() - job.start_time);
+    ls.progress = std::min(ls.target * 0.999,
+                           ls.progress + ls.rate_per_s * elapsed *
+                                             c_.rng_.uniform());
+  }
+}
+
+void CampaignRun::on_sim_failed(const sched::Job& job) {
+  // Terminal failures (restarts exhausted): record the partial length.
+  if (job.state != sched::JobState::kFailed) return;
+  auto it = c_.sims_.find(job.spec.payload);
+  if (it == c_.sims_.end()) return;
+  record_sim(result_, it->second);
+  c_.sims_.erase(it);
+}
+
+void CampaignRun::on_start(const sched::Job& job) {
+  if (job.spec.type == "continuum") continuum_running_ = true;
+  const sched::JobId id = job.id;
+  executor_.launch(job, [this, id](bool ok) {
+    // A node-crash fault may have killed the job after this completion
+    // event was scheduled; the stale event must not touch it.
+    if (scheduler_.job(id).state == sched::JobState::kRunning)
+      scheduler_.complete(id, ok);
+    maestro_.poll();
+  });
+}
+
+double CampaignRun::job_duration(const sched::Job& job) {
+  const auto& type = job.spec.type;
+  // Active latency spikes (GPFS/fabric congestion) stretch job durations;
+  // 1.0 when no spike is live, so fault-free runs are bit-identical.
+  const double stretch = injector_.latency_factor(engine_.now());
+  if (type == "continuum") return 2.0 * walltime_s_;  // cut at teardown
+  if (type == "cg_setup")
+    return stretch * cfg_.perf.sample_createsim_seconds(c_.rng_);
+  if (type == "aa_setup")
+    return stretch * cfg_.perf.sample_backmap_seconds(c_.rng_);
+  if (type == "cg_sim" || type == "aa_sim") {
+    LogicalSim& ls =
+        c_.logical_sim(job.spec.payload, type == "aa_sim", degraded_);
+    return std::max(1.0, stretch * (ls.target - ls.progress) / ls.rate_per_s);
+  }
+  return job.spec.est_duration;
+}
+
+sched::JobSpec CampaignRun::continuum_spec() const {
+  sched::JobSpec spec;
+  spec.name = "gridsim2d";
+  spec.type = "continuum";
+  spec.request.slot = sched::Slot{cfg_.continuum_cores_per_node, 0};
+  spec.request.nslots = continuum_nodes_;
+  spec.request.one_slot_per_node = true;
+  spec.est_duration = 2.0 * walltime_s_;
+  return spec;
+}
+
+void CampaignRun::supervise_tick() {
+  // Poll only when the tick actually acted (every action logs a decision
+  // line): an idle supervisor must not perturb queue-service timing, so a
+  // zero-fault supervised run stays bit-identical to an unsupervised one.
+  const std::size_t before = supervisor_->decisions().size();
+  supervisor_->tick(engine_.now());
+  if (supervisor_->decisions().size() != before)
+    maestro_.poll();  // place any resubmits/twins/canaries right away
+}
+
+void CampaignRun::snapshot_tick() {
+  if (!continuum_running_) return;
+  ++result_.snapshots;
+  result_.continuum_total_us += 1.0;  // 1 us of model time per snapshot
+  result_.continuum_ms_per_day.push_back(
+      cfg_.perf.continuum_ms_per_day(continuum_nodes_ *
+                                     cfg_.continuum_cores_per_node) *
+      (1.0 + 0.03 * c_.rng_.normal()));
+  result_.ledger.bytes_continuum += cfg_.rates.continuum_snapshot_bytes;
+  result_.ledger.files_total += 1;
+
+  // Task 1: the Patch Creator cuts one patch per protein. Embeddings are
+  // written straight into per-queue flat stores — the selector ingest path
+  // is allocation-free end to end.
+  const auto n_queues =
+      static_cast<std::size_t>(c_.patch_selector_->n_queues());
+  std::vector<ml::PointStore> by_queue(n_queues, ml::PointStore(9));
+  float coords[9];
+  static_assert(cont::kNumProteinStates == 4, "queue routing assumes 4 states");
+  for (int p = 0; p < cfg_.proteins_per_snapshot; ++p) {
+    const ml::PointId id = c_.next_patch_id_++;
+    // Synthetic metric-space embedding: smooth drift + noise, so novelty
+    // structure exists for FPS to exploit.
+    for (int d = 0; d < 9; ++d)
+      coords[d] =
+          static_cast<float>(std::sin(0.01 * static_cast<double>(id) + d) +
+                             0.3 * c_.rng_.normal());
+    const auto state = c_.rng_.uniform_index(cont::kNumProteinStates);
+    const bool multi = c_.rng_.uniform() < 0.2;  // multi-protein patches
+    by_queue[multi ? 4 : state].add(id, coords);
+  }
+  std::size_t created = 0;
+  for (std::size_t q = 0; q < n_queues; ++q) {
+    created += by_queue[q].size();
+    if (!by_queue[q].empty())
+      wm_->ingest_patches(static_cast<int>(q), by_queue[q]);
+  }
+  result_.patches_created += created;
+  result_.ledger.bytes_patches +=
+      static_cast<double>(created) * cfg_.rates.patch_bytes;
+  result_.ledger.files_total += created;
+}
+
+void CampaignRun::maintain_tick() {
+  obs::Span tick_span("wm.tick", "wm");
+  if (cfg_.frame_candidate_scale > 0) analyze_insitu();
+  wm_->maintain(cfg_.submit_budget_per_maintain);
+  obs::histogram("wm.tick_s", 0.0, 0.02, 50)
+      .observe(tick_span.elapsed_us() * 1e-6);
+}
+
+void CampaignRun::analyze_insitu() {
+  // Task 2 ingestion from the distributed CG analyses: one in-situ analysis
+  // per running CG sim per tick (stepping, CgAnalysis, encoder feature
+  // extraction, RDF accumulation), fanned out across the insitu pool and
+  // folded in ascending sim-id order — candidate volume stays at the
+  // calibrated rate, now as per-sim Poisson draws from counter-based
+  // streams so the tick is byte-identical at any thread count.
+  const auto payloads = wm_->running_payloads(
+      "cg_sim",
+      [this](const sched::Job& job) { return executor_.is_hung(job.id); });
+  result_.tick_sims.push_back(static_cast<std::uint32_t>(payloads.size()));
+  if (payloads.empty()) return;
+  const double mean_per_sim = (cfg_.perf.cg_us_per_day / 86400.0) *
+                              cfg_.maintain_interval_s *
+                              cfg_.frame_candidates_per_us *
+                              cfg_.frame_candidate_scale;
+  // The tick key derives from the *absolute* offset into this run (and the
+  // flat run index), so a campaign resumed from a checkpoint replays the
+  // remaining ticks with the exact same per-sim streams.
+  const double t_abs = resume_base_s_ + engine_.now();
+  std::uint64_t tbits = 0;
+  std::memcpy(&tbits, &t_abs, sizeof tbits);
+  const std::uint64_t tick_key =
+      tbits ^ (0x9e3779b97f4a7c15ULL * (flat_run_ + 1));
+
+  ml::PointStore frames(3);
+  std::uint64_t candidates = 0;
+  const std::uint64_t fold_ns = c_.insitu_->tick(
+      payloads, tick_key, mean_per_sim, [&](const InSituResult& r) {
+        if (r.candidates > 0) {
+          // First candidate is the analyzed frame's real descriptor; the
+          // rest are subsampled snapshots of the same sim.
+          r.frame.descriptor_into(c_.next_frame_id_++, frames);
+          for (const auto& d : r.extra)
+            frames.add(c_.next_frame_id_++, std::span<const float>(d));
+          candidates += r.candidates;
+        }
+        if (result_.rdf_feedback.per_species.empty())
+          result_.rdf_feedback = r.rdfs;
+        else
+          result_.rdf_feedback.merge(r.rdfs);
+        ++result_.analysis_frames;
+      });
+  if (candidates > 0) {
+    result_.frame_candidates += candidates;
+    result_.ledger.files_total += candidates;  // the ~850 B id records
+    wm_->ingest_frames(frames);
+  }
+  obs::counter("wm.tick.sims").inc(payloads.size());
+  obs::counter("wm.tick.analysis_frames").inc(payloads.size());
+  obs::counter("wm.tick.fold_ns").inc(fold_ns);
+}
+
+void CampaignRun::feedback_tick() {
+  const int running_cg = wm_->running("cg_sim");
+  const int running_aa = wm_->running("aa_sim");
+  auto& ledger = result_.ledger;
+  if (running_cg > 0) {
+    // CG->continuum: RDF pushes arrive every ~3-4 min per simulation.
+    const double rdf_interval = 200.0;  // s per simulation between pushes
+    const auto frames = static_cast<std::size_t>(
+        running_cg * cfg_.feedback_interval_s / rdf_interval);
+    result_.cg2cont_stats.push_back(feedback_iteration(
+        frames, static_cast<double>(frames) *
+                    fb::FeedbackCosts::redis().process_per_frame));
+    // Data ledger: trajectory frames written during this interval.
+    const double cg_frames = running_cg * cfg_.feedback_interval_s /
+                             cfg_.rates.cg_frame_interval_s;
+    ledger.bytes_cg_frames += cg_frames * cfg_.rates.cg_frame_bytes;
+    ledger.bytes_cg_analysis += cg_frames * cfg_.rates.cg_analysis_bytes;
+    ledger.files_total +=
+        static_cast<std::uint64_t>(cg_frames * kFilesPerCgFrame);
+  }
+  if (running_aa > 0) {
+    // AA->CG: fewer frames, ~2 s each through external calls, pooled.
+    const double aa_frames = running_aa * cfg_.feedback_interval_s /
+                             cfg_.rates.aa_frame_interval_s;
+    const auto frames = static_cast<std::size_t>(aa_frames);
+    result_.aa2cg_stats.push_back(feedback_iteration(
+        frames, 60.0 + 2.0 * static_cast<double>(frames) / 6.0));
+    ledger.bytes_aa_frames += aa_frames * cfg_.rates.aa_frame_bytes;
+    ledger.files_total += static_cast<std::uint64_t>(aa_frames);
+  }
+}
+
+void CampaignRun::profile_tick() {
+  result_.profiler.sample(t_offset_ + engine_.now(), scheduler_);
+  // Registry gauges are freshest right after a profile sample — snapshot
+  // into the attached telemetry sink (if any), stamped with campaign time.
+  obs::report_sample(t_offset_ + engine_.now());
+}
+
+void CampaignRun::checkpoint_tick() {
+  ++result_.checkpoints_written;
+  {
+    // Checkpoint serialization is real wall-clock work inside the
+    // coordination loop; the span + histogram expose its cost.
+    obs::Span span("wm.checkpoint", "wm");
+    // The outermost persistence boundary pair: a crash at .pre must recover
+    // the previous checkpoint generation, a crash at .post the one just
+    // written. Each fires once per tick, so the sweep's "nth hit" selects
+    // the checkpoint tick to kill.
+    util::crash_point("wm.checkpoint.pre");
+    save_checkpoint();
+    util::crash_point("wm.checkpoint.post");
+    obs::histogram("wm.checkpoint_s", 0.0, 1.0, 50)
+        .observe(span.elapsed_us() * 1e-6);
+  }
+  obs::counter("wm.checkpoints").inc();
+}
+
+void CampaignRun::save_checkpoint() {
+  Campaign::ResumeState rs;
+  rs.flat_run = flat_run_;
+  rs.time_into_run_s = resume_base_s_ + engine_.now();  // absolute offset
+  rs.rng = c_.rng_.save_state();
+  rs.next_patch_id = c_.next_patch_id_;
+  rs.next_frame_id = c_.next_frame_id_;
+
+  // In-flight work in ascending job-id (submission) order; running sims'
+  // checkpointed progress includes time since they started.
+  std::unordered_map<std::uint64_t, double> running_for;
+  // A payload may be in flight twice (original + speculative twin); it must
+  // resume exactly once.
+  std::set<std::pair<const std::vector<std::uint64_t>*, std::uint64_t>> seen;
+  auto active = scheduler_.active_jobs();
+  std::sort(active.begin(), active.end());
+  for (const sched::JobId id : active) {
+    const sched::Job& job = scheduler_.job(id);
+    const auto& type = job.spec.type;
+    const bool is_sim = type == "cg_sim" || type == "aa_sim";
+    auto* fly = type == "cg_sim"     ? &rs.inflight_cg
+                : type == "aa_sim"   ? &rs.inflight_aa
+                : type == "cg_setup" ? &rs.inflight_cg_setup
+                : type == "aa_setup" ? &rs.inflight_aa_setup
+                                     : nullptr;
+    if (fly == nullptr) continue;
+    if (seen.emplace(fly, job.spec.payload).second)
+      fly->push_back(job.spec.payload);
+    // Hung jobs accrue no progress; their sims resume from the last
+    // checkpointed position instead.
+    if (is_sim && job.state == sched::JobState::kRunning &&
+        !executor_.is_hung(id))
+      running_for[job.spec.payload] = engine_.now() - job.start_time;
+  }
+
+  rs.sims.assign(c_.sims_.begin(), c_.sims_.end());
+  std::sort(rs.sims.begin(), rs.sims.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [payload, ls] : rs.sims) {
+    const auto it = running_for.find(payload);
+    if (it != running_for.end())
+      ls.progress =
+          std::min(ls.target, ls.progress + ls.rate_per_s * it->second);
+  }
+  rs.wm_blob = wm_->serialize();
+
+  util::ByteWriter w;
+  w.u32(kCheckpointVersion);
+  Save io{w};
+  checkpoint_fields(io, rs, result_, tally());
+  rs = {};  // free the WM blob copy before the frame copies the payload
+  util::CheckpointFile(cfg_.checkpoint_path).save(std::move(w).take());
+}
+
+RunTally CampaignRun::tally() const {
+  RunTally t;
+  t.faults_injected = injector_.fired().size();
+  t.fault_jobs_killed = injector_.jobs_killed();
+  if (supervisor_) {
+    t.supervision = supervisor_->stats();
+    t.supervision_log = supervisor_->decisions();
+  }
+  return t;
+}
+
+WorkflowManager::CarryOver CampaignRun::teardown() {
+  // Checkpoint-and-carry: interrupted sims resume next allocation from their
+  // checkpoints, ahead of fresh ones; interrupted setups are requeued.
+  std::vector<std::uint64_t> resume_cg, resume_aa;
+  std::set<std::uint64_t> torn_down_sims, torn_down_setups;
+  for (const sched::JobId id : scheduler_.active_jobs()) {
+    const sched::Job& job = scheduler_.job(id);
+    const auto& type = job.spec.type;
+    // Hung jobs made no progress since launch; their payloads still carry
+    // over, so a hang costs at most the rest of this allocation.
+    const bool was_running =
+        job.state == sched::JobState::kRunning && !executor_.is_hung(id);
+    if (type == "cg_sim" || type == "aa_sim") {
+      auto it = c_.sims_.find(job.spec.payload);
+      if (it != c_.sims_.end() && was_running) {
+        LogicalSim& ls = it->second;
+        ls.progress = std::min(
+            ls.target,
+            ls.progress + ls.rate_per_s * (walltime_s_ - job.start_time));
+        if (ls.progress >= ls.target) {
+          record_sim(result_, ls);
+          c_.sims_.erase(it);
+          torn_down_sims.insert(job.spec.payload);  // twin must not resume it
+          scheduler_.cancel(id);
+          continue;
+        }
+      }
+      // An original and its speculative twin share a payload; it resumes
+      // exactly once.
+      if (torn_down_sims.insert(job.spec.payload).second)
+        (type == "cg_sim" ? resume_cg : resume_aa).push_back(job.spec.payload);
+    } else if (type == "cg_setup" || type == "aa_setup") {
+      if (torn_down_setups.insert(job.spec.payload).second)
+        wm_->requeue_setup(type, job.spec.payload);
+    }
+    scheduler_.cancel(id);
+  }
+  auto carry = wm_->carry_over();
+  prepend(carry.ready_cg, resume_cg);
+  prepend(carry.ready_aa, resume_aa);
+
+  // Backmap data volumes from completed AA setups this run.
+  const auto backmaps =
+      static_cast<double>(trackers_.tracker("aa_setup").counters().completed);
+  result_.ledger.bytes_backmap +=
+      backmaps *
+      (cfg_.rates.backmap_local_bytes + cfg_.rates.backmap_gpfs_bytes);
+  result_.ledger.files_total += static_cast<std::uint64_t>(backmaps) * 4;
+
+  if (supervisor_) supervisor_->finalize(engine_.now());
+  tally().fold_into(result_);
+  // The ledger carries across allocations; the last run's view is cumulative.
+  result_.quarantined = wm_->quarantine_ledger().quarantined_keys();
+  return carry;
+}
+
+Campaign::Campaign(CampaignConfig config)
+    : config_(std::move(config)), rng_(config_.seed),
+      next_frame_id_(kFrameIdBase) {}
 
 Campaign::~Campaign() = default;
 
@@ -170,644 +863,6 @@ Campaign::LogicalSim& Campaign::logical_sim(std::uint64_t payload, bool is_aa,
   return sims_.emplace(payload, ls).first->second;
 }
 
-void Campaign::run_one(int nodes, double walltime_h, CampaignResult& result,
-                       WorkflowManager::CarryOver& carry,
-                       double& campaign_hours_done,
-                       double campaign_hours_total) {
-  const double walltime_s = walltime_h * 3600.0;
-  const double t_offset = campaign_hours_done * 3600.0;
-
-  event::SimEngine engine;
-  sched::Scheduler scheduler(sched::ClusterSpec::summit(nodes),
-                             config_.match_policy, engine.clock());
-  sched::QueueManager queue(engine, scheduler, config_.queue);
-  QueuedBackend maestro(scheduler, queue);
-
-  // Job trackers for the four application job types + the continuum.
-  TrackerSet trackers;
-  auto add_tracker = [&](const std::string& type, int cores, int gpus,
-                         double mean_s, double sigma_s) {
-    JobTypeConfig cfg;
-    cfg.type = type;
-    cfg.request.slot = sched::Slot{cores, gpus};
-    cfg.mean_duration = mean_s;
-    cfg.sigma_duration = sigma_s;
-    trackers.add(std::make_unique<JobTracker>(cfg));
-  };
-  // Setup durations are lognormal(sigma=0.25 in log space); ~0.25*mean is the
-  // absolute spread the watchdog deadlines are derived from.
-  add_tracker("cg_setup", 24, 0, config_.perf.createsim_mean_s,
-              0.25 * config_.perf.createsim_mean_s);
-  add_tracker("cg_sim", 3, 1, 86400, 0.25 * 86400);
-  add_tracker("aa_setup", 18, 0, config_.perf.backmap_mean_s,
-              0.25 * config_.perf.backmap_mean_s);
-  add_tracker("aa_sim", 3, 1, 86400, 0.25 * 86400);
-
-  const int continuum_nodes =
-      std::max(1, std::min(config_.continuum_nodes_max, nodes / 4));
-  const int continuum_cores =
-      continuum_nodes * config_.continuum_cores_per_node;
-
-  // --- fault injection (Sec. 4.4) ------------------------------------------
-  // Each run draws its own plan; the seed mixes the flat run index so the
-  // whole campaign (and any crash-restart continuation) stays deterministic.
-  fault::FaultPlan fault_plan;
-  if (!config_.faults.empty()) {
-    fault::FaultSpec spec = config_.faults;
-    spec.seed ^= 0x9e3779b97f4a7c15ULL * (flat_run_ + 1);
-    fault_plan = fault::FaultPlan::generate(spec, walltime_s, nodes,
-                                            /*n_shards=*/0);
-  }
-  fault::FaultInjector injector(std::move(fault_plan));
-  injector.bind_scheduler(&scheduler);
-  // Armed below, once the executor exists — hang/straggler faults target it.
-
-  // --- per-run state -------------------------------------------------------
-  bool continuum_running = false;
-  const bool degraded =
-      campaign_hours_done / campaign_hours_total <
-      config_.degraded_until_fraction;
-
-  // Selectors persist across the campaign.
-  static_assert(cont::kNumProteinStates == 4, "queue routing assumes 4 states");
-
-  // Campaign-level accounting must see completions *before* the WM resubmits
-  // failed jobs (so remaining-duration models read fresh progress), hence it
-  // registers first.
-  auto finish_sim = [&](std::uint64_t payload, const LogicalSim& ls) {
-    if (ls.is_aa) {
-      result.aa_lengths_ns.push_back(ls.progress);
-      result.aa_perf.emplace_back(ls.size, ls.rate_per_s * 86400.0);
-      result.aa_total_ns += ls.progress;
-    } else {
-      result.cg_lengths_us.push_back(ls.progress);
-      result.cg_perf.emplace_back(ls.size, ls.rate_per_s * 86400.0);
-      result.cg_total_us += ls.progress;
-    }
-    (void)payload;
-  };
-
-  auto continuum_spec = [&] {
-    sched::JobSpec spec;
-    spec.name = "gridsim2d";
-    spec.type = "continuum";
-    spec.request.slot = sched::Slot{config_.continuum_cores_per_node, 0};
-    spec.request.nslots = continuum_nodes;
-    spec.request.one_slot_per_node = true;
-    spec.est_duration = 2.0 * walltime_s;
-    return spec;
-  };
-
-  scheduler.on_finish([&](const sched::Job& job) {
-    const auto& type = job.spec.type;
-    if (type == "continuum") {
-      if (job.state == sched::JobState::kFailed) {
-        // A node crash took the continuum down. It is untracked (no WM
-        // restart policy), so the campaign itself reloads it from its
-        // snapshot; fail_node() drained the dead node first, so the new
-        // allocation lands elsewhere.
-        continuum_running = false;
-        maestro.submit(continuum_spec());
-      } else if (job.state == sched::JobState::kCancelled) {
-        continuum_running = false;
-      }
-      return;
-    }
-    if (type != "cg_sim" && type != "aa_sim") return;
-    auto it = sims_.find(job.spec.payload);
-    if (it == sims_.end()) return;
-    LogicalSim& ls = it->second;
-    if (job.state == sched::JobState::kCompleted) {
-      ls.progress = ls.target;
-      finish_sim(job.spec.payload, ls);
-      sims_.erase(it);
-    } else if (job.state == sched::JobState::kFailed) {
-      // Crash partway: progress up to the failure point survives via the
-      // 15-minute checkpoints; the WM resubmits (registered after us).
-      const double elapsed = std::max(0.0, engine.now() - job.start_time);
-      ls.progress = std::min(ls.target * 0.999,
-                             ls.progress + ls.rate_per_s * elapsed *
-                                               rng_.uniform());
-    }
-  });
-
-  WorkflowManager wm(config_.wm, maestro, trackers, *patch_selector_,
-                     *frame_selector_);
-  if (resume_) {
-    // Crash-restart: restore buffers, restart counts and both selectors from
-    // the checkpoint, then line up the payloads that were in flight when it
-    // was taken ahead of fresh work.
-    wm.restore(resume_->wm_blob);
-    auto restored = wm.carry_over();
-    for (auto it = resume_->inflight_cg.rbegin();
-         it != resume_->inflight_cg.rend(); ++it)
-      restored.ready_cg.push_front(*it);
-    for (auto it = resume_->inflight_aa.rbegin();
-         it != resume_->inflight_aa.rend(); ++it)
-      restored.ready_aa.push_front(*it);
-    for (auto it = resume_->inflight_cg_setup.rbegin();
-         it != resume_->inflight_cg_setup.rend(); ++it)
-      restored.requeued_cg_setup.push_front(*it);
-    for (auto it = resume_->inflight_aa_setup.rbegin();
-         it != resume_->inflight_aa_setup.rend(); ++it)
-      restored.requeued_aa_setup.push_front(*it);
-    wm.restore_carry_over(restored);
-    resume_base_s_ = resume_->time_into_run_s;
-    resume_.reset();
-  } else {
-    wm.restore_carry_over(carry);
-    resume_base_s_ = 0;
-  }
-  const double hours_at_run_start =
-      campaign_hours_done - resume_base_s_ / 3600.0;
-  wm.on_sim_finished([&](const sched::Job& job) {
-    // Terminal failures (restarts exhausted): record the partial length.
-    if (job.state != sched::JobState::kFailed) return;
-    auto it = sims_.find(job.spec.payload);
-    if (it == sims_.end()) return;
-    finish_sim(job.spec.payload, it->second);
-    sims_.erase(it);
-  });
-
-  // Executor: virtual-time job durations.
-  sched::SimExecutor executor(engine, rng_.split(), config_.sim_failure_prob);
-  executor.set_duration_model([&](const sched::Job& job) -> double {
-    const auto& type = job.spec.type;
-    // Active latency spikes (GPFS/fabric congestion) stretch job durations;
-    // 1.0 when no spike is live, so fault-free runs are bit-identical.
-    const double stretch = injector.latency_factor(engine.now());
-    if (type == "continuum") return 2.0 * walltime_s;  // cut at teardown
-    if (type == "cg_setup")
-      return stretch * config_.perf.sample_createsim_seconds(rng_);
-    if (type == "aa_setup")
-      return stretch * config_.perf.sample_backmap_seconds(rng_);
-    if (type == "cg_sim" || type == "aa_sim") {
-      LogicalSim& ls =
-          logical_sim(job.spec.payload, type == "aa_sim", degraded);
-      return std::max(1.0, stretch * (ls.target - ls.progress) / ls.rate_per_s);
-    }
-    return job.spec.est_duration;
-  });
-  scheduler.on_start([&](const sched::Job& job) {
-    if (job.spec.type == "continuum") continuum_running = true;
-    const sched::JobId id = job.id;
-    executor.launch(job, [&, id](bool ok) {
-      // A node-crash fault may have killed the job after this completion
-      // event was scheduled; the stale event must not touch it.
-      if (scheduler.job(id).state == sched::JobState::kRunning)
-        scheduler.complete(id, ok);
-      maestro.poll();
-    });
-  });
-  injector.bind_executor(&executor);
-  injector.arm(engine);
-
-  // Poison work: a deterministic subset of payloads kills every attempt of
-  // its job type — the repeat offender the quarantine ledger is keyed for.
-  if (config_.poison_payload_modulus > 0)
-    executor.set_poison([this](const sched::Job& job) {
-      return job.spec.type == config_.poison_job_type &&
-             job.spec.payload != 0 &&
-             job.spec.payload % config_.poison_payload_modulus == 0;
-    });
-
-  // --- supervision plane (off by default: bit-identical figure runs) -------
-  // Constructed after the WM so the winner of a speculative pair reaches the
-  // workload before the supervisor cancels the loser. Watchdog deadlines come
-  // from the tracker duration models; sims legitimately outlive any deadline
-  // shorter than the allocation, so in practice the watchdog covers setup and
-  // canary jobs within a run while hung sims are reclaimed at teardown (no
-  // progress credited, payload carried to the next allocation).
-  std::optional<supervise::Supervisor> supervisor;
-  std::function<void()> supervise_tick;
-  if (config_.supervise.enabled) {
-    supervisor.emplace(scheduler, engine.clock(), wm, config_.supervise);
-    for (const auto& type : trackers.types()) {
-      const auto& tc = trackers.tracker(type).config();
-      supervisor->set_timing(type, {tc.mean_duration, tc.sigma_duration});
-    }
-    supervisor->set_timing(config_.wm.canary_type,
-                           {config_.wm.canary_duration_s, 0.0});
-    // Latency-spike faults stretch real durations; deadlines stretch along.
-    supervisor->set_duration_stretch(
-        [&injector](double now) { return injector.latency_factor(now); });
-    wm.set_resubmit_veto([&supervisor](const sched::Job& job) {
-      return supervisor->has_live_twin(job.id);
-    });
-    supervise_tick = [&] {
-      // Poll only when the tick actually acted (every action logs a decision
-      // line): an idle supervisor must not perturb queue-service timing, so a
-      // zero-fault supervised run stays bit-identical to an unsupervised one.
-      const std::size_t before = supervisor->decisions().size();
-      supervisor->tick(engine.now());
-      if (supervisor->decisions().size() != before)
-        maestro.poll();  // place any resubmits/twins/canaries right away
-      engine.schedule_after(config_.supervise.tick_interval_s, supervise_tick);
-    };
-    engine.schedule_after(config_.supervise.tick_interval_s, supervise_tick);
-  }
-
-  // The continuum job loads first.
-  maestro.submit(continuum_spec());
-
-  // --- recurring coordination events --------------------------------------
-  std::function<void()> snapshot_tick = [&] {
-    if (continuum_running) {
-      ++result.snapshots;
-      result.continuum_total_us += 1.0;  // 1 us of model time per snapshot
-      result.continuum_ms_per_day.push_back(
-          config_.perf.continuum_ms_per_day(continuum_cores) *
-          (1.0 + 0.03 * rng_.normal()));
-      result.ledger.bytes_continuum += config_.rates.continuum_snapshot_bytes;
-      result.ledger.files_total += 1;
-
-      // Task 1: the Patch Creator cuts one patch per protein. Embeddings are
-      // written straight into per-queue flat stores — the selector ingest
-      // path is allocation-free end to end.
-      std::vector<ml::PointStore> by_queue(
-          static_cast<std::size_t>(patch_selector_->n_queues()),
-          ml::PointStore(9));
-      float coords[9];
-      for (int p = 0; p < config_.proteins_per_snapshot; ++p) {
-        const ml::PointId id = next_patch_id_++;
-        // Synthetic metric-space embedding: smooth drift + noise, so novelty
-        // structure exists for FPS to exploit.
-        for (int d = 0; d < 9; ++d)
-          coords[d] = static_cast<float>(
-              std::sin(0.01 * static_cast<double>(id) + d) +
-              0.3 * rng_.normal());
-        const auto state = rng_.uniform_index(cont::kNumProteinStates);
-        const bool multi = rng_.uniform() < 0.2;  // multi-protein patches
-        const std::size_t queue = multi ? 4 : state;
-        by_queue[queue].add(id, coords);
-      }
-      std::size_t created = 0;
-      for (int q = 0; q < patch_selector_->n_queues(); ++q) {
-        created += by_queue[static_cast<std::size_t>(q)].size();
-        if (!by_queue[static_cast<std::size_t>(q)].empty())
-          wm.ingest_patches(q, by_queue[static_cast<std::size_t>(q)]);
-      }
-      result.patches_created += created;
-      result.ledger.bytes_patches +=
-          static_cast<double>(created) * config_.rates.patch_bytes;
-      result.ledger.files_total += created;
-    }
-    engine.schedule_after(config_.snapshot_interval_s, snapshot_tick);
-  };
-  engine.schedule_after(config_.snapshot_interval_s, snapshot_tick);
-
-  std::function<void()> maintain_tick = [&] {
-    // Task 2 ingestion from the distributed CG analyses: one in-situ analysis
-    // per running CG sim per tick (stepping, CgAnalysis, encoder feature
-    // extraction, RDF accumulation), fanned out across the insitu pool and
-    // folded in ascending sim-id order — candidate volume stays at the
-    // calibrated rate, now as per-sim Poisson draws from counter-based
-    // streams so the tick is byte-identical at any thread count.
-    obs::Span tick_span("wm.tick", "wm");
-    if (config_.frame_candidate_scale > 0) {
-      const auto payloads = wm.running_payloads(
-          "cg_sim",
-          [&](const sched::Job& job) { return executor.is_hung(job.id); });
-      if (!payloads.empty()) {
-        const double mean_per_sim = (config_.perf.cg_us_per_day / 86400.0) *
-                                    config_.maintain_interval_s *
-                                    config_.frame_candidates_per_us *
-                                    config_.frame_candidate_scale;
-        // The tick key derives from the *absolute* offset into this run (and
-        // the flat run index), so a campaign resumed from a checkpoint
-        // replays the remaining ticks with the exact same per-sim streams.
-        const double t_abs = resume_base_s_ + engine.now();
-        std::uint64_t tbits = 0;
-        std::memcpy(&tbits, &t_abs, sizeof tbits);
-        const std::uint64_t tick_key =
-            tbits ^ (0x9e3779b97f4a7c15ULL * (flat_run_ + 1));
-
-        ml::PointStore frames(3);
-        std::uint64_t candidates = 0;
-        const std::uint64_t fold_ns = insitu_->tick(
-            payloads, tick_key, mean_per_sim, [&](const InSituResult& r) {
-              if (r.candidates > 0) {
-                // First candidate is the analyzed frame's real descriptor;
-                // the rest are subsampled snapshots of the same sim.
-                r.frame.descriptor_into(next_frame_id_++, frames);
-                for (const auto& d : r.extra)
-                  frames.add(next_frame_id_++, std::span<const float>(d));
-                candidates += r.candidates;
-              }
-              if (result.rdf_feedback.per_species.empty())
-                result.rdf_feedback = r.rdfs;
-              else
-                result.rdf_feedback.merge(r.rdfs);
-              ++result.analysis_frames;
-            });
-        if (candidates > 0) {
-          result.frame_candidates += candidates;
-          result.ledger.files_total += candidates;  // the ~850 B id records
-          wm.ingest_frames(frames);
-        }
-        obs::counter("wm.tick.sims").inc(payloads.size());
-        obs::counter("wm.tick.analysis_frames").inc(payloads.size());
-        obs::counter("wm.tick.fold_ns").inc(fold_ns);
-      }
-      result.tick_sims.push_back(static_cast<std::uint32_t>(payloads.size()));
-    }
-    wm.maintain(config_.submit_budget_per_maintain);
-    obs::histogram("wm.tick_s", 0.0, 0.02, 50)
-        .observe(tick_span.elapsed_us() * 1e-6);
-    engine.schedule_after(config_.maintain_interval_s, maintain_tick);
-  };
-  engine.schedule_after(config_.maintain_interval_s, maintain_tick);
-
-  std::function<void()> feedback_tick = [&] {
-    const int running_cg = wm.running("cg_sim");
-    const int running_aa = wm.running("aa_sim");
-    // CG->continuum: RDF pushes arrive every ~3-4 min per simulation.
-    if (running_cg > 0) {
-      const double rdf_interval = 200.0;  // s per simulation between pushes
-      const auto frames = static_cast<std::size_t>(
-          running_cg * config_.feedback_interval_s / rdf_interval);
-      fb::IterationStats stats;
-      const auto costs = fb::FeedbackCosts::redis();
-      stats.frames = frames;
-      stats.collect_virtual =
-          static_cast<double>(frames) *
-          (costs.identify_per_key + costs.read_per_record);
-      stats.process_virtual =
-          static_cast<double>(frames) * costs.process_per_frame;
-      stats.tag_virtual = static_cast<double>(frames) * costs.tag_per_record;
-      result.cg2cont_stats.push_back(stats);
-    }
-    // AA->CG: fewer frames, ~2 s each through external calls, pooled.
-    if (running_aa > 0) {
-      const auto frames = static_cast<std::size_t>(
-          running_aa * config_.feedback_interval_s /
-          config_.rates.aa_frame_interval_s);
-      fb::IterationStats stats;
-      const auto costs = fb::FeedbackCosts::redis();
-      stats.frames = frames;
-      stats.collect_virtual =
-          static_cast<double>(frames) *
-          (costs.identify_per_key + costs.read_per_record);
-      stats.process_virtual =
-          60.0 + 2.0 * static_cast<double>(frames) / 6.0;
-      stats.tag_virtual = static_cast<double>(frames) * costs.tag_per_record;
-      result.aa2cg_stats.push_back(stats);
-    }
-    // Data ledger: trajectory frames written during this interval.
-    if (running_cg > 0) {
-      const double cg_frames = running_cg * config_.feedback_interval_s /
-                               config_.rates.cg_frame_interval_s;
-      result.ledger.bytes_cg_frames +=
-          cg_frames * config_.rates.cg_frame_bytes;
-      result.ledger.bytes_cg_analysis +=
-          cg_frames * config_.rates.cg_analysis_bytes;
-      result.ledger.files_total +=
-          static_cast<std::uint64_t>(cg_frames * kFilesPerCgFrame);
-    }
-    if (running_aa > 0) {
-      const double aa_frames = running_aa * config_.feedback_interval_s /
-                               config_.rates.aa_frame_interval_s;
-      result.ledger.bytes_aa_frames +=
-          aa_frames * config_.rates.aa_frame_bytes;
-      result.ledger.files_total += static_cast<std::uint64_t>(aa_frames);
-    }
-    engine.schedule_after(config_.feedback_interval_s, feedback_tick);
-  };
-  engine.schedule_after(config_.feedback_interval_s, feedback_tick);
-
-  std::function<void()> profile_tick = [&] {
-    result.profiler.sample(t_offset + engine.now(), scheduler);
-    // Registry gauges are freshest right after a profile sample — snapshot
-    // into the attached telemetry sink (if any), stamped with campaign time.
-    obs::report_sample(t_offset + engine.now());
-    engine.schedule_after(config_.profile_interval_s, profile_tick);
-  };
-  engine.schedule_after(config_.profile_interval_s, profile_tick);
-
-  // --- periodic checkpoint + simulated crash -------------------------------
-  auto save_checkpoint = [&] {
-    util::ByteWriter w;
-    w.u32(kCheckpointVersion);
-    w.u64(flat_run_);
-    w.f64(hours_at_run_start);
-    w.f64(resume_base_s_ + engine.now());  // absolute offset into this run
-
-    const util::Rng::State rst = rng_.save_state();
-    for (int i = 0; i < 4; ++i) w.u64(rst.s[i]);
-    w.u8(rst.has_spare ? 1 : 0);
-    w.f64(rst.spare);
-    w.u64(next_patch_id_);
-    w.u64(next_frame_id_);
-
-    // In-flight work in ascending job-id (submission) order; running sims'
-    // checkpointed progress includes time since they started.
-    std::vector<std::uint64_t> fly_cg, fly_aa, fly_cg_setup, fly_aa_setup;
-    std::unordered_map<std::uint64_t, double> running_for;
-    // A payload may be in flight twice (original + speculative twin); it must
-    // resume exactly once.
-    std::set<std::uint64_t> seen_cg, seen_aa, seen_cg_setup, seen_aa_setup;
-    auto push_unique = [](std::vector<std::uint64_t>& v,
-                          std::set<std::uint64_t>& seen, std::uint64_t p) {
-      if (seen.insert(p).second) v.push_back(p);
-    };
-    auto active = scheduler.active_jobs();
-    std::sort(active.begin(), active.end());
-    for (const sched::JobId id : active) {
-      const sched::Job& job = scheduler.job(id);
-      const auto& type = job.spec.type;
-      if (type == "cg_sim")
-        push_unique(fly_cg, seen_cg, job.spec.payload);
-      else if (type == "aa_sim")
-        push_unique(fly_aa, seen_aa, job.spec.payload);
-      else if (type == "cg_setup")
-        push_unique(fly_cg_setup, seen_cg_setup, job.spec.payload);
-      else if (type == "aa_setup")
-        push_unique(fly_aa_setup, seen_aa_setup, job.spec.payload);
-      else
-        continue;
-      // Hung jobs accrue no progress; their sims resume from the last
-      // checkpointed position instead.
-      if (job.state == sched::JobState::kRunning && !executor.is_hung(id) &&
-          (type == "cg_sim" || type == "aa_sim"))
-        running_for[job.spec.payload] = engine.now() - job.start_time;
-    }
-
-    std::vector<std::pair<std::uint64_t, LogicalSim>> snap(sims_.begin(),
-                                                           sims_.end());
-    std::sort(snap.begin(), snap.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.u64(snap.size());
-    for (const auto& [payload, ls] : snap) {
-      double progress = ls.progress;
-      const auto it = running_for.find(payload);
-      if (it != running_for.end())
-        progress =
-            std::min(ls.target, ls.progress + ls.rate_per_s * it->second);
-      w.u64(payload);
-      w.u8(ls.is_aa ? 1 : 0);
-      w.f64(ls.target);
-      w.f64(progress);
-      w.f64(ls.rate_per_s);
-      w.f64(ls.size);
-    }
-    write_u64_list(w, fly_cg);
-    write_u64_list(w, fly_aa);
-    write_u64_list(w, fly_cg_setup);
-    write_u64_list(w, fly_aa_setup);
-    w.bytes(wm.serialize());
-
-    // Result accumulators. The profiler timeline and feedback iteration
-    // stats are diagnostics, not campaign state, and are not checkpointed.
-    w.u64(result.snapshots);
-    w.u64(result.patches_created);
-    w.u64(result.frame_candidates);
-    w.f64(result.continuum_total_us);
-    w.f64(result.cg_total_us);
-    w.f64(result.aa_total_ns);
-    w.f64(result.ledger.bytes_continuum);
-    w.f64(result.ledger.bytes_patches);
-    w.f64(result.ledger.bytes_cg_frames);
-    w.f64(result.ledger.bytes_cg_analysis);
-    w.f64(result.ledger.bytes_aa_frames);
-    w.f64(result.ledger.bytes_backmap);
-    w.u64(result.ledger.files_total);
-    w.vec(result.cg_lengths_us);
-    w.vec(result.aa_lengths_ns);
-    w.vec(result.continuum_ms_per_day);
-    write_pairs(w, result.cg_perf);
-    write_pairs(w, result.aa_perf);
-    w.u64(result.faults_injected + injector.fired().size());
-    w.u64(result.fault_jobs_killed + injector.jobs_killed());
-    w.u64(result.checkpoints_written);
-
-    // v2: supervision outcomes so far (prior runs + this run's partial). The
-    // quarantine ledger itself rides inside wm.serialize() above.
-    supervise::SupervisionStats sup = result.supervision;
-    std::vector<std::string> sup_log = result.supervision_log;
-    if (supervisor) {
-      sup.merge(supervisor->stats());
-      sup_log.insert(sup_log.end(), supervisor->decisions().begin(),
-                     supervisor->decisions().end());
-    }
-    write_supervision(w, sup);
-    write_str_list(w, sup_log);
-
-    // v3: in-situ analysis accumulators (fingerprinted science state — a
-    // resumed campaign must keep merging RDFs into the same totals).
-    w.u64(result.analysis_frames);
-    w.bytes(result.rdf_feedback.serialize());
-
-    util::CheckpointFile(config_.checkpoint_path).save(std::move(w).take());
-  };
-
-  std::function<void()> checkpoint_tick;
-  if (config_.checkpoint_interval_s > 0 && !config_.checkpoint_path.empty()) {
-    checkpoint_tick = [&] {
-      ++result.checkpoints_written;
-      {
-        // Checkpoint serialization is real wall-clock work inside the
-        // coordination loop; the span + histogram expose its cost.
-        obs::Span span("wm.checkpoint", "wm");
-        // The outermost persistence boundary pair: a crash at .pre must
-        // recover the previous checkpoint generation, a crash at .post the
-        // one just written. Each fires once per tick, so the sweep's "nth
-        // hit" selects the checkpoint tick to kill.
-        util::crash_point("wm.checkpoint.pre");
-        save_checkpoint();
-        util::crash_point("wm.checkpoint.post");
-        obs::histogram("wm.checkpoint_s", 0.0, 1.0, 50)
-            .observe(span.elapsed_us() * 1e-6);
-      }
-      obs::counter("wm.checkpoints").inc();
-      engine.schedule_after(config_.checkpoint_interval_s, checkpoint_tick);
-    };
-    engine.schedule_after(config_.checkpoint_interval_s, checkpoint_tick);
-  }
-
-  if (config_.crash_at_campaign_h > 0) {
-    const double crash_s = config_.crash_at_campaign_h * 3600.0 - t_offset;
-    if (crash_s >= 0 && crash_s < walltime_s)
-      engine.schedule_at(crash_s, [] {
-        throw SimulatedCrash("simulated coordination-process crash");
-      });
-  }
-
-  // --- run to walltime ------------------------------------------------------
-  engine.run_until(walltime_s);
-
-  // --- teardown: checkpoint-and-carry --------------------------------------
-  std::set<std::uint64_t> torn_down_sims, torn_down_setups;
-  for (const sched::JobId id : scheduler.active_jobs()) {
-    const sched::Job& job = scheduler.job(id);
-    const auto& type = job.spec.type;
-    // Hung jobs made no progress since launch; their payloads still carry
-    // over, so a hang costs at most the rest of this allocation.
-    const bool was_running =
-        job.state == sched::JobState::kRunning && !executor.is_hung(id);
-    if (type == "cg_sim" || type == "aa_sim") {
-      auto it = sims_.find(job.spec.payload);
-      if (it != sims_.end() && was_running) {
-        LogicalSim& ls = it->second;
-        ls.progress = std::min(
-            ls.target, ls.progress + ls.rate_per_s *
-                                         (walltime_s - job.start_time));
-        if (ls.progress >= ls.target) {
-          finish_sim(job.spec.payload, ls);
-          sims_.erase(it);
-          torn_down_sims.insert(job.spec.payload);  // twin must not resume it
-          scheduler.cancel(id);
-          continue;
-        }
-      }
-      // Resumes next allocation from its checkpoint. An original and its
-      // speculative twin share a payload; it resumes exactly once.
-      if (torn_down_sims.insert(job.spec.payload).second) {
-        if (type == "cg_sim")
-          carry_resume_cg_.push_back(job.spec.payload);
-        else
-          carry_resume_aa_.push_back(job.spec.payload);
-      }
-    } else if (type == "cg_setup" || type == "aa_setup") {
-      if (torn_down_setups.insert(job.spec.payload).second)
-        wm.requeue_setup(type, job.spec.payload);
-    }
-    scheduler.cancel(id);
-  }
-
-  carry = wm.carry_over();
-  // Interrupted simulations resume ahead of fresh ones.
-  for (auto it = carry_resume_cg_.rbegin(); it != carry_resume_cg_.rend(); ++it)
-    carry.ready_cg.push_front(*it);
-  for (auto it = carry_resume_aa_.rbegin(); it != carry_resume_aa_.rend(); ++it)
-    carry.ready_aa.push_front(*it);
-  carry_resume_cg_.clear();
-  carry_resume_aa_.clear();
-
-  // Backmap data volumes from completed AA setups this run.
-  const auto aa_setups_after = trackers.tracker("aa_setup").counters();
-  const auto backmaps =
-      static_cast<double>(aa_setups_after.completed);
-  result.ledger.bytes_backmap +=
-      backmaps *
-      (config_.rates.backmap_local_bytes + config_.rates.backmap_gpfs_bytes);
-  result.ledger.files_total += static_cast<std::uint64_t>(backmaps) * 4;
-
-  result.faults_injected += injector.fired().size();
-  result.fault_jobs_killed += injector.jobs_killed();
-
-  if (supervisor) {
-    supervisor->finalize(engine.now());
-    result.supervision.merge(supervisor->stats());
-    const auto& log = supervisor->decisions();
-    result.supervision_log.insert(result.supervision_log.end(), log.begin(),
-                                  log.end());
-  }
-  // The ledger carries across allocations; the last run's view is cumulative.
-  result.quarantined = wm.quarantine_ledger().quarantined_keys();
-
-  campaign_hours_done += walltime_h;
-}
-
 std::optional<std::uint64_t> Campaign::try_load_checkpoint(
     CampaignResult& result) {
   if (config_.checkpoint_path.empty()) return std::nullopt;
@@ -815,73 +870,28 @@ std::optional<std::uint64_t> Campaign::try_load_checkpoint(
   if (!blob) return std::nullopt;
 
   util::ByteReader r(*blob);
-  const auto version = r.u32();
-  MUMMI_CHECK_MSG(version == kCheckpointVersion,
+  MUMMI_CHECK_MSG(r.u32() == kCheckpointVersion,
                   "unknown campaign checkpoint version");
-  const std::uint64_t flat_run = r.u64();
-  r.f64();  // hours at run start; recomputed from the schedule on resume
-
   ResumeState rs;
-  rs.time_into_run_s = r.f64();
-
-  util::Rng::State rst{};
-  for (int i = 0; i < 4; ++i) rst.s[i] = r.u64();
-  rst.has_spare = r.u8() != 0;
-  rst.spare = r.f64();
-  rng_.load_state(rst);
-  next_patch_id_ = r.u64();
-  next_frame_id_ = r.u64();
-
-  sims_.clear();
-  const auto n_sims = r.u64();
-  for (std::uint64_t i = 0; i < n_sims; ++i) {
-    const std::uint64_t payload = r.u64();
-    LogicalSim ls;
-    ls.is_aa = r.u8() != 0;
-    ls.target = r.f64();
-    ls.progress = r.f64();
-    ls.rate_per_s = r.f64();
-    ls.size = r.f64();
-    sims_.emplace(payload, ls);
-  }
-  rs.inflight_cg = read_u64_list(r);
-  rs.inflight_aa = read_u64_list(r);
-  rs.inflight_cg_setup = read_u64_list(r);
-  rs.inflight_aa_setup = read_u64_list(r);
-  rs.wm_blob = r.bytes();
-
-  result.snapshots = r.u64();
-  result.patches_created = r.u64();
-  result.frame_candidates = r.u64();
-  result.continuum_total_us = r.f64();
-  result.cg_total_us = r.f64();
-  result.aa_total_ns = r.f64();
-  result.ledger.bytes_continuum = r.f64();
-  result.ledger.bytes_patches = r.f64();
-  result.ledger.bytes_cg_frames = r.f64();
-  result.ledger.bytes_cg_analysis = r.f64();
-  result.ledger.bytes_aa_frames = r.f64();
-  result.ledger.bytes_backmap = r.f64();
-  result.ledger.files_total = r.u64();
-  result.cg_lengths_us = r.vec<double>();
-  result.aa_lengths_ns = r.vec<double>();
-  result.continuum_ms_per_day = r.vec<double>();
-  result.cg_perf = read_pairs(r);
-  result.aa_perf = read_pairs(r);
-  result.faults_injected = r.u64();
-  result.fault_jobs_killed = r.u64();
-  result.checkpoints_written = r.u64();
-  result.supervision = read_supervision(r);
-  result.supervision_log = read_str_list(r);
-  result.analysis_frames = r.u64();
-  result.rdf_feedback = coupling::RdfSet::deserialize(r.bytes());
+  RunTally interrupted;
+  Load io{r};
+  checkpoint_fields(io, rs, result, interrupted);
+  if (!r.at_end())
+    throw util::FormatError("campaign checkpoint has trailing bytes");
+  interrupted.fold_into(result);
   result.resumed_from_checkpoint = true;
 
+  rng_.load_state(rs.rng);
+  next_patch_id_ = rs.next_patch_id;
+  next_frame_id_ = rs.next_frame_id;
+  sims_.clear();
+  for (const auto& [payload, ls] : rs.sims) sims_.emplace(payload, ls);
+  rs.sims.clear();
   resume_ = std::move(rs);
-  util::log_info("campaign: resuming run ", flat_run, " from checkpoint ",
-                 config_.checkpoint_path, " (", resume_->time_into_run_s,
-                 " s into the run)");
-  return flat_run;
+  util::log_info("campaign: resuming run ", resume_->flat_run,
+                 " from checkpoint ", config_.checkpoint_path, " (",
+                 resume_->time_into_run_s, " s into the run)");
+  return resume_->flat_run;
 }
 
 CampaignResult Campaign::run() {
@@ -913,11 +923,7 @@ CampaignResult Campaign::run() {
   double hours_done = 0;
   std::uint64_t flat = 0;
   for (const auto& run : config_.runs) {
-    RunRow row;
-    row.nodes = run.nodes;
-    row.walltime_h = run.walltime_h;
-    row.count = run.count;
-    result.table1.push_back(row);
+    result.table1.push_back(RunRow{run.nodes, run.walltime_h, run.count});
     for (int i = 0; i < run.count; ++i, ++flat) {
       double walltime_h = run.walltime_h;
       if (resume_run) {
@@ -928,33 +934,25 @@ CampaignResult Campaign::run() {
         if (flat == *resume_run && resume_) {
           const double into_h = resume_->time_into_run_s / 3600.0;
           hours_done += into_h;
-          // At least one virtual second remains, so run_one always executes
+          // At least one virtual second remains, so the run always executes
           // and restores the checkpointed WM/selector state into play.
           walltime_h = std::max(walltime_h - into_h, 1.0 / 3600.0);
         }
       }
-      flat_run_ = flat;
-      run_one(run.nodes, walltime_h, result, carry, hours_done, hours_total);
+      carry = CampaignRun(*this, result, carry, flat, run.nodes, walltime_h,
+                          hours_done, hours_total)
+                  .run();
+      hours_done += walltime_h;
       util::log_info("campaign: finished run ", run.nodes, " nodes x ",
                      run.walltime_h, " h (", hours_done, "/", hours_total,
                      " h)");
     }
-    result.node_hours += row.node_hours();
+    result.node_hours += result.table1.back().node_hours();
   }
 
   // Record sims still in flight at the very end of the campaign.
-  for (auto& [payload, ls] : sims_) {
-    if (ls.progress <= 0) continue;
-    if (ls.is_aa) {
-      result.aa_lengths_ns.push_back(ls.progress);
-      result.aa_perf.emplace_back(ls.size, ls.rate_per_s * 86400.0);
-      result.aa_total_ns += ls.progress;
-    } else {
-      result.cg_lengths_us.push_back(ls.progress);
-      result.cg_perf.emplace_back(ls.size, ls.rate_per_s * 86400.0);
-      result.cg_total_us += ls.progress;
-    }
-  }
+  for (const auto& [payload, ls] : sims_)
+    if (ls.progress > 0) record_sim(result, ls);
   sims_.clear();
 
   result.patches_selected = patch_selector_->selected_count();

@@ -198,6 +198,8 @@ class Campaign {
   CampaignResult run();
 
  private:
+  friend class CampaignRun;  // one allocation of the schedule (campaign.cpp)
+
   struct LogicalSim {
     bool is_aa = false;
     double target = 0;    // us (CG) or ns (AA)
@@ -206,19 +208,22 @@ class Campaign {
     double size = 0;      // particles / atoms
   };
 
-  void run_one(int nodes, double walltime_h, CampaignResult& result,
-               WorkflowManager::CarryOver& carry, double& campaign_hours_done,
-               double campaign_hours_total);
   LogicalSim& logical_sim(std::uint64_t payload, bool is_aa, bool degraded);
 
-  /// Mid-run crash recovery: the state a periodic checkpoint restores into
-  /// the first run_one() of a resumed campaign.
+  /// Mid-run crash recovery: the campaign-level state a periodic checkpoint
+  /// carries besides the result accumulators. The first run of a resumed
+  /// campaign consumes it.
   struct ResumeState {
-    double time_into_run_s = 0;  // virtual seconds into the interrupted run
-    util::Bytes wm_blob;         // WorkflowManager::serialize() payload
+    std::uint64_t flat_run = 0;  // index of the interrupted run
+    double time_into_run_s = 0;  // virtual seconds into that run
+    util::Rng::State rng{};
+    std::uint64_t next_patch_id = 0, next_frame_id = 0;
+    // Live sims in ascending payload order, progress as of the checkpoint.
+    std::vector<std::pair<std::uint64_t, LogicalSim>> sims;
     // Payloads in flight at checkpoint time, resumed ahead of fresh work.
     std::vector<std::uint64_t> inflight_cg, inflight_aa;
     std::vector<std::uint64_t> inflight_cg_setup, inflight_aa_setup;
+    util::Bytes wm_blob;         // WorkflowManager::serialize() payload
   };
 
   /// Loads config_.checkpoint_path if present, restoring campaign-level
@@ -232,12 +237,8 @@ class Campaign {
   std::unordered_map<std::uint64_t, LogicalSim> sims_;
   std::unique_ptr<PatchSelector> patch_selector_;
   std::unique_ptr<FrameSelector> frame_selector_;
-  std::vector<std::uint64_t> carry_resume_cg_;
-  std::vector<std::uint64_t> carry_resume_aa_;
   std::uint64_t next_patch_id_ = 1;
   std::uint64_t next_frame_id_ = 1;
-  std::uint64_t flat_run_ = 0;        // index into the flattened run schedule
-  double resume_base_s_ = 0;          // checkpointed offset into current run
   std::optional<ResumeState> resume_; // consumed by the first resumed run
 };
 

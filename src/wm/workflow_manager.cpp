@@ -435,10 +435,8 @@ void WorkflowManager::restore(const util::Bytes& bytes) {
   patch_selector_.restore(patch_state);
   const util::Bytes frame_state = r.bytes();
   frame_selector_.restore(frame_state);
-  if (!r.at_end()) {  // blobs from before the supervision plane lack this
-    const util::Bytes quarantine_state = r.bytes();
-    quarantine_.restore(quarantine_state);
-  }
+  const util::Bytes quarantine_state = r.bytes();
+  quarantine_.restore(quarantine_state);
 }
 
 WorkflowManager::CarryOver WorkflowManager::carry_over() const {

@@ -1,8 +1,8 @@
 // Determinism contract of the parallel continuum (DDFT) engine: serialized
 // frames must be bit-identical at any thread count AND bit-identical to the
-// legacy reference kernels, checkpoints must resume the exact trajectory
-// (including old v1 frames), and untrusted snapshot bytes must be rejected
-// rather than laundered into enum tables or huge allocations.
+// legacy reference kernels, checkpoints must resume the exact trajectory,
+// and untrusted snapshot bytes must be rejected rather than laundered into
+// enum tables or huge allocations.
 
 #include <gtest/gtest.h>
 
@@ -159,35 +159,6 @@ TEST(ParallelContinuum, RestoreResumesBitIdentically) {
 
   // A resumed campaign must replay the exact trajectory: the v2 frame
   // carries the step counter the per-protein streams are keyed on.
-  EXPECT_EQ(a.serialize(), b.serialize());
-}
-
-TEST(ParallelContinuum, V1FrameStillReadable) {
-  const ContinuumConfig cfg = small_config(32, 9, 25);
-  GridSim2D a(cfg);
-  a.step(12);
-
-  // Re-encode a's state as a pre-versioning v1 frame: [snapshot bytes]
-  // [coupling vec] [chi vec], no sentinel, no step counter, no RNG state.
-  const util::Bytes v2 = a.serialize();
-  util::ByteReader r(v2);
-  ASSERT_EQ(r.u64(), 0xFFFFFFFF434E5446ULL);  // v2 sentinel
-  ASSERT_EQ(r.u32(), 2u);
-  const util::Bytes snap = r.bytes();
-  const std::vector<double> coupling = r.vec<double>();
-  const std::vector<double> chi = r.vec<double>();
-  util::ByteWriter w;
-  w.bytes(snap);
-  w.vec(coupling);
-  w.vec(chi);
-
-  GridSim2D b(cfg);
-  b.restore(std::move(w).take());
-  // The step counter is recovered from the frame time, so the counter-based
-  // protein streams line up and the v1 resume replays exactly.
-  EXPECT_EQ(b.step_count(), 12u);
-  a.step(10);
-  b.step(10);
   EXPECT_EQ(a.serialize(), b.serialize());
 }
 

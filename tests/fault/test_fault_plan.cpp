@@ -94,8 +94,9 @@ TEST(FaultPlan, GenerateRespectsBoundsAndZeroRates) {
   const auto plan = fault::FaultPlan::generate(spec, 3600.0, 4, 2);
   for (const auto& ev : plan.events()) {
     EXPECT_GE(ev.time, 0.0);
-    if (ev.kind == fault::FaultKind::kNodeCrash)
+    if (ev.kind == fault::FaultKind::kNodeCrash) {
       EXPECT_LT(ev.time, 3600.0);  // recoveries may land past the horizon
+    }
     if (ev.kind == fault::FaultKind::kNodeCrash ||
         ev.kind == fault::FaultKind::kNodeRecover) {
       EXPECT_GE(ev.target, 0);

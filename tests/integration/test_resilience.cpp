@@ -3,6 +3,7 @@
 // campaign under elevated failure rates.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include <deque>
@@ -211,6 +212,95 @@ TEST(Resilience, CrashRestartResumesFromCheckpoint) {
   EXPECT_GT(result.cg_total_us, 0.0);
   // Success clears the checkpoint so the next campaign starts fresh.
   EXPECT_FALSE(std::filesystem::exists(ckpt_path));
+  std::filesystem::remove_all(dir);
+}
+
+// Offsets of every list count and byte-string length in a campaign
+// checkpoint payload (format v4: checkpoint_fields in wm/campaign.cpp). The
+// walk must consume the payload exactly, which pins the layout.
+std::vector<std::size_t> campaign_checkpoint_counts(
+    const util::Bytes& payload) {
+  util::ByteReader r(payload);
+  std::vector<std::size_t> counts;
+  auto skip = [&](std::uint64_t n) {
+    util::Bytes sink(n);
+    r.raw(sink.data(), sink.size());
+  };
+  auto list = [&](std::uint64_t elem_bytes) {  // fixed-size elements
+    counts.push_back(payload.size() - r.remaining());
+    skip(r.u64() * elem_bytes);
+  };
+  EXPECT_EQ(r.u32(), 4u);                  // version
+  skip(8 + 8 + 4 * 8 + 1 + 8 + 2 * 8);     // run, offset, rng, next ids
+  list(8 + 1 + 4 * 8);                     // logical sims
+  for (int i = 0; i < 4; ++i) list(8);     // in-flight payloads
+  skip(6 * 8 + 7 * 8);                     // totals, data ledger
+  for (int i = 0; i < 3; ++i) list(8);     // lengths, continuum ms/day
+  for (int i = 0; i < 2; ++i) list(16);    // perf samples
+  skip(2 * 8);                             // checkpoints, analysis frames
+  list(1);                                 // RDF feedback
+  for (int i = 0; i < 2; ++i) {            // finished runs, interrupted run
+    skip(2 * 8 + 11 * 8);                  // fault counts, supervision stats
+    counts.push_back(payload.size() - r.remaining());
+    const std::uint64_t n = r.u64();       // decision log
+    for (std::uint64_t j = 0; j < n; ++j) (void)r.str();
+  }
+  list(1);                                 // WM blob
+  EXPECT_TRUE(r.at_end());
+  return counts;
+}
+
+TEST(Resilience, HostileCampaignCheckpointIsRejected) {
+  // A crash leaves a real checkpoint. Each mutation is re-saved through
+  // CheckpointFile, so the frame checksum holds and only the campaign reader
+  // stands between forged bytes and the allocator: every case must end in
+  // util::Error, never std::bad_alloc or std::length_error.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mummi_hostile_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  wm::CampaignConfig cfg;
+  cfg.runs = {{20, 2, 1}};
+  cfg.proteins_per_snapshot = 20;
+  cfg.perf.createsim_mean_s = 900;
+  cfg.seed = 13;
+  cfg.supervise.enabled = true;
+  cfg.faults.job_hang_rate_per_h = 10.0;
+  cfg.faults.node_crash_rate_per_h = 4.0;
+  cfg.faults.seed = 5;
+  cfg.checkpoint_interval_s = 600;
+  cfg.checkpoint_path = (dir / "campaign.ckpt").string();
+  cfg.crash_at_campaign_h = 1.45;
+  EXPECT_THROW(wm::Campaign(cfg).run(), wm::SimulatedCrash);
+  cfg.crash_at_campaign_h = 0;
+
+  const util::CheckpointFile file(cfg.checkpoint_path);
+  const auto loaded = file.load();
+  ASSERT_TRUE(loaded.has_value());
+  const util::Bytes payload = *loaded;
+  const auto counts = campaign_checkpoint_counts(payload);
+  EXPECT_EQ(counts.size(), 14u);
+
+  auto expect_rejected = [&](const util::Bytes& forged,
+                             const std::string& what) {
+    file.save(forged);
+    EXPECT_THROW(wm::Campaign(cfg).run(), util::Error) << what;
+  };
+  for (const std::size_t at : counts) {
+    util::Bytes forged = payload;
+    const std::uint64_t huge = 1ULL << 40;
+    std::memcpy(forged.data() + at, &huge, sizeof huge);
+    expect_rejected(forged, "count at byte " + std::to_string(at));
+  }
+  util::Bytes appended = payload;
+  appended.push_back(0);
+  expect_rejected(appended, "one trailing byte");
+  for (std::size_t k = 0; k < 16; ++k) {
+    const std::size_t len = payload.size() * k / 16;
+    expect_rejected(util::Bytes(payload.begin(), payload.begin() + len),
+                    "truncated to " + std::to_string(len) + " bytes");
+  }
+  expect_rejected(util::Bytes(payload.begin(), payload.end() - 1),
+                  "last byte cut");
   std::filesystem::remove_all(dir);
 }
 

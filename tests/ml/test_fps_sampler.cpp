@@ -162,7 +162,9 @@ TEST(FpsSampler, SerializeRoundTripPreservesBehaviour) {
     const auto pa = a.select(1);
     const auto pb = b.select(1);
     ASSERT_EQ(pa.empty(), pb.empty());
-    if (!pa.empty()) EXPECT_EQ(pa[0].id, pb[0].id);
+    if (!pa.empty()) {
+      EXPECT_EQ(pa[0].id, pb[0].id);
+    }
   }
 }
 

@@ -25,7 +25,7 @@ TEST(PayloadRegistry, RegisterAndLookup) {
   EXPECT_TRUE(registry.has("t"));
   EXPECT_FALSE(registry.has("u"));
   EXPECT_TRUE(registry.payload_for("t")(make_job("t")));
-  EXPECT_THROW(registry.payload_for("u"), util::Error);
+  EXPECT_THROW((void)registry.payload_for("u"), util::Error);
 }
 
 TEST(InlineExecutor, RunsSynchronously) {

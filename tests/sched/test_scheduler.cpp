@@ -192,7 +192,7 @@ TEST_F(SchedulerTest, CountsByType) {
 }
 
 TEST_F(SchedulerTest, UnknownJobIdThrows) {
-  EXPECT_THROW(scheduler_.job(999), util::Error);
+  EXPECT_THROW((void)scheduler_.job(999), util::Error);
 }
 
 TEST_F(SchedulerTest, MaxMatchesLimitsPump) {

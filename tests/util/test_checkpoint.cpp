@@ -143,22 +143,6 @@ TEST_F(CheckpointTest, GenerationsResumeMonotoneAcrossFreshHandles) {
   EXPECT_EQ(to_string(*CheckpointFile(path("state")).load()), "b");
 }
 
-TEST_F(CheckpointTest, LegacyV2FramesStillLoad) {
-  // A pre-generation frame: magic "MuMMICKP", size, checksum, payload.
-  const Bytes payload = to_bytes("legacy state");
-  ByteWriter w;
-  w.u64(0x4d754d4d49434b50ULL);
-  w.u64(payload.size());
-  w.u64(fnv1a(payload.data(), payload.size()));
-  w.raw(payload.data(), payload.size());
-  write_file(path("state"), std::move(w).take());
-  CheckpointFile ckpt(path("state"));
-  EXPECT_EQ(to_string(*ckpt.load()), "legacy state");
-  // And the next save supersedes it.
-  ckpt.save(to_bytes("upgraded"));
-  EXPECT_EQ(to_string(*ckpt.load()), "upgraded");
-}
-
 TEST_F(CheckpointTest, CrashAfterBakRotationRecoversNewestFromTmp) {
   // Regression for the lost-newest-checkpoint window: save() rotates the
   // primary to .bak before renaming .tmp into place. A crash between the two

@@ -38,8 +38,8 @@ TEST(Config, TrimsWhitespace) {
 
 TEST(Config, MissingKeyThrows) {
   const Config cfg;
-  EXPECT_THROW(cfg.get_string("absent"), ConfigError);
-  EXPECT_THROW(cfg.get_int("absent"), ConfigError);
+  EXPECT_THROW((void)cfg.get_string("absent"), ConfigError);
+  EXPECT_THROW((void)cfg.get_int("absent"), ConfigError);
 }
 
 TEST(Config, FallbacksOnlyWhenMissing) {
@@ -47,7 +47,7 @@ TEST(Config, FallbacksOnlyWhenMissing) {
   EXPECT_EQ(cfg.get_int("n", 7), 5);
   EXPECT_EQ(cfg.get_int("absent", 7), 7);
   // Malformed values throw even with a fallback.
-  EXPECT_THROW(cfg.get_int("bad", 7), ConfigError);
+  EXPECT_THROW((void)cfg.get_int("bad", 7), ConfigError);
 }
 
 TEST(Config, BooleanForms) {

@@ -150,7 +150,7 @@ TEST(TrackerSet, DuplicateAndMissingRejected) {
   set.add(std::make_unique<JobTracker>(cg_sim_config()));
   EXPECT_THROW(set.add(std::make_unique<JobTracker>(cg_sim_config())),
                util::Error);
-  EXPECT_THROW(set.tracker("nope"), util::Error);
+  EXPECT_THROW((void)set.tracker("nope"), util::Error);
   EXPECT_THROW(set.add(nullptr), util::Error);
 }
 

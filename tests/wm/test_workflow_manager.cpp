@@ -370,8 +370,9 @@ TEST_F(WorkflowManagerTest, QuarantinedPayloadsAreNeverSubmitted) {
   ASSERT_EQ(wm_->running("cg_setup"), 1);
   for (const auto id : scheduler_.active_jobs()) {
     const auto& job = scheduler_.job(id);
-    if (job.state == sched::JobState::kRunning)
+    if (job.state == sched::JobState::kRunning) {
       EXPECT_EQ(job.spec.payload, 778u);
+    }
   }
 }
 
