@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   std::string serial_fp;
-  std::size_t ticks = 0;
   std::uint64_t analysis_frames = 0;
   std::printf("%8s %12s %10s %10s\n", "threads", "wall s", "speedup",
               "identical");
@@ -71,7 +70,6 @@ int main(int argc, char** argv) {
       fp = fingerprint_hex(result.science_fingerprint());
       if (serial_fp.empty()) {
         serial_fp = fp;
-        ticks = result.tick_sims.size();
         analysis_frames = result.analysis_frames;
       }
       identical = identical && fp == serial_fp;
@@ -83,8 +81,8 @@ int main(int argc, char** argv) {
                 identical ? "yes" : "NO");
     rows.push_back({threads, wall_s, speedup, identical, fp});
   }
-  std::printf("\n%llu frames analyzed across %zu ticks; fingerprint %s\n",
-              static_cast<unsigned long long>(analysis_frames), ticks,
+  std::printf("\n%llu frames analyzed; fingerprint %s\n",
+              static_cast<unsigned long long>(analysis_frames),
               serial_fp.c_str());
 
   std::filesystem::create_directories("bench_outputs");
@@ -96,10 +94,9 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "{\n  \"bench\": \"campaign_parallel\",\n"
                "  \"nproc\": %u,\n  \"reps\": %d,\n"
-               "  \"ticks\": %zu,\n  \"analysis_frames\": %llu,\n"
+               "  \"analysis_frames\": %llu,\n"
                "  \"rows\": [\n",
-               nproc, kReps, ticks,
-               static_cast<unsigned long long>(analysis_frames));
+               nproc, kReps, static_cast<unsigned long long>(analysis_frames));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,

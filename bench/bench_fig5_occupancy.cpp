@@ -58,27 +58,25 @@ int main(int argc, char** argv) {
               "scheduled only when needed\nto prevent simulations of stale "
               "configurations\" (Sec. 5.2).\n");
 
-  if (obs::kCompiledIn) {
-    // Cross-check: registry-side occupancy must match the Profiler exactly.
-    const double reg_mean =
-        obs::histogram("wm.occupancy.gpu", 0.0, 1.0000001, 20).mean();
-    const double prof_mean = prof.mean_gpu_occupancy();
-    std::printf("\ntelemetry registry mean GPU occupancy: %.9f "
-                "(profiler: %.9f)\n",
-                reg_mean, prof_mean);
-    if (std::fabs(reg_mean - prof_mean) > 1e-9) {
-      std::fprintf(stderr,
-                   "fig5: registry/profiler occupancy mismatch (%.12f vs "
-                   "%.12f)\n",
-                   reg_mean, prof_mean);
-      return 1;
-    }
-    std::printf("telemetry snapshots: %zu, trace events: %zu (%zu dropped)\n",
-                report.samples(), obs::Tracer::instance().event_count(),
-                obs::Tracer::instance().dropped());
-    std::printf("\nspan summary (wall time of coordination work):\n%s",
-                obs::Tracer::instance().summary().c_str());
+  // Cross-check: registry-side occupancy must match the Profiler exactly.
+  const double reg_mean =
+      obs::histogram("wm.occupancy.gpu", 0.0, 1.0000001, 20).mean();
+  const double prof_mean = prof.mean_gpu_occupancy();
+  std::printf("\ntelemetry registry mean GPU occupancy: %.9f "
+              "(profiler: %.9f)\n",
+              reg_mean, prof_mean);
+  if (std::fabs(reg_mean - prof_mean) > 1e-9) {
+    std::fprintf(stderr,
+                 "fig5: registry/profiler occupancy mismatch (%.12f vs "
+                 "%.12f)\n",
+                 reg_mean, prof_mean);
+    return 1;
   }
+  std::printf("telemetry snapshots: %zu, trace events: %zu (%zu dropped)\n",
+              report.samples(), obs::Tracer::instance().event_count(),
+              obs::Tracer::instance().dropped());
+  std::printf("\nspan summary (wall time of coordination work):\n%s",
+              obs::Tracer::instance().summary().c_str());
 
   std::filesystem::create_directories("bench_outputs");
   if (!report.write_json("bench_outputs/telemetry.json")) {

@@ -87,20 +87,18 @@ int main() {
     report.sample(virtual_now);
   }
 
-  if (obs::kCompiledIn) {
-    std::printf("\nregistry KV op counts: set=%llu get=%llu del=%llu "
-                "keys=%llu\n",
-                static_cast<unsigned long long>(
-                    obs::counter("kv.ops.set").value()),
-                static_cast<unsigned long long>(
-                    obs::counter("kv.ops.get").value()),
-                static_cast<unsigned long long>(
-                    obs::counter("kv.ops.del").value()),
-                static_cast<unsigned long long>(
-                    obs::counter("kv.ops.keys").value()));
-    std::printf("\nspan summary:\n%s",
-                obs::Tracer::instance().summary().c_str());
-  }
+  std::printf("\nregistry KV op counts: set=%llu get=%llu del=%llu "
+              "keys=%llu\n",
+              static_cast<unsigned long long>(
+                  obs::counter("kv.ops.set").value()),
+              static_cast<unsigned long long>(
+                  obs::counter("kv.ops.get").value()),
+              static_cast<unsigned long long>(
+                  obs::counter("kv.ops.del").value()),
+              static_cast<unsigned long long>(
+                  obs::counter("kv.ops.keys").value()));
+  std::printf("\nspan summary:\n%s",
+              obs::Tracer::instance().summary().c_str());
 
   std::filesystem::create_directories("bench_outputs");
   if (!report.write_json("bench_outputs/telemetry_kv.json")) {

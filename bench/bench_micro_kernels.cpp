@@ -59,7 +59,7 @@ void BM_MdForceKernel(benchmark::State& state) {
     benchmark::DoNotOptimize(ff.compute(s, list));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(list.pairs().size()));
+                          static_cast<long>(list.n_pairs()));
 }
 BENCHMARK(BM_MdForceKernel)->Arg(1000)->Arg(8000);
 
@@ -178,31 +178,37 @@ BENCHMARK(BM_FpsSelect);
 // --- MD force-engine thread sweep (--md-kernels) -------------------------
 
 /// The pre-refactor nonbonded kernel, kept here as the baseline: walks the
-/// flattened (i, j) pair view in order, looks parameters up through the
-/// bounds-checked accessor and recomputes the LJ cutoff shift per pair.
+/// (i, j) pairs in list order (i ascending, then j), looks parameters up
+/// through the bounds-checked accessor and recomputes the LJ cutoff shift
+/// per pair.
 double legacy_force_kernel(const md::TypeMatrixForceField& ff, md::System& s,
                            const md::NeighborList& list) {
   const md::real rc = ff.cutoff();
   const md::real rc2 = rc * rc;
   md::real energy = 0;
-  for (const auto& [i, j] : list.pairs()) {
-    const md::Vec3 d = s.box.min_image(s.pos[i], s.pos[j]);
-    const md::real r2 = d.norm2();
-    if (r2 >= rc2 || r2 == 0) continue;
-    const md::PairParams p = ff.pair(s.type[i], s.type[j]);
-    md::real f_over_r = 0;
-    if (p.epsilon > 0) {
-      const md::real s2 = p.sigma * p.sigma / r2;
-      const md::real s6 = s2 * s2 * s2;
-      const md::real s12 = s6 * s6;
-      const md::real sc2 = p.sigma * p.sigma / rc2;
-      const md::real sc6 = sc2 * sc2 * sc2;
-      energy += 4 * p.epsilon * (s12 - s6) - 4 * p.epsilon * (sc6 * sc6 - sc6);
-      f_over_r += 24 * p.epsilon * (2 * s12 - s6) / r2;
+  const auto& rows = list.row_start();
+  for (int i = 0; i + 1 < static_cast<int>(rows.size()); ++i) {
+    for (std::size_t k = rows[i]; k < rows[i + 1]; ++k) {
+      const int j = list.neighbors()[k];
+      const md::Vec3 d = s.box.min_image(s.pos[i], s.pos[j]);
+      const md::real r2 = d.norm2();
+      if (r2 >= rc2 || r2 == 0) continue;
+      const md::PairParams p = ff.pair(s.type[i], s.type[j]);
+      md::real f_over_r = 0;
+      if (p.epsilon > 0) {
+        const md::real s2 = p.sigma * p.sigma / r2;
+        const md::real s6 = s2 * s2 * s2;
+        const md::real s12 = s6 * s6;
+        const md::real sc2 = p.sigma * p.sigma / rc2;
+        const md::real sc6 = sc2 * sc2 * sc2;
+        energy += 4 * p.epsilon * (s12 - s6) -
+                  4 * p.epsilon * (sc6 * sc6 - sc6);
+        f_over_r += 24 * p.epsilon * (2 * s12 - s6) / r2;
+      }
+      const md::Vec3 f = f_over_r * d;
+      s.force[static_cast<std::size_t>(i)] += f;
+      s.force[static_cast<std::size_t>(j)] -= f;
     }
-    const md::Vec3 f = f_over_r * d;
-    s.force[static_cast<std::size_t>(i)] += f;
-    s.force[static_cast<std::size_t>(j)] -= f;
   }
   return energy;
 }

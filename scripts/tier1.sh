@@ -57,14 +57,6 @@ cmake --build build-native -j "$jobs" --target mummi_tests
 ./build-native/tests/mummi_tests \
   --gtest_filter='GoldenFingerprintContract.*:*LegacyKernelsMatchEngineExactly*:*NanFieldsFreezeProteinsInsideBox*'
 
-echo "=== tier 1: telemetry-off build compiles obs:: to no-ops ==="
-# The instrumented call sites stay in the source; -DMUMMI_TELEMETRY=OFF must
-# still build them (against the no-op shells) and the probe must observe a
-# registry/tracer that records nothing.
-cmake -B build-notelem -S . -DMUMMI_TELEMETRY=OFF >/dev/null
-cmake --build build-notelem -j "$jobs" --target obs_noop_probe
-./build-notelem/tests/obs_noop_probe
-
 if [[ "$no_sanitize" == 1 ]]; then
   echo "=== tier 1: PASS (sanitizer stage skipped) ==="
   exit 0

@@ -140,7 +140,6 @@ void NeighborList::build(const System& system, util::ThreadPool* pool) {
 
   ref_pos_ = system.pos;
   ++rebuilds_;
-  pairs_valid_ = false;
   static obs::Counter& rebuild_counter = obs::counter("md.nlist.rebuilds");
   rebuild_counter.inc();
 }
@@ -186,19 +185,6 @@ NeighborList::FillStats NeighborList::fill_stats() const {
       rows > 0 ? static_cast<double>(stats.pairs) / static_cast<double>(rows)
                : 0.0;
   return stats;
-}
-
-const std::vector<std::pair<int, int>>& NeighborList::pairs() const {
-  if (!pairs_valid_) {
-    pairs_compat_.clear();
-    pairs_compat_.reserve(nbr_.size());
-    const std::size_t rows = row_start_.empty() ? 0 : row_start_.size() - 1;
-    for (std::size_t i = 0; i < rows; ++i)
-      for (std::size_t k = row_start_[i]; k < row_start_[i + 1]; ++k)
-        pairs_compat_.emplace_back(static_cast<int>(i), nbr_[k]);
-    pairs_valid_ = true;
-  }
-  return pairs_compat_;
 }
 
 }  // namespace mummi::md

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "mdengine/system.hpp"
@@ -104,12 +103,6 @@ class NeighborList {
   };
   [[nodiscard]] FillStats fill_stats() const;
 
-  /// Compatibility view: the rows flattened to (i, j) pairs in canonical
-  /// order (i ascending, j ascending within i). Materialized lazily and
-  /// cached until the next build; intended for tests, reference kernels and
-  /// tools, not the hot path. Not safe to call concurrently with itself.
-  [[nodiscard]] const std::vector<std::pair<int, int>>& pairs() const;
-
   [[nodiscard]] real cutoff() const { return cutoff_; }
 
  private:
@@ -121,8 +114,6 @@ class NeighborList {
   std::vector<std::vector<int>> scratch_;  // per-block rows, capacity reused
   std::vector<Vec3> ref_pos_;
   std::size_t rebuilds_ = 0;
-  mutable std::vector<std::pair<int, int>> pairs_compat_;
-  mutable bool pairs_valid_ = false;
 };
 
 }  // namespace mummi::md

@@ -35,17 +35,6 @@ std::size_t BinnedSampler::bin_of(std::span<const float> coords) const {
   return flat;
 }
 
-void BinnedSampler::add_candidates(const std::vector<HDPoint>& points) {
-  std::vector<PointId> ids;
-  ids.reserve(points.size());
-  for (const auto& p : points) {
-    bins_[bin_of(p.coords)].add(p.id, p.coords);
-    ids.push_back(p.id);
-    ++total_;
-  }
-  record('A', std::move(ids));
-}
-
 void BinnedSampler::add_candidates(const PointStore& points) {
   MUMMI_CHECK_MSG(points.dim() == static_cast<int>(dim_),
                   "candidate dimension mismatch");

@@ -31,10 +31,12 @@ class BinnedSampler final : public Sampler {
   BinnedSampler(std::vector<std::vector<float>> edges, double importance,
                 std::uint64_t seed);
 
-  void add_candidates(const std::vector<HDPoint>& points) override;
+  using Sampler::add_candidates;
   void add_candidates(const PointStore& points) override;
   std::vector<HDPoint> select(std::size_t k) override;
   void update_ranks() override;
+
+  [[nodiscard]] int dim() const override { return static_cast<int>(dim_); }
 
   [[nodiscard]] std::size_t candidate_count() const override { return total_; }
   [[nodiscard]] std::size_t selected_count() const override {

@@ -67,20 +67,6 @@ FpsSampler::FpsSampler(int dim, std::size_t capacity)
   MUMMI_CHECK_MSG(dim > 0 && capacity > 0, "invalid FPS configuration");
 }
 
-void FpsSampler::add_candidates(const std::vector<HDPoint>& points) {
-  std::vector<PointId> ids;
-  ids.reserve(points.size());
-  for (const auto& p : points) {
-    MUMMI_CHECK_MSG(static_cast<int>(p.coords.size()) == dim_,
-                    "candidate dimension mismatch");
-    pool_.add(p.id, p.coords);
-    rank2_.push_back(kInf);
-    seen_.push_back(0);
-    ids.push_back(p.id);
-  }
-  record('A', std::move(ids));
-}
-
 void FpsSampler::add_candidates(const PointStore& points) {
   MUMMI_CHECK_MSG(points.dim() == dim_, "candidate dimension mismatch");
   pool_.append(points);

@@ -36,10 +36,12 @@ class FpsSampler final : public Sampler {
 
   FpsSampler(int dim, std::size_t capacity);
 
-  void add_candidates(const std::vector<HDPoint>& points) override;
+  using Sampler::add_candidates;
   void add_candidates(const PointStore& points) override;
   std::vector<HDPoint> select(std::size_t k) override;
   void update_ranks() override;
+
+  [[nodiscard]] int dim() const override { return dim_; }
 
   [[nodiscard]] std::size_t candidate_count() const override {
     return pool_.size();

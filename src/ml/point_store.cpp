@@ -10,6 +10,18 @@ PointStore::PointStore(int dim) : dim_(dim) {
   MUMMI_CHECK_MSG(dim > 0, "point store dimension must be positive");
 }
 
+PointStore PointStore::from_points(const std::vector<HDPoint>& points,
+                                   int dim) {
+  PointStore out(dim);
+  out.reserve(points.size());
+  for (const auto& p : points) {
+    MUMMI_CHECK_MSG(static_cast<int>(p.coords.size()) == dim,
+                    "candidate dimension mismatch");
+    out.add(p);
+  }
+  return out;
+}
+
 void PointStore::reserve(std::size_t n) {
   ids_.reserve(n);
   coords_.reserve(n * static_cast<std::size_t>(dim_));

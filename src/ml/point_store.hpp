@@ -23,6 +23,12 @@ class PointStore {
   PointStore() = default;
   explicit PointStore(int dim);
 
+  /// Copies `points` into a store of dimension `dim` — the one path from
+  /// owning HDPoints into the selection layer. Every point's dimension is
+  /// checked in all builds, so a bad batch throws before any consumer sees
+  /// a point of it.
+  static PointStore from_points(const std::vector<HDPoint>& points, int dim);
+
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
   [[nodiscard]] bool empty() const { return ids_.empty(); }

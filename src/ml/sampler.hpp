@@ -30,12 +30,19 @@ class Sampler {
 
   virtual ~Sampler() = default;
 
-  /// Ingests candidates (cheap; ranking may be deferred).
-  virtual void add_candidates(const std::vector<HDPoint>& points) = 0;
-
-  /// Ingests candidates already laid out flat — the bulk path encoders use;
-  /// no per-point allocation happens anywhere along it.
+  /// Ingests candidates (cheap; ranking may be deferred). The batch is
+  /// all-or-nothing: a dimension mismatch throws before anything is added
+  /// or recorded in history().
   virtual void add_candidates(const PointStore& points) = 0;
+
+  /// Owning-point convenience over the flat path: the whole batch is
+  /// converted (and checked) before the sampler is touched.
+  void add_candidates(const std::vector<HDPoint>& points) {
+    add_candidates(PointStore::from_points(points, dim()));
+  }
+
+  /// Candidate dimension.
+  [[nodiscard]] virtual int dim() const = 0;
 
   /// Returns up to k most novel candidates and removes them from the pool.
   /// Triggers any deferred rank updates.

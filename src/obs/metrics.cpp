@@ -96,8 +96,6 @@ std::string MetricsSnapshot::json(int indent) const {
   return out;
 }
 
-#if !defined(MUMMI_TELEMETRY_DISABLED)
-
 namespace detail {
 std::atomic<bool> g_enabled{true};
 }  // namespace detail
@@ -189,14 +187,5 @@ std::size_t MetricsRegistry::size() const {
   std::lock_guard lock(mutex_);
   return counters_.size() + gauges_.size() + hists_.size();
 }
-
-#else  // MUMMI_TELEMETRY_DISABLED
-
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-#endif  // MUMMI_TELEMETRY_DISABLED
 
 }  // namespace mummi::obs

@@ -8,12 +8,10 @@
 // TelemetryReport sink and the figure benches.
 //
 // Cost model:
-//   - compiled out (-DMUMMI_TELEMETRY=OFF): every type below collapses to an
-//     empty shell whose methods are inline no-ops — the instrumentation
-//     sites survive but generate no code (scripts/tier1.sh verifies this via
-//     the obs_noop_probe binary);
-//   - compiled in but runtime-disabled (obs::set_enabled(false)): one
-//     relaxed atomic load per update;
+//   - runtime-disabled (obs::set_enabled(false)): one relaxed atomic load
+//     per update through a cached handle. The name-lookup shorthands below
+//     (obs::counter("...")) also take the registry mutex and build a
+//     std::string on every call, enabled or not;
 //   - enabled: a relaxed fetch_add (counters/gauges) or a short mutex-guarded
 //     histogram insert. Nothing here belongs in a per-element inner loop;
 //     the instrumented sites are per-job / per-KV-op, not per-point.
@@ -36,12 +34,6 @@
 #include "util/histogram.hpp"
 
 namespace mummi::obs {
-
-#if defined(MUMMI_TELEMETRY_DISABLED)
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /// One registry snapshot, timestamped by the caller. Rows are sorted by name
 /// so serialized output is deterministic.
@@ -74,8 +66,6 @@ struct MetricsSnapshot {
   /// `indent` spaces of leading indentation on every line.
   [[nodiscard]] std::string json(int indent = 0) const;
 };
-
-#if !defined(MUMMI_TELEMETRY_DISABLED)
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -202,61 +192,6 @@ class MetricsRegistry {
   std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::unordered_map<std::string, std::unique_ptr<HistogramMetric>> hists_;
 };
-
-#else  // MUMMI_TELEMETRY_DISABLED ------------------------------------------
-
-// No-op shells: same surface, zero code at call sites. Kept byte-free so a
-// disabled build carries no telemetry state at all.
-
-[[nodiscard]] inline constexpr bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-class Counter {
- public:
-  void inc(std::uint64_t = 1) {}
-  [[nodiscard]] std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  void add(double) {}
-  [[nodiscard]] double value() const { return 0.0; }
-  void reset() {}
-};
-
-class HistogramMetric {
- public:
-  void observe(double, double = 1.0) {}
-  [[nodiscard]] std::size_t count() const { return 0; }
-  [[nodiscard]] double sum() const { return 0.0; }
-  [[nodiscard]] double mean() const { return 0.0; }
-  [[nodiscard]] util::Histogram histogram() const {
-    return util::Histogram(0.0, 1.0, 1);
-  }
-  void reset() {}
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& instance();
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  HistogramMetric& histogram(const std::string&, double, double, std::size_t) {
-    return hist_;
-  }
-  [[nodiscard]] MetricsSnapshot snapshot() const { return {}; }
-  void reset() {}
-  [[nodiscard]] std::size_t size() const { return 0; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  HistogramMetric hist_;
-};
-
-#endif  // MUMMI_TELEMETRY_DISABLED
 
 /// Shorthands for instrumentation sites.
 inline Counter& counter(const std::string& name) {

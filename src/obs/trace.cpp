@@ -37,8 +37,6 @@ bool write_text_file(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-#if !defined(MUMMI_TELEMETRY_DISABLED)
-
 Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer& Tracer::instance() {
@@ -180,13 +178,5 @@ std::string Tracer::summary() const {
   }
   return out;
 }
-
-#else  // MUMMI_TELEMETRY_DISABLED
-
-bool Tracer::write_chrome_trace(const std::string& path) const {
-  return write_text_file(path, chrome_json());
-}
-
-#endif  // MUMMI_TELEMETRY_DISABLED
 
 }  // namespace mummi::obs

@@ -8,10 +8,10 @@
 // a Span opened inside another Span's lifetime is contained in its ts/dur
 // window, which is all the trace viewers need.
 //
-// The tracer shares the telemetry master switches with the metrics registry:
-// compiled out, Span construction is an inline no-op; runtime-disabled, it
-// costs one relaxed atomic load. The event buffer is bounded (default 1M
-// events); overflow increments dropped() instead of growing without limit.
+// The tracer shares the runtime switch with the metrics registry: while it
+// is off, a Span does one relaxed atomic load and never reads the clock. The
+// event buffer is bounded (default 1M events); overflow increments dropped()
+// instead of growing without limit.
 #pragma once
 
 #include <chrono>
@@ -32,8 +32,6 @@ struct TraceEvent {
   double dur_us = 0;   // 'X' only
   std::uint32_t tid = 0;
 };
-
-#if !defined(MUMMI_TELEMETRY_DISABLED)
 
 class Tracer {
  public:
@@ -112,38 +110,5 @@ class Span {
   double start_us_ = 0;
   bool armed_ = false;
 };
-
-#else  // MUMMI_TELEMETRY_DISABLED ------------------------------------------
-
-class Tracer {
- public:
-  static Tracer& instance() {
-    static Tracer tracer;
-    return tracer;
-  }
-  [[nodiscard]] double now_us() const { return 0; }
-  [[nodiscard]] static std::uint32_t thread_id() { return 0; }
-  void complete(std::string, std::string, double, double) {}
-  void instant(std::string, std::string) {}
-  [[nodiscard]] std::vector<TraceEvent> events() const { return {}; }
-  [[nodiscard]] std::size_t event_count() const { return 0; }
-  [[nodiscard]] std::size_t dropped() const { return 0; }
-  void clear() {}
-  void set_capacity(std::size_t) {}
-  [[nodiscard]] std::string chrome_json() const {
-    return "{\"traceEvents\": [], \"displayTimeUnit\": \"ms\"}\n";
-  }
-  bool write_chrome_trace(const std::string& path) const;
-  [[nodiscard]] std::string summary() const { return ""; }
-};
-
-class Span {
- public:
-  explicit Span(std::string, std::string = "span") {}
-  void end() {}
-  [[nodiscard]] double elapsed_us() const { return 0.0; }
-};
-
-#endif  // MUMMI_TELEMETRY_DISABLED
 
 }  // namespace mummi::obs

@@ -612,7 +612,6 @@ void CampaignRun::analyze_insitu() {
   const auto payloads = wm_->running_payloads(
       "cg_sim",
       [this](const sched::Job& job) { return executor_.is_hung(job.id); });
-  result_.tick_sims.push_back(static_cast<std::uint32_t>(payloads.size()));
   if (payloads.empty()) return;
   const double mean_per_sim = (cfg_.perf.cg_us_per_day / 86400.0) *
                               cfg_.maintain_interval_s *
@@ -651,7 +650,6 @@ void CampaignRun::analyze_insitu() {
     wm_->ingest_frames(frames);
   }
   obs::counter("wm.tick.sims").inc(payloads.size());
-  obs::counter("wm.tick.analysis_frames").inc(payloads.size());
   obs::counter("wm.tick.fold_ns").inc(fold_ns);
 }
 

@@ -165,10 +165,6 @@ struct CampaignResult {
   // byte-identical at any insitu_pool size).
   std::uint64_t analysis_frames = 0;
   coupling::RdfSet rdf_feedback;
-  /// Per-maintain-tick analyzed-sim counts, in tick order — diagnostics for
-  /// the campaign-parallel bench's schedule model (like the profiler, not
-  /// part of the fingerprint and not checkpointed).
-  std::vector<std::uint32_t> tick_sims;
 
   // Supervision plane outcomes (all zero when supervise.enabled is false).
   supervise::SupervisionStats supervision;

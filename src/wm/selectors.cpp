@@ -12,12 +12,6 @@ PatchSelector::PatchSelector(int dim, int n_queues, std::size_t capacity)
     queues_.push_back(std::make_unique<ml::FpsSampler>(dim, capacity));
 }
 
-void PatchSelector::add(int queue, const std::vector<ml::HDPoint>& points) {
-  std::lock_guard lock(mutex_);
-  MUMMI_CHECK_MSG(queue >= 0 && queue < n_queues(), "queue out of range");
-  queues_[static_cast<std::size_t>(queue)]->add_candidates(points);
-}
-
 void PatchSelector::add(int queue, const ml::PointStore& points) {
   std::lock_guard lock(mutex_);
   MUMMI_CHECK_MSG(queue >= 0 && queue < n_queues(), "queue out of range");
@@ -137,14 +131,14 @@ FrameSelector::FrameSelector(double importance, std::uint64_t seed)
     : sampler_(std::make_unique<ml::BinnedSampler>(default_edges(), importance,
                                                    seed)) {}
 
-void FrameSelector::add(const std::vector<ml::HDPoint>& points) {
+void FrameSelector::add(const ml::PointStore& points) {
   std::lock_guard lock(mutex_);
   sampler_->add_candidates(points);
 }
 
-void FrameSelector::add(const ml::PointStore& points) {
-  std::lock_guard lock(mutex_);
-  sampler_->add_candidates(points);
+int FrameSelector::dim() const {
+  std::lock_guard lock(mutex_);  // restore() replaces the sampler
+  return sampler_->dim();
 }
 
 std::vector<ml::HDPoint> FrameSelector::select(std::size_t k) {

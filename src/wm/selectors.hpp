@@ -33,9 +33,7 @@ class PatchSelector {
   /// configuration class), each capped at `capacity` candidates.
   PatchSelector(int dim, int n_queues, std::size_t capacity);
 
-  /// Ingests encoded patches; `queue_of(id)` routing is supplied per point.
-  void add(int queue, const std::vector<ml::HDPoint>& points);
-  /// Flat-store ingest — the allocation-free path encoders emit into.
+  /// Ingests encoded patches into one queue (all-or-nothing per batch).
   void add(int queue, const ml::PointStore& points);
 
   /// Selects up to k candidates round-robin across queues, most novel first
@@ -52,6 +50,7 @@ class PatchSelector {
   [[nodiscard]] std::size_t candidate_count() const;
   [[nodiscard]] std::size_t selected_count() const;
   [[nodiscard]] int n_queues() const { return static_cast<int>(queues_.size()); }
+  [[nodiscard]] int dim() const { return dim_; }
 
   [[nodiscard]] util::Bytes serialize() const;
   void restore(const util::Bytes& bytes);
@@ -72,9 +71,9 @@ class FrameSelector {
   /// 3-D binned sampler over (tilt [deg], rotation [deg], separation [nm]).
   FrameSelector(double importance, std::uint64_t seed);
 
-  void add(const std::vector<ml::HDPoint>& points);
   void add(const ml::PointStore& points);
   [[nodiscard]] std::vector<ml::HDPoint> select(std::size_t k);
+  [[nodiscard]] int dim() const;
 
   [[nodiscard]] std::size_t candidate_count() const;
   [[nodiscard]] std::size_t selected_count() const;

@@ -72,7 +72,8 @@ int WorkflowManager::aa_capacity() const {
 
 void WorkflowManager::ingest_patches(int queue,
                                      const std::vector<ml::HDPoint>& points) {
-  patch_selector_.add(queue, points);
+  patch_selector_.add(
+      queue, ml::PointStore::from_points(points, patch_selector_.dim()));
 }
 
 void WorkflowManager::ingest_patches(int queue, const ml::PointStore& points) {
@@ -80,7 +81,8 @@ void WorkflowManager::ingest_patches(int queue, const ml::PointStore& points) {
 }
 
 void WorkflowManager::ingest_frames(const std::vector<ml::HDPoint>& points) {
-  frame_selector_.add(points);
+  frame_selector_.add(
+      ml::PointStore::from_points(points, frame_selector_.dim()));
 }
 
 void WorkflowManager::ingest_frames(const ml::PointStore& points) {

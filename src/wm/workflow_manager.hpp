@@ -68,7 +68,8 @@ class WorkflowManager : public supervise::WorkloadControl {
                   PatchSelector& patch_selector, FrameSelector& frame_selector);
 
   /// Task 1 entry points. The PointStore overloads are the bulk path —
-  /// encoders emit straight into flat stores, no per-point allocations.
+  /// encoders emit straight into flat stores, no per-point allocations. The
+  /// vector overloads convert through ml::PointStore::from_points first.
   void ingest_patches(int queue, const std::vector<ml::HDPoint>& points);
   void ingest_patches(int queue, const ml::PointStore& points);
   void ingest_frames(const std::vector<ml::HDPoint>& points);

@@ -116,12 +116,6 @@ TEST(ParallelCampaign, InSituAccumulatorsPopulated) {
   }
   // Every analyzed frame contributed to every species' accumulator.
   EXPECT_EQ(frames, 4u * result.analysis_frames);
-  // Per-tick sim counts are recorded for the bench's schedule model and sum
-  // to the analyzed-frame total.
-  std::uint64_t from_ticks = 0;
-  for (std::uint32_t n : result.tick_sims) from_ticks += n;
-  EXPECT_EQ(from_ticks, result.analysis_frames);
-  EXPECT_FALSE(result.tick_sims.empty());
 }
 
 TEST(ParallelCampaign, EnvSharedPoolPathMatchesExplicitPool) {

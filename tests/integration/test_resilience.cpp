@@ -111,7 +111,7 @@ TEST(Resilience, SelectorStateRoundTripsThroughCheckpointFile) {
     p.coords.assign(9, 0.25f * static_cast<float>(i % 7));
     pts.push_back(std::move(p));
   }
-  selector.add(2, pts);
+  selector.add(2, ml::PointStore::from_points(pts, selector.dim()));
   (void)selector.select(6);
 
   util::CheckpointFile ckpt((dir / "selector.ckpt").string());

@@ -169,32 +169,36 @@ real legacy_compute(const TypeMatrixForceField& ff, System& system,
   const real rc = ff.cutoff();
   const real rc2 = rc * rc;
   real energy = 0;
-  for (const auto& [i, j] : neighbors.pairs()) {
-    const Vec3 d = system.box.min_image(system.pos[i], system.pos[j]);
-    const real r2 = d.norm2();
-    if (r2 >= rc2 || r2 == 0) continue;
-    const PairParams p = ff.pair(system.type[i], system.type[j]);
-    real f_over_r = 0;
-    if (p.epsilon > 0) {
-      const real s2 = p.sigma * p.sigma / r2;
-      const real s6 = s2 * s2 * s2;
-      const real s12 = s6 * s6;
-      const real sc2 = p.sigma * p.sigma / rc2;
-      const real sc6 = sc2 * sc2 * sc2;
-      const real shift = 4 * p.epsilon * (sc6 * sc6 - sc6);
-      energy += 4 * p.epsilon * (s12 - s6) - shift;
-      f_over_r += 24 * p.epsilon * (2 * s12 - s6) / r2;
+  const auto& rows = neighbors.row_start();
+  for (int i = 0; i + 1 < static_cast<int>(rows.size()); ++i) {
+    for (std::size_t k = rows[i]; k < rows[i + 1]; ++k) {
+      const int j = neighbors.neighbors()[k];
+      const Vec3 d = system.box.min_image(system.pos[i], system.pos[j]);
+      const real r2 = d.norm2();
+      if (r2 >= rc2 || r2 == 0) continue;
+      const PairParams p = ff.pair(system.type[i], system.type[j]);
+      real f_over_r = 0;
+      if (p.epsilon > 0) {
+        const real s2 = p.sigma * p.sigma / r2;
+        const real s6 = s2 * s2 * s2;
+        const real s12 = s6 * s6;
+        const real sc2 = p.sigma * p.sigma / rc2;
+        const real sc6 = sc2 * sc2 * sc2;
+        const real shift = 4 * p.epsilon * (sc6 * sc6 - sc6);
+        energy += 4 * p.epsilon * (s12 - s6) - shift;
+        f_over_r += 24 * p.epsilon * (2 * s12 - s6) / r2;
+      }
+      const real qq = system.charge[i] * system.charge[j];
+      if (qq != 0) {
+        const real r = std::sqrt(r2);
+        const real pre = kCoulomb / eps_r;
+        energy += pre * qq * (1 / r - 1 / rc);
+        f_over_r += pre * qq / (r2 * r);
+      }
+      const Vec3 f = f_over_r * d;
+      system.force[i] += f;
+      system.force[j] -= f;
     }
-    const real qq = system.charge[i] * system.charge[j];
-    if (qq != 0) {
-      const real r = std::sqrt(r2);
-      const real pre = kCoulomb / eps_r;
-      energy += pre * qq * (1 / r - 1 / rc);
-      f_over_r += pre * qq / (r2 * r);
-    }
-    const Vec3 f = f_over_r * d;
-    system.force[i] += f;
-    system.force[j] -= f;
   }
   return energy;
 }

@@ -101,6 +101,35 @@ TEST(Replay, RequiresFreshSampler) {
                util::Error);
 }
 
+/// A batch holding one point of the wrong dimension must be rejected whole:
+/// a partial add that history() does not record would make replay diverge.
+void expect_bad_batch_rejected_whole(Sampler& sampler,
+                                     const std::vector<HDPoint>& bad) {
+  EXPECT_THROW(sampler.add_candidates(bad), util::Error);
+  EXPECT_EQ(sampler.candidate_count(), 0u);
+  EXPECT_TRUE(sampler.history().empty());
+}
+
+TEST(Replay, BadBatchAddsNothingAndRecordsNothing) {
+  FpsSampler fps(2, 100);
+  expect_bad_batch_rejected_whole(fps, {{1, {0, 0}}, {2, {1, 1, 1}}});
+  BinnedSampler binned({{0.5f}, {0.5f}, {0.5f}}, 0.7, 42);
+  expect_bad_batch_rejected_whole(binned, {{1, {0, 0, 0}}, {2, {1, 1}}});
+}
+
+TEST(Replay, EmptyBatchRecordsOneEmptyAddEvent) {
+  FpsSampler fps(2, 100);
+  BinnedSampler binned({{0.5f}, {0.5f}, {0.5f}}, 0.7, 42);
+  for (Sampler* sampler : {static_cast<Sampler*>(&fps),
+                           static_cast<Sampler*>(&binned)}) {
+    sampler->add_candidates(std::vector<HDPoint>{});
+    ASSERT_EQ(sampler->history().size(), 1u);
+    EXPECT_EQ(sampler->history()[0].op, 'A');
+    EXPECT_TRUE(sampler->history()[0].ids.empty());
+    EXPECT_EQ(sampler->candidate_count(), 0u);
+  }
+}
+
 TEST(Replay, HistorySerializationRoundTrip) {
   FpsSampler original(3, 1000);
   const Archive archive = run_fps_session(original, 4, 19);

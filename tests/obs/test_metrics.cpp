@@ -147,12 +147,14 @@ TEST(Metrics, RegistryResetZeroesButKeepsHandles) {
   EXPECT_EQ(&c, &counter("test.metrics.reset_keeps"));
 }
 
-TEST(Metrics, CompiledIn) {
-  // This test binary is only built in the telemetry-on configuration; the
-  // disabled configuration is exercised by the obs_noop_probe executable.
-  EXPECT_TRUE(kCompiledIn);
-  counter("test.metrics.compiled_in");  // registration works for real
-  EXPECT_GT(MetricsRegistry::instance().size(), 0u);
+TEST(Metrics, RuntimeSwitchDefaultsOn) {
+  // Every test that turns the switch off turns it back on, so it still holds
+  // its process-start value here whatever the test order.
+  EXPECT_TRUE(enabled());
+  Counter& c = counter("test.metrics.defaults_on");
+  c.reset();
+  c.inc();
+  EXPECT_EQ(c.value(), 1u);
 }
 
 }  // namespace

@@ -8,13 +8,11 @@
 namespace mummi::wm {
 namespace {
 
-std::vector<ml::HDPoint> points9d(int n, ml::PointId base, float offset) {
-  std::vector<ml::HDPoint> out;
+ml::PointStore points9d(int n, ml::PointId base, float offset) {
+  ml::PointStore out(9);
   for (int i = 0; i < n; ++i) {
-    ml::HDPoint p;
-    p.id = base + static_cast<ml::PointId>(i);
-    p.coords.assign(9, offset + 0.1f * static_cast<float>(i));
-    out.push_back(std::move(p));
+    const std::vector<float> coords(9, offset + 0.1f * static_cast<float>(i));
+    out.add(base + static_cast<ml::PointId>(i), coords);
   }
   return out;
 }
@@ -112,7 +110,7 @@ TEST(FrameSelector, AddSelectBasics) {
     frames.push_back({static_cast<ml::PointId>(i),
                       {static_cast<float>(i % 90), static_cast<float>(i * 3.6),
                        0.5f + 0.02f * static_cast<float>(i % 10)}});
-  sel.add(frames);
+  sel.add(ml::PointStore::from_points(frames, sel.dim()));
   EXPECT_EQ(sel.candidate_count(), 100u);
   const auto picks = sel.select(10);
   EXPECT_EQ(picks.size(), 10u);
@@ -126,7 +124,7 @@ TEST(FrameSelector, SerializeRestoreRoundTrip) {
   for (int i = 0; i < 50; ++i)
     frames.push_back({static_cast<ml::PointId>(i),
                       {30.0f, 100.0f, 1.0f}});
-  sel.add(frames);
+  sel.add(ml::PointStore::from_points(frames, sel.dim()));
   (void)sel.select(5);
   FrameSelector restored(0.8, 7);
   restored.restore(sel.serialize());
@@ -137,7 +135,8 @@ TEST(FrameSelector, SerializeRestoreRoundTrip) {
 TEST(FrameSelector, DescriptorRangesLandInDistinctBins) {
   FrameSelector sel(1.0, 1);
   // Extremes of the (tilt, rotation, separation) space.
-  sel.add({{1, {5.0f, 10.0f, 0.2f}}, {2, {85.0f, 350.0f, 2.8f}}});
+  sel.add(ml::PointStore::from_points(
+      {{1, {5.0f, 10.0f, 0.2f}}, {2, {85.0f, 350.0f, 2.8f}}}, sel.dim()));
   const auto picks = sel.select(2);
   EXPECT_EQ(picks.size(), 2u);
 }
