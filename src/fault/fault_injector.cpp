@@ -78,7 +78,6 @@ void FaultInjector::apply(const FaultEvent& ev, double now) {
       break;
   }
   fired_.push_back(ev);
-  for (const auto& fn : callbacks_) fn(ev);
 }
 
 double FaultInjector::latency_factor(double now) const {

@@ -14,7 +14,6 @@
 // unit tests can fire events directly without an engine.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "datastore/fs_store.hpp"
@@ -28,8 +27,6 @@ namespace mummi::fault {
 
 class FaultInjector {
  public:
-  using FaultCallback = std::function<void(const FaultEvent&)>;
-
   explicit FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
   /// Targets are optional: events for unbound targets are counted but no-op.
@@ -55,8 +52,6 @@ class FaultInjector {
   [[nodiscard]] std::size_t jobs_killed() const { return jobs_killed_; }
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  void on_fault(FaultCallback fn) { callbacks_.push_back(std::move(fn)); }
-
  private:
   struct Spike {
     double until = 0.0;
@@ -71,7 +66,6 @@ class FaultInjector {
   std::vector<FaultEvent> fired_;
   std::vector<Spike> spikes_;
   std::size_t jobs_killed_ = 0;
-  std::vector<FaultCallback> callbacks_;
 };
 
 }  // namespace mummi::fault

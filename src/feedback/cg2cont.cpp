@@ -14,8 +14,15 @@ util::Bytes FeedbackRecord::serialize() const {
 FeedbackRecord FeedbackRecord::deserialize(const util::Bytes& bytes) {
   util::ByteReader r(bytes);
   FeedbackRecord rec;
-  rec.state = static_cast<cont::ProteinState>(r.u32());
+  // iterate() indexes its per-state tables with the state, so a forged value
+  // must not get past here.
+  const auto state = r.u32();
+  if (state >= static_cast<std::uint32_t>(cont::kNumProteinStates))
+    throw util::FormatError("FeedbackRecord protein state out of range");
+  rec.state = static_cast<cont::ProteinState>(state);
   rec.rdfs = coupling::RdfSet::deserialize(r.bytes());
+  if (!r.at_end())
+    throw util::FormatError("FeedbackRecord has trailing bytes");
   return rec;
 }
 

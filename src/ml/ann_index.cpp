@@ -4,48 +4,12 @@
 #include <limits>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mummi::ml {
 
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-// Rows per block when knn_batch fans out to a pool; fixed so that block
-// boundaries never depend on the worker count.
-constexpr std::size_t kBatchBlock = 64;
 }  // namespace
-
-void BruteForceIndex::add(PointId id, std::span<const float> coords) {
-  if (points_.dim() == 0) points_ = PointStore(static_cast<int>(coords.size()));
-  points_.add(id, coords);
-}
-
-std::optional<Neighbor> BruteForceIndex::nearest(
-    std::span<const float> query) const {
-  std::optional<Neighbor> best;
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const float d2 = dist2(query, points_.coords(i));
-    if (!best || d2 < best->dist2) best = Neighbor{points_.id(i), d2};
-  }
-  return best;
-}
-
-std::vector<Neighbor> BruteForceIndex::knn(std::span<const float> query,
-                                           std::size_t k) const {
-  std::vector<Neighbor> all;
-  all.reserve(points_.size());
-  for (std::size_t i = 0; i < points_.size(); ++i)
-    all.push_back({points_.id(i), dist2(query, points_.coords(i))});
-  const std::size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(take),
-                    all.end(),
-                    [](const Neighbor& a, const Neighbor& b) {
-                      return a.dist2 < b.dist2;
-                    });
-  all.resize(take);
-  return all;
-}
 
 KdTreeIndex::KdTreeIndex(int dim)
     : dim_(dim), tree_pts_(dim), buffer_(dim) {
@@ -224,34 +188,6 @@ std::vector<Neighbor> KdTreeIndex::knn(std::span<const float> query,
                    return a.dist2 < b.dist2;
                  });
   return best;
-}
-
-void KdTreeIndex::knn_batch(std::span<const float> queries, std::size_t nq,
-                            std::size_t k, std::span<Neighbor> out,
-                            util::ThreadPool* pool) const {
-  MUMMI_CHECK_MSG(queries.size() == nq * static_cast<std::size_t>(dim_),
-                  "query batch size mismatch");
-  MUMMI_CHECK_MSG(out.size() >= nq * k, "knn_batch output too small");
-  const auto run = [&](std::size_t begin, std::size_t end) {
-    std::vector<Neighbor> best;
-    best.reserve(k + 1);
-    for (std::size_t q = begin; q < end; ++q) {
-      best.clear();
-      const auto row =
-          queries.subspan(q * static_cast<std::size_t>(dim_),
-                          static_cast<std::size_t>(dim_));
-      search_knn(row, best, k);
-      for (std::size_t i = 0; i < buffer_.size(); ++i)
-        push_candidate(best, k, Neighbor{buffer_.id(i), dist2(row, buffer_.coords(i))});
-      std::sort_heap(best.begin(), best.end(),
-                     [](const Neighbor& a, const Neighbor& b) {
-                       return a.dist2 < b.dist2;
-                     });
-      for (std::size_t j = 0; j < k; ++j)
-        out[q * k + j] = j < best.size() ? best[j] : Neighbor{0, kInf};
-    }
-  };
-  util::for_blocks(pool, nq, kBatchBlock, run);
 }
 
 }  // namespace mummi::ml

@@ -1,4 +1,4 @@
-// Nearest-neighbor indices over L2 (the FAISS substitute).
+// Nearest-neighbor index over L2 (the FAISS substitute).
 //
 // Paper Task 2: patch ranks "are updated using approximate nearest neighbor
 // queries (with L2 distances) powered by the FAISS framework". The selectors
@@ -18,10 +18,6 @@
 
 #include "ml/point_store.hpp"
 
-namespace mummi::util {
-class ThreadPool;
-}  // namespace mummi::util
-
 namespace mummi::ml {
 
 struct Neighbor {
@@ -29,67 +25,33 @@ struct Neighbor {
   float dist2 = 0;
 };
 
-class NnIndex {
+/// Exact KD-tree with buffered inserts: new points accumulate in a flat
+/// buffer and the tree is rebuilt when the buffer outgrows a fraction of the
+/// tree, amortizing construction.
+class KdTreeIndex {
  public:
-  virtual ~NnIndex() = default;
+  explicit KdTreeIndex(int dim);
 
-  virtual void add(PointId id, std::span<const float> coords) = 0;
+  void add(PointId id, std::span<const float> coords);
   void add(const HDPoint& point) { add(point.id, point.coords); }
 
   /// Nearest neighbor of `query`; nullopt when the index is empty.
-  [[nodiscard]] virtual std::optional<Neighbor> nearest(
-      std::span<const float> query) const = 0;
+  [[nodiscard]] std::optional<Neighbor> nearest(
+      std::span<const float> query) const;
   [[nodiscard]] std::optional<Neighbor> nearest(
       std::initializer_list<float> query) const {
     return nearest(std::span<const float>(query.begin(), query.size()));
   }
 
   /// k nearest neighbors, closest first.
-  [[nodiscard]] virtual std::vector<Neighbor> knn(std::span<const float> query,
-                                                  std::size_t k) const = 0;
+  [[nodiscard]] std::vector<Neighbor> knn(std::span<const float> query,
+                                          std::size_t k) const;
   [[nodiscard]] std::vector<Neighbor> knn(std::initializer_list<float> query,
                                           std::size_t k) const {
     return knn(std::span<const float>(query.begin(), query.size()), k);
   }
 
-  [[nodiscard]] virtual std::size_t size() const = 0;
-};
-
-/// Exact linear scan — the correctness reference.
-class BruteForceIndex final : public NnIndex {
- public:
-  using NnIndex::add;
-  using NnIndex::knn;
-  using NnIndex::nearest;
-
-  void add(PointId id, std::span<const float> coords) override;
-  [[nodiscard]] std::optional<Neighbor> nearest(
-      std::span<const float> query) const override;
-  [[nodiscard]] std::vector<Neighbor> knn(std::span<const float> query,
-                                          std::size_t k) const override;
-  [[nodiscard]] std::size_t size() const override { return points_.size(); }
-
- private:
-  PointStore points_;  // dim fixed by the first add
-};
-
-/// Exact KD-tree with buffered inserts: new points accumulate in a flat
-/// buffer and the tree is rebuilt when the buffer outgrows a fraction of the
-/// tree, amortizing construction.
-class KdTreeIndex final : public NnIndex {
- public:
-  explicit KdTreeIndex(int dim);
-
-  using NnIndex::add;
-  using NnIndex::knn;
-  using NnIndex::nearest;
-
-  void add(PointId id, std::span<const float> coords) override;
-  [[nodiscard]] std::optional<Neighbor> nearest(
-      std::span<const float> query) const override;
-  [[nodiscard]] std::vector<Neighbor> knn(std::span<const float> query,
-                                          std::size_t k) const override;
-  [[nodiscard]] std::size_t size() const override {
+  [[nodiscard]] std::size_t size() const {
     return tree_pts_.size() + buffer_.size();
   }
 
@@ -97,15 +59,6 @@ class KdTreeIndex final : public NnIndex {
   /// every query runs on the O(log n) path instead of also scanning the
   /// buffer.
   void flush();
-
-  /// Batched k-NN: `queries` is nq contiguous dim-sized rows; `out` receives
-  /// nq*k neighbors (row q at out[q*k..]), each row closest-first and padded
-  /// with {0, +inf} when the index holds fewer than k points. With a pool the
-  /// rows are split into fixed-size blocks (boundaries independent of worker
-  /// count); results are per-row, so the output never depends on scheduling.
-  void knn_batch(std::span<const float> queries, std::size_t nq, std::size_t k,
-                 std::span<Neighbor> out,
-                 util::ThreadPool* pool = nullptr) const;
 
  private:
   struct Node {

@@ -61,7 +61,6 @@ class Sampler {
   /// Exact-replay history ("elaborate history files that may be replayed
   /// exactly", paper Sec. 4.4).
   [[nodiscard]] const std::vector<Event>& history() const { return history_; }
-  void clear_history() { history_.clear(); }
   /// History recording is on by default; campaign-scale runs disable it to
   /// bound memory (the paper streams history to files instead).
   void set_history_enabled(bool enabled) { history_enabled_ = enabled; }

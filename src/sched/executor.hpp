@@ -97,7 +97,6 @@ class SimExecutor final : public Executor {
               double failure_prob = 0.0);
 
   void set_duration_model(DurationModel model) { model_ = std::move(model); }
-  void set_failure_prob(double p) { failure_prob_ = p; }
 
   void inject_hangs(int n) { pending_hangs_ += n; }
   void inject_stragglers(int n, double factor) {

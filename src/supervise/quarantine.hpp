@@ -34,13 +34,10 @@ enum class StrikeKind : std::uint8_t {
 
 class QuarantineLedger {
  public:
+  /// `strike_limit`: strikes needed to quarantine; <= 0 disables
+  /// quarantining (strikes are still recorded for diagnostics).
   explicit QuarantineLedger(int strike_limit = 3)
       : strike_limit_(strike_limit) {}
-
-  /// Strikes needed to quarantine; <= 0 disables quarantining (strikes are
-  /// still recorded for diagnostics).
-  void set_strike_limit(int n) { strike_limit_ = n; }
-  [[nodiscard]] int strike_limit() const { return strike_limit_; }
 
   struct Entry {
     std::uint32_t failures = 0;

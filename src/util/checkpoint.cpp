@@ -116,12 +116,6 @@ void write_file(const std::string& path, const Bytes& data,
   crash_point("util.write_file.post");
 }
 
-void write_file(const std::string& path, const Bytes& data, int max_retries) {
-  IoRetryPolicy retry;
-  retry.backoff.max_attempts = max_retries + 1;
-  write_file(path, data, retry);
-}
-
 void make_dirs(const std::string& path) {
   std::error_code ec;
   fs::create_directories(path, ec);
@@ -135,11 +129,6 @@ bool remove_file(const std::string& path) {
 
 CheckpointFile::CheckpointFile(std::string path, IoRetryPolicy retry)
     : path_(std::move(path)), retry_(std::move(retry)) {}
-
-CheckpointFile::CheckpointFile(std::string path, int max_retries)
-    : path_(std::move(path)) {
-  retry_.backoff.max_attempts = max_retries + 1;
-}
 
 std::uint64_t CheckpointFile::next_generation() const {
   if (!gen_known_) {

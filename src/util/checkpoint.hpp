@@ -45,9 +45,6 @@ class CheckpointFile {
   /// previous good version.
   explicit CheckpointFile(std::string path, IoRetryPolicy retry = {});
 
-  /// Back-compat shorthand: `max_retries` extra attempts after the first.
-  CheckpointFile(std::string path, int max_retries);
-
   /// Atomically replaces the checkpoint with `payload`, stamped with the
   /// next generation. Keeps the previous version as backup. Throws IoError
   /// after retries.
@@ -88,9 +85,6 @@ class CheckpointFile {
 /// policy's capped-exponential backoff instead of hammering the filesystem.
 void write_file(const std::string& path, const Bytes& data,
                 const IoRetryPolicy& retry = {});
-
-/// Back-compat shorthand: `max_retries` extra attempts after the first.
-void write_file(const std::string& path, const Bytes& data, int max_retries);
 
 /// Creates a directory and parents, like `mkdir -p`.
 void make_dirs(const std::string& path);

@@ -25,15 +25,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string format(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -13,12 +13,6 @@ namespace mummi::util {
 /// Splits on a delimiter; empty fields are kept.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char delim);
 
-/// True if `s` begins with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix);
-
-/// True if `s` ends with `suffix`.
-[[nodiscard]] bool ends_with(std::string_view s, std::string_view suffix);
-
 /// printf-style formatting into a std::string.
 [[nodiscard]] std::string format(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "datastore/red_store.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::fb {
@@ -164,6 +165,24 @@ TEST(FeedbackRecord, SerializeRoundTrip) {
   EXPECT_EQ(back.state, cont::ProteinState::kRasRafB);
   ASSERT_EQ(back.rdfs.per_species.size(), 2u);
   EXPECT_EQ(back.rdfs.per_species[0].g(), rec.rdfs.per_species[0].g());
+}
+
+TEST(FeedbackRecord, ForgedBytesRejected) {
+  FeedbackRecord rec;
+  rec.rdfs = synthetic_rdfs(1, 2.0);
+  const util::Bytes good = rec.serialize();
+  // The state is the leading u32; iterate() indexes 4-slot tables with it.
+  for (const std::uint32_t state : {4u, 0xffffffffu}) {
+    util::ByteWriter w;
+    w.u32(state);
+    w.bytes(rec.rdfs.serialize());
+    EXPECT_THROW(FeedbackRecord::deserialize(w.data()), util::FormatError)
+        << "state " << state;
+  }
+  util::Bytes trailing = good;
+  trailing.push_back(0);
+  EXPECT_THROW(FeedbackRecord::deserialize(trailing), util::FormatError);
+  EXPECT_NO_THROW(FeedbackRecord::deserialize(good));
 }
 
 }  // namespace

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
+#include "brute_force_index.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mummi::ml {
 namespace {
@@ -140,46 +138,6 @@ TEST(KdTreeIndex, FlushFoldsBufferWithoutChangingResults) {
     EXPECT_EQ(after[i].id, before[i].id);
     EXPECT_EQ(after[i].dist2, before[i].dist2);
   }
-}
-
-TEST(KdTreeIndex, KnnBatchMatchesPerQueryKnn) {
-  const int dim = 4;
-  const auto points = random_points(500, dim, 21);
-  KdTreeIndex index(dim);
-  BruteForceIndex brute;
-  for (const auto& p : points) {
-    index.add(p);
-    brute.add(p);
-  }
-  index.flush();
-
-  const auto queries = random_points(64, dim, 22);
-  PointStore qs(dim);
-  for (const auto& q : queries) qs.add(q);
-  constexpr std::size_t k = 5;
-  std::vector<Neighbor> out(qs.size() * k);
-  util::ThreadPool pool(3);
-  index.knn_batch(qs.flat(), qs.size(), k, out, &pool);
-  for (std::size_t q = 0; q < qs.size(); ++q) {
-    const auto want = brute.knn(qs.coords(q), k);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(out[q * k + i].id, want[i].id) << "query " << q;
-      EXPECT_EQ(out[q * k + i].dist2, want[i].dist2) << "query " << q;
-    }
-  }
-}
-
-TEST(KdTreeIndex, KnnBatchPadsWhenIndexSmall) {
-  KdTreeIndex index(2);
-  index.add({1, {0, 0}});
-  PointStore qs(2);
-  const float q0[2] = {1, 1};
-  qs.add(9, q0);
-  std::vector<Neighbor> out(3);
-  index.knn_batch(qs.flat(), 1, 3, out, nullptr);
-  EXPECT_EQ(out[0].id, 1u);
-  EXPECT_EQ(out[1].dist2, std::numeric_limits<float>::infinity());
-  EXPECT_EQ(out[2].dist2, std::numeric_limits<float>::infinity());
 }
 
 }  // namespace

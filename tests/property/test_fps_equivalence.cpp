@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "ml/fps_reference.hpp"
+#include "fps_reference.hpp"
 #include "ml/fps_sampler.hpp"
 #include "util/rng.hpp"
 

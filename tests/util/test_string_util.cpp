@@ -27,13 +27,6 @@ TEST(StringUtil, Split) {
   EXPECT_EQ(split(",", ','), (std::vector<std::string>{"", ""}));
 }
 
-TEST(StringUtil, StartsEndsWith) {
-  EXPECT_TRUE(starts_with("cg_sim-42", "cg_sim"));
-  EXPECT_FALSE(starts_with("cg", "cg_sim"));
-  EXPECT_TRUE(ends_with("patch.npy", ".npy"));
-  EXPECT_FALSE(ends_with("npy", "patch.npy"));
-}
-
 TEST(StringUtil, Format) {
   EXPECT_EQ(format("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(format("%.2f", 3.14159), "3.14");
