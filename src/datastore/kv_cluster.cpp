@@ -77,69 +77,12 @@ void KvCluster::index_remove(Shard& shard, const std::string& key) {
   if (it->second.empty()) shard.by_ns.erase(it);
 }
 
-void KvCluster::check_shard_locked(const Shard& shard, std::size_t i) const {
-  if (!shard.up)
-    throw util::UnavailableError("kv shard " + std::to_string(i) + " is down");
-  int pending = shard.transient_errors.load(std::memory_order_relaxed);
-  while (pending > 0) {
-    if (shard.transient_errors.compare_exchange_weak(
-            pending, pending - 1, std::memory_order_relaxed,
-            std::memory_order_relaxed)) {
-      obs::counter("kv.transient_errors").inc();
-      throw util::UnavailableError("kv shard " + std::to_string(i) +
-                                   " transient I/O error");
-    }
-  }
-}
-
-void KvCluster::fail_server(std::size_t i, bool wipe) {
-  MUMMI_CHECK_MSG(i < shards_.size(), "shard index out of range");
-  obs::counter("kv.shard_down").inc();
-  Shard& shard = *shards_[i];
-  std::unique_lock lock(shard.mutex);
-  shard.up = false;
-  if (wipe) {
-    shard.data.clear();
-    shard.by_ns.clear();
-  }
-}
-
-void KvCluster::recover_server(std::size_t i) {
-  MUMMI_CHECK_MSG(i < shards_.size(), "shard index out of range");
-  obs::counter("kv.shard_recovered").inc();
-  Shard& shard = *shards_[i];
-  std::unique_lock lock(shard.mutex);
-  shard.up = true;
-}
-
-bool KvCluster::server_up(std::size_t i) const {
-  MUMMI_CHECK_MSG(i < shards_.size(), "shard index out of range");
-  Shard& shard = *shards_[i];
-  std::shared_lock lock(shard.mutex);
-  return shard.up;
-}
-
-std::size_t KvCluster::servers_down() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::shared_lock lock(shard->mutex);
-    if (!shard->up) ++n;
-  }
-  return n;
-}
-
-void KvCluster::inject_transient_errors(std::size_t i, int count) {
-  MUMMI_CHECK_MSG(i < shards_.size(), "shard index out of range");
-  shards_[i]->transient_errors.fetch_add(count, std::memory_order_relaxed);
-}
-
 void KvCluster::set(const std::string& key, util::Bytes value) {
   const std::size_t s = server_of(key);
   const double dt =
       cost_.per_query + cost_.per_byte * static_cast<double>(value.size());
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mutex);
-  check_shard_locked(shard, s);
   add_time(t_writes_, dt);
   static obs::Counter& ops = obs::counter("kv.ops.set");
   ops.inc();
@@ -153,7 +96,6 @@ std::optional<util::Bytes> KvCluster::get(const std::string& key) const {
   const std::size_t s = server_of(key);
   const Shard& shard = *shards_[s];
   std::shared_lock lock(shard.mutex);
-  check_shard_locked(shard, s);
   static obs::Counter& ops = obs::counter("kv.ops.get");
   ops.inc();
   shard_ops_[s]->inc();
@@ -174,7 +116,6 @@ bool KvCluster::exists(const std::string& key) const {
   const std::size_t s = server_of(key);
   const Shard& shard = *shards_[s];
   std::shared_lock lock(shard.mutex);
-  check_shard_locked(shard, s);
   return shard.data.count(key) > 0;
 }
 
@@ -182,7 +123,6 @@ bool KvCluster::del(const std::string& key) {
   const std::size_t s = server_of(key);
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mutex);
-  check_shard_locked(shard, s);
   add_time(t_dels_, cost_.per_query);
   static obs::Counter& ops = obs::counter("kv.ops.del");
   ops.inc();
@@ -207,16 +147,14 @@ bool KvCluster::move_locked(Shard& src, Shard& dst, const std::string& from,
 
 bool KvCluster::rename(const std::string& from, const std::string& to) {
   // Same-shard renames move in place under one exclusive lock; cross-shard
-  // renames hold both locks (index order) so availability of *both* shards
-  // is verified before anything mutates — erasing the source and then
-  // finding the destination down would lose the record.
+  // renames hold both locks (index order), so the move is atomic to every
+  // other client.
   const std::size_t s_from = server_of(from);
   const std::size_t s_to = server_of(to);
   static obs::Counter& ops = obs::counter("kv.ops.rename");
   if (s_from == s_to) {
     Shard& shard = *shards_[s_from];
     std::unique_lock lock(shard.mutex);
-    check_shard_locked(shard, s_from);
     add_time(t_dels_, cost_.per_query);
     ops.inc();
     shard_ops_[s_from]->inc();
@@ -226,8 +164,6 @@ bool KvCluster::rename(const std::string& from, const std::string& to) {
   Shard& hi = *shards_[std::max(s_from, s_to)];
   std::unique_lock lock_lo(lo.mutex);
   std::unique_lock lock_hi(hi.mutex);
-  check_shard_locked(*shards_[s_from], s_from);
-  check_shard_locked(*shards_[s_to], s_to);
   // A cross-shard rename is two round trips: DEL on the source shard plus
   // SET on the destination.
   add_time(t_dels_, cost_.per_query);
@@ -246,46 +182,34 @@ std::vector<std::string> KvCluster::scan(const std::string* ns,
                                      : 0;
   std::vector<std::vector<std::string>> slots(n_shards);
   std::vector<char> scanned_shard(n_shards, 0);
-  std::vector<std::string> errors(n_shards);
-  std::vector<char> failed(n_shards, 0);
   std::atomic<std::size_t> scanned{0};
 
   auto visit = [&](std::size_t i) {
     const Shard& shard = *shards_[i];
-    try {
-      std::shared_lock lock(shard.mutex);
-      check_shard_locked(shard, i);
-      if (ns == nullptr) {
-        // Full scan: every stored key is inspected against the pattern.
-        scanned.fetch_add(shard.data.size(), std::memory_order_relaxed);
-        scanned_shard[i] = 1;
-        for (const auto& [k, _] : shard.data)
-          if (util::glob_match(pattern, k)) slots[i].push_back(k);
-      } else {
-        // Namespace-confined scan: only this namespace's keys are touched,
-        // so cost is independent of every other namespace's population.
-        auto it = shard.by_ns.find(*ns);
-        if (it == shard.by_ns.end()) return;
-        scanned.fetch_add(it->second.size(), std::memory_order_relaxed);
-        scanned_shard[i] = 1;
-        for (const auto& k : it->second) {
-          const std::string_view tail =
-              std::string_view(k).substr(prefix_len);
-          if (util::glob_match(pattern, tail)) slots[i].push_back(k);
-        }
+    std::shared_lock lock(shard.mutex);
+    if (ns == nullptr) {
+      // Full scan: every stored key is inspected against the pattern.
+      scanned.fetch_add(shard.data.size(), std::memory_order_relaxed);
+      scanned_shard[i] = 1;
+      for (const auto& [k, _] : shard.data)
+        if (util::glob_match(pattern, k)) slots[i].push_back(k);
+    } else {
+      // Namespace-confined scan: only this namespace's keys are touched,
+      // so cost is independent of every other namespace's population.
+      auto it = shard.by_ns.find(*ns);
+      if (it == shard.by_ns.end()) return;
+      scanned.fetch_add(it->second.size(), std::memory_order_relaxed);
+      scanned_shard[i] = 1;
+      for (const auto& k : it->second) {
+        const std::string_view tail = std::string_view(k).substr(prefix_len);
+        if (util::glob_match(pattern, tail)) slots[i].push_back(k);
       }
-    } catch (const util::UnavailableError& err) {
-      failed[i] = 1;
-      errors[i] = err.what();
     }
   };
 
   if (n_shards >= kParallelGroups) {
-    // Fan out over the process pool. Tasks capture errors instead of
-    // throwing, so the serial and pooled paths both visit every shard even
-    // when one is down, and the error rethrown below is the lowest-index
-    // one. Slot order keeps results deterministic regardless of execution
-    // order.
+    // Fan out over the process pool. Slot order keeps results deterministic
+    // regardless of execution order.
     util::for_blocks(
         &util::global_pool(), n_shards, 1, [&](std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) visit(i);
@@ -293,8 +217,6 @@ std::vector<std::string> KvCluster::scan(const std::string* ns,
   } else {
     for (std::size_t i = 0; i < n_shards; ++i) visit(i);
   }
-  for (std::size_t i = 0; i < n_shards; ++i)
-    if (failed[i]) throw util::UnavailableError(errors[i]);
 
   std::vector<std::string> out;
   std::size_t total = 0;
@@ -343,7 +265,6 @@ std::size_t KvCluster::count(const std::string& ns) const {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& shard = *shards_[i];
     std::shared_lock lock(shard.mutex);
-    check_shard_locked(shard, i);
     auto it = shard.by_ns.find(ns);
     if (it == shard.by_ns.end()) continue;
     n += it->second.size();
@@ -357,24 +278,20 @@ std::size_t KvCluster::count(const std::string& ns) const {
 }
 
 namespace {
-/// Pending (not-done) input indices grouped by shard, plus the list of
-/// touched shards in index order.
+/// Input indices grouped by shard, plus the list of touched shards in index
+/// order.
 struct ShardGroups {
   std::vector<std::vector<std::uint32_t>> by_shard;
   std::vector<std::size_t> touched;
-  std::size_t pending = 0;
 };
 
 template <typename KeyOf>
-ShardGroups group_pending(std::size_t n, const std::vector<char>& done,
-                          std::size_t n_shards, const KeyOf& shard_of) {
+ShardGroups group_by_shard(std::size_t n, std::size_t n_shards,
+                           const KeyOf& shard_of) {
   ShardGroups g;
   g.by_shard.resize(n_shards);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (done[i]) continue;
+  for (std::size_t i = 0; i < n; ++i)
     g.by_shard[shard_of(i)].push_back(static_cast<std::uint32_t>(i));
-    ++g.pending;
-  }
   for (std::size_t s = 0; s < n_shards; ++s)
     if (!g.by_shard[s].empty()) g.touched.push_back(s);
   return g;
@@ -384,48 +301,27 @@ ShardGroups group_pending(std::size_t n, const std::vector<char>& done,
 std::vector<std::optional<util::Bytes>> KvCluster::mget(
     const std::vector<std::string>& keys) const {
   std::vector<std::optional<util::Bytes>> out(keys.size());
-  std::vector<char> done(keys.size(), 0);
-  mget(keys, out, done);
-  return out;
-}
-
-void KvCluster::mget(const std::vector<std::string>& keys,
-                     std::vector<std::optional<util::Bytes>>& out,
-                     std::vector<char>& done) const {
-  MUMMI_CHECK_MSG(out.size() == keys.size() && done.size() == keys.size(),
-                  "mget result/done vectors must match the key count");
-  const auto groups = group_pending(
-      keys.size(), done, shards_.size(),
+  if (keys.empty()) return out;
+  const auto groups = group_by_shard(
+      keys.size(), shards_.size(),
       [&](std::size_t i) { return server_of(keys[i]); });
-  if (groups.pending == 0) return;
-  note_batch("kv.ops.mget", groups.pending);
+  note_batch("kv.ops.mget", keys.size());
 
-  std::vector<std::string> errors(groups.touched.size());
-  std::vector<char> failed(groups.touched.size(), 0);
   auto visit = [&](std::size_t gi) {
     const std::size_t s = groups.touched[gi];
     const Shard& shard = *shards_[s];
-    try {
-      std::shared_lock lock(shard.mutex);
-      check_shard_locked(shard, s);
-      double dt = cost_.per_query;  // one pipelined round trip per shard
-      for (const std::uint32_t idx : groups.by_shard[s]) {
-        auto it = shard.data.find(keys[idx]);
-        if (it == shard.data.end()) {
-          out[idx] = std::nullopt;
-        } else {
-          out[idx] = it->second;
-          dt += cost_.per_byte * static_cast<double>(it->second.size());
-        }
-        dt += cost_.batch_per_key;
-        done[idx] = 1;
+    std::shared_lock lock(shard.mutex);
+    double dt = cost_.per_query;  // one pipelined round trip per shard
+    for (const std::uint32_t idx : groups.by_shard[s]) {
+      auto it = shard.data.find(keys[idx]);
+      if (it != shard.data.end()) {
+        out[idx] = it->second;
+        dt += cost_.per_byte * static_cast<double>(it->second.size());
       }
-      shard_ops_[s]->inc();
-      add_time(t_reads_, dt);
-    } catch (const util::UnavailableError& err) {
-      failed[gi] = 1;
-      errors[gi] = err.what();
+      dt += cost_.batch_per_key;
     }
+    shard_ops_[s]->inc();
+    add_time(t_reads_, dt);
   };
   if (groups.touched.size() >= kParallelGroups) {
     util::for_blocks(
@@ -435,30 +331,20 @@ void KvCluster::mget(const std::vector<std::string>& keys,
   } else {
     visit(0);
   }
-  for (std::size_t gi = 0; gi < groups.touched.size(); ++gi)
-    if (failed[gi]) throw util::UnavailableError(errors[gi]);
+  return out;
 }
 
 void KvCluster::mset(
     const std::vector<std::pair<std::string, util::Bytes>>& kvs) {
-  std::vector<char> done(kvs.size(), 0);
-  mset(kvs, done);
-}
-
-void KvCluster::mset(const std::vector<std::pair<std::string, util::Bytes>>& kvs,
-                     std::vector<char>& done) {
-  MUMMI_CHECK_MSG(done.size() == kvs.size(),
-                  "mset done vector must match the record count");
-  const auto groups = group_pending(
-      kvs.size(), done, shards_.size(),
+  if (kvs.empty()) return;
+  const auto groups = group_by_shard(
+      kvs.size(), shards_.size(),
       [&](std::size_t i) { return server_of(kvs[i].first); });
-  if (groups.pending == 0) return;
-  note_batch("kv.ops.mset", groups.pending);
+  note_batch("kv.ops.mset", kvs.size());
 
   for (const std::size_t s : groups.touched) {
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mutex);
-    check_shard_locked(shard, s);
     double dt = cost_.per_query;
     for (const std::uint32_t idx : groups.by_shard[s]) {
       const auto& [key, value] = kvs[idx];
@@ -466,7 +352,6 @@ void KvCluster::mset(const std::vector<std::pair<std::string, util::Bytes>>& kvs
             cost_.per_byte * static_cast<double>(value.size());
       auto [it, inserted] = shard.data.insert_or_assign(key, value);
       if (inserted) index_add(shard, it->first);
-      done[idx] = 1;
     }
     shard_ops_[s]->inc();
     add_time(t_writes_, dt);
@@ -474,66 +359,45 @@ void KvCluster::mset(const std::vector<std::pair<std::string, util::Bytes>>& kvs
 }
 
 std::size_t KvCluster::mdel(const std::vector<std::string>& keys) {
-  std::vector<char> deleted(keys.size(), 0);
-  std::vector<char> done(keys.size(), 0);
-  mdel(keys, deleted, done);
-  return static_cast<std::size_t>(
-      std::count(deleted.begin(), deleted.end(), 1));
-}
-
-void KvCluster::mdel(const std::vector<std::string>& keys,
-                     std::vector<char>& deleted, std::vector<char>& done) {
-  MUMMI_CHECK_MSG(deleted.size() == keys.size() && done.size() == keys.size(),
-                  "mdel result/done vectors must match the key count");
-  const auto groups = group_pending(
-      keys.size(), done, shards_.size(),
+  if (keys.empty()) return 0;
+  const auto groups = group_by_shard(
+      keys.size(), shards_.size(),
       [&](std::size_t i) { return server_of(keys[i]); });
-  if (groups.pending == 0) return;
-  note_batch("kv.ops.mdel", groups.pending);
+  note_batch("kv.ops.mdel", keys.size());
 
+  std::size_t deleted = 0;
   for (const std::size_t s : groups.touched) {
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mutex);
-    check_shard_locked(shard, s);
     double dt = cost_.per_query;
     for (const std::uint32_t idx : groups.by_shard[s]) {
       dt += cost_.batch_per_key;
       if (shard.data.erase(keys[idx]) > 0) {
         index_remove(shard, keys[idx]);
-        deleted[idx] = 1;
+        ++deleted;
       }
-      done[idx] = 1;
     }
     shard_ops_[s]->inc();
     add_time(t_dels_, dt);
   }
+  return deleted;
 }
 
 std::size_t KvCluster::mrename(
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::vector<char> renamed(pairs.size(), 0);
-  std::vector<char> done(pairs.size(), 0);
-  mrename(pairs, renamed, done);
-  return static_cast<std::size_t>(
-      std::count(renamed.begin(), renamed.end(), 1));
-}
-
-void KvCluster::mrename(
     const std::vector<std::pair<std::string, std::string>>& pairs,
-    std::vector<char>& renamed, std::vector<char>& done) {
-  MUMMI_CHECK_MSG(renamed.size() == pairs.size() && done.size() == pairs.size(),
-                  "mrename result/done vectors must match the pair count");
-  const auto groups = group_pending(
-      pairs.size(), done, shards_.size(),
+    std::vector<char>* renamed) {
+  if (renamed != nullptr) renamed->assign(pairs.size(), 0);
+  if (pairs.empty()) return 0;
+  const auto groups = group_by_shard(
+      pairs.size(), shards_.size(),
       [&](std::size_t i) { return server_of(pairs[i].first); });
-  if (groups.pending == 0) return;
-  note_batch("kv.ops.mrename", groups.pending);
+  note_batch("kv.ops.mrename", pairs.size());
 
   // Source-shard groups apply serially in shard order. Each group locks its
   // source shard plus every destination shard it touches, all exclusively
-  // and in ascending index order (the cluster-wide lock order), then checks
-  // availability of the whole set before moving anything — a down
-  // destination aborts the group with its records still on the source.
+  // and in ascending index order (the cluster-wide lock order), so its
+  // cross-shard moves are atomic to every other client.
+  std::size_t n_renamed = 0;
   for (const std::size_t s : groups.touched) {
     std::vector<std::size_t> involved{s};
     std::size_t cross_pairs = 0;
@@ -552,14 +416,13 @@ void KvCluster::mrename(
     locks.reserve(involved.size());
     for (const std::size_t i : involved)
       locks.emplace_back(shards_[i]->mutex);
-    for (const std::size_t i : involved)
-      check_shard_locked(*shards_[i], i);
 
     for (const std::uint32_t idx : groups.by_shard[s]) {
       const auto& [from, to] = pairs[idx];
-      if (move_locked(*shards_[s], *shards_[server_of(to)], from, to))
-        renamed[idx] = 1;
-      done[idx] = 1;
+      if (!move_locked(*shards_[s], *shards_[server_of(to)], from, to))
+        continue;
+      ++n_renamed;
+      if (renamed != nullptr) (*renamed)[idx] = 1;
     }
     // One DEL round trip on the source shard plus one SET round trip per
     // distinct destination shard; cross-shard pairs pay the marginal twice.
@@ -571,6 +434,7 @@ void KvCluster::mrename(
                  cost_.batch_per_key * static_cast<double>(cross_pairs));
     for (const std::size_t i : involved) shard_ops_[i]->inc();
   }
+  return n_renamed;
 }
 
 std::size_t KvCluster::total_keys() const {

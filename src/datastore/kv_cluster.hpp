@@ -60,25 +60,19 @@ class KvCluster {
   /// Redis hash slots.
   explicit KvCluster(std::size_t n_servers, KvCostModel cost = {});
 
-  /// Operations on a down shard throw util::UnavailableError. Availability
-  /// is checked under the same shard lock as the data access (no
-  /// check-then-act window). Cross-shard renames hold both shard locks (in
-  /// index order) and verify both are reachable *before* mutating, so a down
-  /// destination never loses the source record.
   void set(const std::string& key, util::Bytes value);
   [[nodiscard]] std::optional<util::Bytes> get(const std::string& key) const;
   [[nodiscard]] bool exists(const std::string& key) const;
   bool del(const std::string& key);
   /// Renames a key (the feedback "tagging" primitive). Returns false when
   /// the source key is absent. Cross-shard renames are delete+set and charge
-  /// two round trips (one per shard).
+  /// two round trips (one per shard); they hold both shard locks (in index
+  /// order), so no reader sees the record on both shards or on neither.
   bool rename(const std::string& from, const std::string& to);
 
   /// All keys matching a glob pattern, across every shard, in sorted order.
   /// Patterns with a literal "<ns>:" prefix ("rdf-pending:*") are routed
   /// through the namespace index and never scan other namespaces' keys.
-  /// Throws util::UnavailableError if any shard is down (a partial scan
-  /// would be silent data loss for the feedback loop).
   [[nodiscard]] std::vector<std::string> keys(const std::string& pattern) const;
 
   /// Namespace-confined listing: full keys "<ns>:<tail>" whose tail matches
@@ -95,52 +89,25 @@ class KvCluster {
   // Redis-pipelining semantics: sub-ops are grouped per shard, each touched
   // shard's lock is taken once, and the cost model charges one round trip per
   // shard touched plus `batch_per_key` per sub-op. Results land at the same
-  // index as the input key. The `done` forms let a retrying client resume a
-  // partially applied batch: entries whose `done[i]` is nonzero are skipped,
-  // and each sub-op sets its flag the moment its shard group commits — a
-  // mid-batch UnavailableError therefore never double-applies completed
-  // sub-ops. Batches with duplicate keys (or rename pairs sharing keys)
-  // resolve same-shard conflicts in input order and cross-shard conflicts in
-  // shard order.
+  // index as the input key. Batches with duplicate keys (or rename pairs
+  // sharing keys) resolve same-shard conflicts in input order and
+  // cross-shard conflicts in shard order.
 
   [[nodiscard]] std::vector<std::optional<util::Bytes>> mget(
       const std::vector<std::string>& keys) const;
-  void mget(const std::vector<std::string>& keys,
-            std::vector<std::optional<util::Bytes>>& out,
-            std::vector<char>& done) const;
 
   void mset(const std::vector<std::pair<std::string, util::Bytes>>& kvs);
-  void mset(const std::vector<std::pair<std::string, util::Bytes>>& kvs,
-            std::vector<char>& done);
 
   /// Returns the number of keys that existed and were deleted.
   std::size_t mdel(const std::vector<std::string>& keys);
-  void mdel(const std::vector<std::string>& keys, std::vector<char>& deleted,
-            std::vector<char>& done);
 
   /// Batched tagging: renames each (from, to) pair. Returns the number of
-  /// pairs whose source existed. Cross-shard pairs lock source and
-  /// destination shards together (index order) so a down destination aborts
-  /// the group before any of its records move.
+  /// pairs whose source existed; `renamed`, when given, is resized to the
+  /// pair count and flags each of them. Cross-shard pairs lock source and
+  /// destination shards together (index order), like rename().
   std::size_t mrename(
-      const std::vector<std::pair<std::string, std::string>>& pairs);
-  void mrename(const std::vector<std::pair<std::string, std::string>>& pairs,
-               std::vector<char>& renamed, std::vector<char>& done);
-
-  // --- fault injection (paper Sec. 4.4: "Redis server deaths") -------------
-  /// Takes shard `i` down; `wipe` additionally loses its in-memory data
-  /// (a server death without persistence, vs. a reachable-but-partitioned
-  /// shard that keeps it).
-  void fail_server(std::size_t i, bool wipe = false);
-  /// Brings shard `i` back into service.
-  void recover_server(std::size_t i);
-  [[nodiscard]] bool server_up(std::size_t i) const;
-  [[nodiscard]] std::size_t servers_down() const;
-  /// The next `count` operations touching shard `i` fail transiently with
-  /// util::UnavailableError (flaky network), then service resumes — the
-  /// deterministic way to exercise bounded-backoff retry paths. A batch
-  /// operation consumes one per shard visit (it is one round trip).
-  void inject_transient_errors(std::size_t i, int count);
+      const std::vector<std::pair<std::string, std::string>>& pairs,
+      std::vector<char>* renamed = nullptr);
 
   [[nodiscard]] std::size_t n_servers() const { return shards_.size(); }
   [[nodiscard]] std::size_t server_of(const std::string& key) const;
@@ -160,8 +127,7 @@ class KvCluster {
  private:
   struct Shard {
     /// Lock discipline: shared for get/exists/keys/count/mget, exclusive for
-    /// every mutation and for fail/recover. `transient_errors` is atomic so
-    /// a shared-lock read can consume an injected error without upgrading.
+    /// every mutation.
     mutable std::shared_mutex mutex;
     std::unordered_map<std::string, util::Bytes> data;
     /// Secondary index: namespace -> keys. The namespace of a key is the
@@ -169,20 +135,12 @@ class KvCluster {
     /// in sync with `data` under the exclusive lock; empty sets are erased
     /// so count()/keys(ns) never iterate dead namespaces.
     std::unordered_map<std::string, std::unordered_set<std::string>> by_ns;
-    bool up = true;
-    // Remaining injected op failures; mutable so a const read path holding
-    // only the shared lock can consume one.
-    mutable std::atomic<int> transient_errors{0};
   };
 
   static void add_time(std::atomic<double>& counter, double dt);
   static std::string_view ns_of(std::string_view key);
   static void index_add(Shard& shard, const std::string& key);
   static void index_remove(Shard& shard, const std::string& key);
-  /// Availability check folded into the data op: caller holds `shard`'s lock
-  /// (shared or exclusive). Throws UnavailableError if the shard is down or
-  /// consumes one injected transient error.
-  void check_shard_locked(const Shard& shard, std::size_t i) const;
   /// Shared scan implementation for keys(pattern) and keys(ns, pattern).
   [[nodiscard]] std::vector<std::string> scan(const std::string* ns,
                                               const std::string& pattern) const;

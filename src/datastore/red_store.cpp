@@ -79,9 +79,8 @@ void RedStore::move_many(const std::string& src_ns,
   pairs.reserve(keys.size());
   for (const auto& key : keys)
     pairs.emplace_back(full_key(src_ns, key), full_key(dst_ns, key));
-  std::vector<char> renamed(pairs.size(), 0);
-  std::vector<char> done(pairs.size(), 0);
-  cluster_->mrename(pairs, renamed, done);
+  std::vector<char> renamed;
+  cluster_->mrename(pairs, &renamed);
   for (std::size_t i = 0; i < keys.size(); ++i)
     if (!renamed[i])
       throw util::StoreError("missing record: " + src_ns + "/" + keys[i]);

@@ -38,28 +38,6 @@ void FaultInjector::apply(const FaultEvent& ev, double now) {
         obs::counter("fault.recoveries").inc();
       }
       break;
-    case FaultKind::kShardDown:
-      if (kv_ && ev.target >= 0 &&
-          ev.target < static_cast<int>(kv_->n_servers()))
-        kv_->fail_server(static_cast<std::size_t>(ev.target),
-                         /*wipe=*/ev.count != 0);
-      break;
-    case FaultKind::kShardUp:
-      if (kv_ && ev.target >= 0 &&
-          ev.target < static_cast<int>(kv_->n_servers())) {
-        kv_->recover_server(static_cast<std::size_t>(ev.target));
-        obs::counter("fault.recoveries").inc();
-      }
-      break;
-    case FaultKind::kStoreIoError:
-      if (fs_) fs_->inject_failures(ev.count);
-      break;
-    case FaultKind::kKvIoError:
-      if (kv_ && ev.target >= 0 &&
-          ev.target < static_cast<int>(kv_->n_servers()))
-        kv_->inject_transient_errors(static_cast<std::size_t>(ev.target),
-                                     ev.count);
-      break;
     case FaultKind::kLatencySpike:
       spikes_.push_back({now + ev.duration, ev.magnitude});
       break;

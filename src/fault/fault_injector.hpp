@@ -1,12 +1,10 @@
 // FaultInjector: applies a FaultPlan to live components in virtual time.
 //
 // The injector is the seam between the deterministic fault schedule and the
-// three layers the paper says fail (Sec. 4.4):
+// layers the paper says fail (Sec. 4.4):
 //   - scheduler: node crashes kill the node's running jobs (fail_node) and
 //     later recovery returns it to service;
-//   - KV cluster: shard outages and transient per-shard I/O errors exercise
-//     the ResilientKvClient backoff/circuit-breaker path;
-//   - FsStore: injected transient errors exercise the armored-retry path;
+//   - executor: silent hangs and stragglers alter the next launches;
 //   - latency spikes stretch job durations while active (the paper's GPFS
 //     and fabric congestion episodes).
 //
@@ -16,8 +14,6 @@
 
 #include <vector>
 
-#include "datastore/fs_store.hpp"
-#include "datastore/kv_cluster.hpp"
 #include "event/sim_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "sched/executor.hpp"
@@ -31,8 +27,6 @@ class FaultInjector {
 
   /// Targets are optional: events for unbound targets are counted but no-op.
   void bind_scheduler(sched::Scheduler* scheduler) { scheduler_ = scheduler; }
-  void bind_kv(ds::KvCluster* kv) { kv_ = kv; }
-  void bind_fs(ds::FsStore* fs) { fs_ = fs; }
   /// Hang/straggler events need the simulated executor (they manipulate
   /// launches, not placed resources).
   void bind_executor(sched::SimExecutor* executor) { executor_ = executor; }
@@ -61,8 +55,6 @@ class FaultInjector {
   FaultPlan plan_;
   sched::Scheduler* scheduler_ = nullptr;
   sched::SimExecutor* executor_ = nullptr;
-  ds::KvCluster* kv_ = nullptr;
-  ds::FsStore* fs_ = nullptr;
   std::vector<FaultEvent> fired_;
   std::vector<Spike> spikes_;
   std::size_t jobs_killed_ = 0;

@@ -12,10 +12,6 @@ const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNodeCrash:    return "node_crash";
     case FaultKind::kNodeRecover:  return "node_recover";
-    case FaultKind::kShardDown:    return "shard_down";
-    case FaultKind::kShardUp:      return "shard_up";
-    case FaultKind::kStoreIoError: return "store_io_error";
-    case FaultKind::kKvIoError:    return "kv_io_error";
     case FaultKind::kLatencySpike: return "latency_spike";
     case FaultKind::kJobHang:      return "job_hang";
     case FaultKind::kStragglerJob: return "straggler_job";
@@ -58,41 +54,6 @@ FaultPlan& FaultPlan::node_crash(double t, int node, double down_for_s) {
   return *this;
 }
 
-FaultPlan& FaultPlan::shard_outage(double t, int shard, double down_for_s,
-                                   bool wipe) {
-  FaultEvent ev;
-  ev.time = t;
-  ev.kind = FaultKind::kShardDown;
-  ev.target = shard;
-  ev.count = wipe ? 1 : 0;
-  push(ev);
-  if (down_for_s > 0.0) {
-    FaultEvent up;
-    up.time = t + down_for_s;
-    up.kind = FaultKind::kShardUp;
-    up.target = shard;
-    push(up);
-  }
-  return *this;
-}
-
-FaultPlan& FaultPlan::store_errors(double t, int burst) {
-  FaultEvent ev;
-  ev.time = t;
-  ev.kind = FaultKind::kStoreIoError;
-  ev.count = burst;
-  return push(ev);
-}
-
-FaultPlan& FaultPlan::kv_errors(double t, int shard, int burst) {
-  FaultEvent ev;
-  ev.time = t;
-  ev.kind = FaultKind::kKvIoError;
-  ev.target = shard;
-  ev.count = burst;
-  return push(ev);
-}
-
 FaultPlan& FaultPlan::latency_spike(double t, double factor,
                                     double duration_s) {
   FaultEvent ev;
@@ -125,17 +86,11 @@ void FaultSpec::validate() const {
     MUMMI_CHECK_MSG(r >= 0.0, std::string("negative fault rate: ") + name);
   };
   check_rate(node_crash_rate_per_h, "node_crash_rate_per_h");
-  check_rate(shard_outage_rate_per_h, "shard_outage_rate_per_h");
-  check_rate(store_error_rate_per_h, "store_error_rate_per_h");
-  check_rate(kv_error_rate_per_h, "kv_error_rate_per_h");
   check_rate(latency_spike_rate_per_h, "latency_spike_rate_per_h");
   check_rate(job_hang_rate_per_h, "job_hang_rate_per_h");
   check_rate(straggler_rate_per_h, "straggler_rate_per_h");
   MUMMI_CHECK_MSG(node_down_mean_s >= 0.0, "negative node_down_mean_s");
-  MUMMI_CHECK_MSG(shard_down_mean_s >= 0.0, "negative shard_down_mean_s");
   MUMMI_CHECK_MSG(latency_spike_mean_s >= 0.0, "negative latency_spike_mean_s");
-  MUMMI_CHECK_MSG(store_error_burst >= 0, "negative store_error_burst");
-  MUMMI_CHECK_MSG(kv_error_burst >= 0, "negative kv_error_burst");
   MUMMI_CHECK_MSG(hang_burst >= 0, "negative hang_burst");
   MUMMI_CHECK_MSG(straggler_burst >= 0, "negative straggler_burst");
   MUMMI_CHECK_MSG(latency_factor >= 1.0, "latency_factor must be >= 1");
@@ -162,7 +117,7 @@ void FaultPlan::validate() const {
 }
 
 FaultPlan FaultPlan::generate(const FaultSpec& spec, double horizon_s,
-                              int n_nodes, int n_shards) {
+                              int n_nodes) {
   MUMMI_CHECK_MSG(horizon_s > 0.0, "fault horizon must be positive");
   FaultPlan plan;
   util::Rng rng(spec.seed);
@@ -189,28 +144,11 @@ FaultPlan FaultPlan::generate(const FaultSpec& spec, double horizon_s,
              plan.node_crash(t, node,
                              stream.exponential(1.0 / spec.node_down_mean_s));
            });
-  arrivals(spec.shard_outage_rate_per_h, rng.split(),
-           [&](double t, util::Rng& stream) {
-             if (n_shards <= 0) return;
-             const int shard =
-                 static_cast<int>(stream.uniform_index(
-                     static_cast<std::uint64_t>(n_shards)));
-             plan.shard_outage(t, shard,
-                               stream.exponential(1.0 / spec.shard_down_mean_s),
-                               spec.shard_wipe);
-           });
-  arrivals(spec.store_error_rate_per_h, rng.split(),
-           [&](double t, util::Rng&) {
-             plan.store_errors(t, spec.store_error_burst);
-           });
-  arrivals(spec.kv_error_rate_per_h, rng.split(),
-           [&](double t, util::Rng& stream) {
-             if (n_shards <= 0) return;
-             const int shard =
-                 static_cast<int>(stream.uniform_index(
-                     static_cast<std::uint64_t>(n_shards)));
-             plan.kv_errors(t, shard, spec.kv_error_burst);
-           });
+  // Three retired fault classes split here; keeping their splits keeps every
+  // seed's spike/hang/straggler schedule, and the golden corpus, unchanged.
+  (void)rng.split();
+  (void)rng.split();
+  (void)rng.split();
   arrivals(spec.latency_spike_rate_per_h, rng.split(),
            [&](double t, util::Rng& stream) {
              plan.latency_spike(
@@ -218,7 +156,7 @@ FaultPlan FaultPlan::generate(const FaultSpec& spec, double horizon_s,
                  stream.exponential(1.0 / spec.latency_spike_mean_s));
            });
   // The silent-failure classes split AFTER the originals: enabling hangs or
-  // stragglers must not reshuffle the crash/outage/spike schedules a seed
+  // stragglers must not reshuffle the crash/spike schedules a seed
   // already produced (same independence the streams test pins down).
   arrivals(spec.job_hang_rate_per_h, rng.split(),
            [&](double t, util::Rng&) { plan.job_hang(t, spec.hang_burst); });

@@ -20,10 +20,6 @@ namespace mummi::fault {
 enum class FaultKind : std::uint8_t {
   kNodeCrash,     // kill running jobs on `target` node; node stays down
   kNodeRecover,   // node `target` serves again
-  kShardDown,     // KV shard `target` unreachable (count!=0 wipes its data)
-  kShardUp,       // KV shard `target` back up
-  kStoreIoError,  // next `count` FsStore operations fail transiently
-  kKvIoError,     // next `count` ops on KV shard `target` fail transiently
   kLatencySpike,  // job durations x `magnitude` for `duration` seconds
   kJobHang,       // next `count` launches never invoke their completion
   kStragglerJob,  // next `count` launches run `magnitude` x their duration
@@ -34,29 +30,19 @@ enum class FaultKind : std::uint8_t {
 struct FaultEvent {
   double time = 0.0;      // virtual seconds from plan start
   FaultKind kind = FaultKind::kNodeCrash;
-  int target = -1;        // node or shard index; unused otherwise
+  int target = -1;        // node index; unused otherwise
   double duration = 0.0;  // latency-spike length (seconds)
   double magnitude = 1.0; // latency-spike slowdown factor
-  int count = 0;          // transient-error burst size / shard wipe flag
+  int count = 0;          // hang/straggler burst size
 
   [[nodiscard]] std::string describe() const;
 };
 
 /// Mean fault rates for plan generation. All rates are events per hour of
-/// virtual time across the whole machine/cluster; 0 disables a fault class.
+/// virtual time across the whole machine; 0 disables a fault class.
 struct FaultSpec {
   double node_crash_rate_per_h = 0.0;
   double node_down_mean_s = 600.0;     // time until the node recovers
-
-  double shard_outage_rate_per_h = 0.0;
-  double shard_down_mean_s = 120.0;
-  bool shard_wipe = false;             // outage loses the shard's data
-
-  double store_error_rate_per_h = 0.0;
-  int store_error_burst = 2;           // consecutive failing attempts
-
-  double kv_error_rate_per_h = 0.0;
-  int kv_error_burst = 2;
 
   double latency_spike_rate_per_h = 0.0;
   double latency_factor = 3.0;
@@ -72,10 +58,8 @@ struct FaultSpec {
   std::uint64_t seed = 42;
 
   [[nodiscard]] bool empty() const {
-    return node_crash_rate_per_h <= 0 && shard_outage_rate_per_h <= 0 &&
-           store_error_rate_per_h <= 0 && kv_error_rate_per_h <= 0 &&
-           latency_spike_rate_per_h <= 0 && job_hang_rate_per_h <= 0 &&
-           straggler_rate_per_h <= 0;
+    return node_crash_rate_per_h <= 0 && latency_spike_rate_per_h <= 0 &&
+           job_hang_rate_per_h <= 0 && straggler_rate_per_h <= 0;
   }
 
   /// Throws util::Error on nonsense configuration: negative rates, durations,
@@ -89,10 +73,6 @@ class FaultPlan {
 
   // --- builder API (fluent; times are absolute virtual seconds) -----------
   FaultPlan& node_crash(double t, int node, double down_for_s = 0.0);
-  FaultPlan& shard_outage(double t, int shard, double down_for_s,
-                          bool wipe = false);
-  FaultPlan& store_errors(double t, int burst);
-  FaultPlan& kv_errors(double t, int shard, int burst);
   FaultPlan& latency_spike(double t, double factor, double duration_s);
   FaultPlan& job_hang(double t, int burst = 1);
   FaultPlan& straggler(double t, int burst = 1, double factor = 4.0);
@@ -102,10 +82,9 @@ class FaultPlan {
   FaultPlan& add(FaultEvent ev) { return push(ev); }
 
   /// Draws a plan over [0, horizon_s) from Poisson arrivals per fault class.
-  /// Deterministic for a given (spec, horizon, n_nodes, n_shards).
+  /// Deterministic for a given (spec, horizon, n_nodes).
   [[nodiscard]] static FaultPlan generate(const FaultSpec& spec,
-                                          double horizon_s, int n_nodes,
-                                          int n_shards);
+                                          double horizon_s, int n_nodes);
 
   /// Events sorted by time (stable for equal times).
   [[nodiscard]] const std::vector<FaultEvent>& events() const {

@@ -25,10 +25,6 @@ SleepFn wall_sleeper() {
   };
 }
 
-SleepFn accounting_sleeper(double* total) {
-  return [total](double seconds) { *total += std::max(0.0, seconds); };
-}
-
 bool retry_with_backoff(const BackoffPolicy& policy, Rng& rng,
                         const SleepFn& sleep,
                         const std::function<bool()>& op) {

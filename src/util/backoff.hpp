@@ -1,15 +1,15 @@
 // Bounded exponential backoff with deterministic jitter.
 //
-// Paper Sec. 4.2/4.4: "everything fails at scale" — transient filesystem and
-// Redis hiccups are survived by retrying, but naive immediate retries hammer
+// Paper Sec. 4.2/4.4: "everything fails at scale" — transient filesystem
+// hiccups are survived by retrying, but naive immediate retries hammer
 // a struggling service and synchronized retries from thousands of clients
 // stampede it the moment it recovers. BackoffPolicy computes the canonical
 // capped-exponential delay with jitter drawn from an explicit Rng, so retry
 // schedules are reproducible bit-for-bit in the campaign simulator (the
 // paper's "history files that may be replayed exactly").
 //
-// Sleeping is pluggable: real code sleeps the wall clock, the discrete-event
-// campaign accounts virtual seconds instead, and tests record the delays.
+// Sleeping is pluggable: real code sleeps the wall clock, and tests record
+// the delays.
 #pragma once
 
 #include <functional>
@@ -31,17 +31,12 @@ struct BackoffPolicy {
   [[nodiscard]] double delay_s(int attempt, Rng& rng) const;
 };
 
-/// How retry loops wait: given the delay in seconds. Tests and virtual-time
-/// components substitute their own.
+/// How retry loops wait: given the delay in seconds. Tests substitute their
+/// own.
 using SleepFn = std::function<void(double)>;
 
 /// Sleeps the calling thread for real (the default for live runs).
 [[nodiscard]] SleepFn wall_sleeper();
-
-/// Accumulates delays into `*total` without sleeping — virtual-time
-/// accounting for the campaign simulator and tests. `total` must outlive the
-/// returned function.
-[[nodiscard]] SleepFn accounting_sleeper(double* total);
 
 /// Runs `op` until it returns true or attempts are exhausted, backing off
 /// between tries. Returns true on success, false when the policy gave up.

@@ -30,9 +30,9 @@ class StoreError : public Error {
   using Error::Error;
 };
 
-/// Raised when a store/service is temporarily unreachable (shard down,
-/// injected transient I/O error). Distinct from StoreError so retry layers
-/// can tell "retry later" apart from "the record does not exist".
+/// Raised when a store is temporarily unreachable (failed or injected
+/// transient I/O). Distinct from StoreError so retry layers can tell "retry
+/// later" apart from "the record does not exist".
 class UnavailableError : public StoreError {
  public:
   using StoreError::StoreError;

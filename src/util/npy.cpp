@@ -1,5 +1,7 @@
 #include "util/npy.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 
 #include "util/string_util.hpp"
@@ -139,18 +141,31 @@ NpyArray npy_decode(const Bytes& bytes) {
   else if (descr == "<i8") dtype = NpyType::kI64;
   else throw FormatError("unsupported npy dtype: " + descr);
 
+  // Each dimension is a plain decimal integer, and the element count and
+  // byte size must fit in size_t: a forged shape must not wrap to an array
+  // that claims 2^64 elements and holds none.
   const std::string shape_str = header_field(header, "shape");
   std::vector<std::size_t> shape;
+  std::size_t count = 1;
   for (const auto& tok : split(shape_str.substr(1, shape_str.size() - 2), ',')) {
     const std::string t = trim(tok);
-    if (!t.empty()) shape.push_back(static_cast<std::size_t>(std::stoull(t)));
+    if (t.empty()) continue;
+    std::size_t dim = 0;
+    const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), dim);
+    if (ec != std::errc{} || end != t.data() + t.size())
+      throw FormatError("npy shape has a bad dimension: " + t);
+    if (dim != 0 && count > SIZE_MAX / dim)
+      throw FormatError("npy shape overflows the element count");
+    count *= dim;
+    shape.push_back(dim);
   }
+  if (count > SIZE_MAX / dtype_size(dtype))
+    throw FormatError("npy shape overflows the byte count");
+  const std::size_t need = count * dtype_size(dtype);
 
   NpyArray a;
   a.dtype = dtype;
-  a.shape = shape;
-  const std::size_t count = a.element_count();
-  const std::size_t need = count * dtype_size(dtype);
+  a.shape = std::move(shape);
   const std::size_t offset = 10u + hlen;
   if (bytes.size() - offset < need) throw FormatError("npy data truncated");
   const auto* src = bytes.data() + offset;

@@ -232,7 +232,7 @@ fault::FaultPlan run_fault_plan(const fault::FaultSpec& faults,
   if (faults.empty()) return {};
   fault::FaultSpec spec = faults;
   spec.seed ^= 0x9e3779b97f4a7c15ULL * (flat_run + 1);
-  return fault::FaultPlan::generate(spec, walltime_s, nodes, /*n_shards=*/0);
+  return fault::FaultPlan::generate(spec, walltime_s, nodes);
 }
 }  // namespace
 

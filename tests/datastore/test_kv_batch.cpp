@@ -1,8 +1,7 @@
 // Namespace index + pipelined batch operations of the KV cluster.
 //
 // Three properties under test: (1) the per-shard namespace index stays
-// exactly in sync with the data through every mutation path, including
-// server wipes; (2) namespace-confined listing costs are independent of
+// exactly in sync with the data through every mutation path; (2) namespace-confined listing costs are independent of
 // other namespaces' population (the O(pending) guarantee the feedback
 // tagging strategy relies on); (3) every batch op is observably equivalent
 // to its per-key loop — byte-identical results, never more virtual time.
@@ -17,8 +16,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "util/error.hpp"
 
 namespace mummi::ds {
 namespace {
@@ -56,33 +53,6 @@ TEST(KvBatch, NamespaceIndexTracksSetDelRename) {
   EXPECT_EQ(kv.count("done"), 20u);
   EXPECT_EQ(kv.keys("pending", "*").size(), 0u);
   EXPECT_EQ(kv.keys("done", "*").size(), 20u);
-}
-
-TEST(KvBatch, NamespaceIndexSurvivesWipeAndRecover) {
-  KvCluster kv(3);
-  for (const auto& [key, value] : make_records("rdf", 60)) kv.set(key, value);
-  ASSERT_EQ(kv.count("rdf"), 60u);
-
-  // Count how many keys live on shard 1, then wipe it.
-  std::size_t on_shard1 = 0;
-  for (int i = 0; i < 60; ++i)
-    if (kv.server_of("rdf:" + std::to_string(i)) == 1) ++on_shard1;
-  ASSERT_GT(on_shard1, 0u);
-  kv.fail_server(1, /*wipe=*/true);
-
-  // Namespace queries refuse partial answers while a shard is down.
-  EXPECT_THROW((void)kv.count("rdf"), util::UnavailableError);
-  EXPECT_THROW((void)kv.keys("rdf", "*"), util::UnavailableError);
-
-  // After recovery the index reflects exactly the surviving records.
-  kv.recover_server(1);
-  EXPECT_EQ(kv.count("rdf"), 60u - on_shard1);
-  EXPECT_EQ(kv.keys("rdf", "*").size(), 60u - on_shard1);
-  EXPECT_EQ(kv.total_keys(), 60u - on_shard1);
-
-  // The wiped shard re-indexes fresh writes.
-  for (const auto& [key, value] : make_records("rdf", 60)) kv.set(key, value);
-  EXPECT_EQ(kv.count("rdf"), 60u);
 }
 
 TEST(KvBatch, NamespaceKeysAreSortedFullKeys) {
@@ -230,56 +200,6 @@ TEST(KvBatch, MrenameMatchesRenameLoop) {
     EXPECT_EQ(*batch_kv.get("done" + key.substr(key.find(':'))), value);
 }
 
-TEST(KvBatch, MrenameDownDestinationLosesNothing) {
-  KvCluster kv(4);
-  const auto records = make_records("pending", 80);
-  for (const auto& [key, value] : records) kv.set(key, value);
-  std::vector<std::pair<std::string, std::string>> pairs;
-  for (int i = 0; i < 80; ++i)
-    pairs.emplace_back("pending:" + std::to_string(i),
-                       "done:" + std::to_string(i));
-
-  kv.fail_server(2);
-  std::vector<char> renamed(pairs.size(), 0);
-  std::vector<char> done(pairs.size(), 0);
-  EXPECT_THROW(kv.mrename(pairs, renamed, done), util::UnavailableError);
-
-  // Every record still exists exactly once, on either side of the move.
-  kv.recover_server(2);
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const bool at_src = kv.exists(pairs[i].first);
-    const bool at_dst = kv.exists(pairs[i].second);
-    EXPECT_NE(at_src, at_dst) << pairs[i].first;
-    EXPECT_EQ(done[i] != 0, at_dst) << pairs[i].first;
-  }
-
-  // Resuming with the same masks completes the batch without double-apply:
-  // the final rename count is exactly the pair count.
-  kv.mrename(pairs, renamed, done);
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(renamed.begin(), renamed.end(), 1)),
-            pairs.size());
-  EXPECT_EQ(kv.count("pending"), 0u);
-  EXPECT_EQ(kv.count("done"), 80u);
-  for (const auto& [key, value] : records)
-    EXPECT_EQ(*kv.get("done" + key.substr(key.find(':'))), value);
-}
-
-TEST(KvBatch, MgetDoneMaskSkipsCompletedEntries) {
-  KvCluster kv(4);
-  kv.set("a:1", util::to_bytes("real"));
-  kv.set("a:2", util::to_bytes("real2"));
-  const std::vector<std::string> keys{"a:1", "a:2"};
-  std::vector<std::optional<util::Bytes>> out(2);
-  std::vector<char> done(2, 0);
-  out[0] = util::to_bytes("stale");  // pre-marked done: must not be refetched
-  done[0] = 1;
-  kv.mget(keys, out, done);
-  EXPECT_EQ(util::to_string(*out[0]), "stale");
-  EXPECT_EQ(util::to_string(*out[1]), "real2");
-  EXPECT_EQ(done[1], 1);
-}
-
 TEST(KvBatch, EmptyBatchesAreFreeNoops) {
   KvCluster kv(4);
   kv.reset_sim_time();
@@ -288,21 +208,6 @@ TEST(KvBatch, EmptyBatchesAreFreeNoops) {
   EXPECT_EQ(kv.mdel({}), 0u);
   EXPECT_EQ(kv.mrename({}), 0u);
   EXPECT_DOUBLE_EQ(kv.total_sim_seconds(), 0.0);
-}
-
-TEST(KvBatch, BatchConsumesOneTransientErrorPerShardVisit) {
-  KvCluster kv(1);
-  const auto records = make_records("t", 20);
-  for (const auto& [key, value] : records) kv.set(key, value);
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : records) keys.push_back(key);
-
-  // One injected error, one shard: the first mget round trip fails whole,
-  // the second succeeds — not 20 per-key failures.
-  kv.inject_transient_errors(0, 1);
-  EXPECT_THROW((void)kv.mget(keys), util::UnavailableError);
-  const auto out = kv.mget(keys);
-  for (const auto& v : out) EXPECT_TRUE(v.has_value());
 }
 
 TEST(SharedLockStress, ConcurrentReadersAndWritersStayConsistent) {

@@ -5,8 +5,6 @@
 #include <set>
 #include <thread>
 
-#include "util/error.hpp"
-
 namespace mummi::ds {
 namespace {
 
@@ -65,31 +63,6 @@ TEST(KvCluster, RenameCrossAndSameShardBothWork) {
   }
   EXPECT_EQ(kv.keys("src-*").size(), 0u);
   EXPECT_EQ(kv.keys("dst-*").size(), 64u);
-}
-
-TEST(KvCluster, CrossShardRenameWithDownDestinationLosesNothing) {
-  KvCluster kv(4);
-  // Find a cross-shard (from, to) pair.
-  std::string from = "src0", to;
-  for (int i = 0; i < 64 && to.empty(); ++i) {
-    const std::string cand = "dst" + std::to_string(i);
-    if (kv.server_of(cand) != kv.server_of(from)) to = cand;
-  }
-  ASSERT_FALSE(to.empty());
-  kv.set(from, util::to_bytes("payload"));
-
-  // Destination shard down: the rename is refused up-front — the source
-  // record must not be deleted when the destination cannot accept it.
-  kv.fail_server(kv.server_of(to));
-  EXPECT_THROW((void)kv.rename(from, to), util::UnavailableError);
-  EXPECT_TRUE(kv.exists(from));
-  EXPECT_EQ(util::to_string(*kv.get(from)), "payload");
-
-  // After recovery the same rename succeeds with the payload intact.
-  kv.recover_server(kv.server_of(to));
-  EXPECT_TRUE(kv.rename(from, to));
-  EXPECT_FALSE(kv.exists(from));
-  EXPECT_EQ(util::to_string(*kv.get(to)), "payload");
 }
 
 TEST(KvCluster, ShardingIsDeterministicAndSpread) {

@@ -126,15 +126,6 @@ TEST(Backoff, RetrySucceedsMidway) {
   EXPECT_EQ(calls, 3);
 }
 
-TEST(Backoff, AccountingSleeperAccumulates) {
-  double total = 0.0;
-  const auto sleep = util::accounting_sleeper(&total);
-  sleep(0.5);
-  sleep(1.25);
-  sleep(-1.0);  // negative delays are clamped, not subtracted
-  EXPECT_DOUBLE_EQ(total, 1.75);
-}
-
 TEST(Backoff, WriteFileRetriesUnderInjectedPolicyThenGivesUp) {
   // Unwritable destination: every attempt fails for real; the recording
   // sleeper proves the retry loop waited the policy's schedule.

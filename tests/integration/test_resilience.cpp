@@ -10,8 +10,6 @@
 
 #include "continuum/gridsim2d.hpp"
 #include "datastore/red_store.hpp"
-#include "datastore/resilient_kv.hpp"
-#include "fault/fault_injector.hpp"
 #include "feedback/aa2cg.hpp"
 #include "util/checkpoint.hpp"
 #include "wm/campaign.hpp"
@@ -302,62 +300,6 @@ TEST(Resilience, HostileCampaignCheckpointIsRejected) {
   expect_rejected(util::Bytes(payload.begin(), payload.end() - 1),
                   "last byte cut");
   std::filesystem::remove_all(dir);
-}
-
-TEST(Resilience, FeedbackLoopSurvivesShardOutage) {
-  // Acceptance (c): a producer writes frames through ResilientKvClient while
-  // every shard goes down mid-stream. Unwritable frames aggregate locally
-  // (the paper's producer/consumer decoupling) and flush after recovery:
-  // zero lost frames.
-  event::SimEngine engine;
-  ds::KvCluster kv(4);
-  util::BackoffPolicy backoff;
-  backoff.max_attempts = 3;
-  backoff.base_delay_s = 0.01;
-  backoff.jitter_frac = 0.0;
-  ds::CircuitBreakerConfig breaker;
-  breaker.failure_threshold = 2;
-  breaker.cooldown_s = 60.0;
-  ds::ResilientKvClient client(kv, engine.clock(), backoff, breaker);
-
-  fault::FaultPlan plan;
-  for (int s = 0; s < 4; ++s)
-    plan.shard_outage(100.0, s, 120.0);  // all shards dark for [100, 220)
-  fault::FaultInjector injector(std::move(plan));
-  injector.bind_kv(&kv);
-  injector.arm(engine);
-
-  const int total_frames = 40;
-  std::deque<std::pair<std::string, util::Bytes>> unflushed;
-  int produced = 0;
-  std::function<void()> tick = [&] {
-    unflushed.emplace_back("frame-" + std::to_string(produced),
-                           util::to_bytes("payload-" + std::to_string(produced)));
-    ++produced;
-    while (!unflushed.empty()) {
-      try {
-        client.set(unflushed.front().first, unflushed.front().second);
-        unflushed.pop_front();
-      } catch (const util::UnavailableError&) {
-        break;  // shard down: keep the backlog, retry next tick
-      }
-    }
-    if (produced < total_frames) engine.schedule_after(10.0, tick);
-  };
-  engine.schedule_at(5.0, tick);
-  engine.run();
-
-  // The outage was real (breaker opened, short-circuits fired)...
-  EXPECT_GT(client.stats().breaker_opens, 0u);
-  EXPECT_GT(client.stats().short_circuits, 0u);
-  EXPECT_GT(client.stats().failures, 0u);
-  // ...the backlog drained after recovery, and no frame was lost.
-  EXPECT_TRUE(unflushed.empty());
-  for (int i = 0; i < total_frames; ++i) {
-    const auto v = client.get("frame-" + std::to_string(i));
-    ASSERT_TRUE(v.has_value()) << "frame " << i << " lost";
-    EXPECT_EQ(util::to_string(*v), "payload-" + std::to_string(i));
-  }
 }
 
 TEST(Resilience, ProducerConsumerDecoupling) {

@@ -77,5 +77,38 @@ TEST(Npy, TruncatedDataRejected) {
   EXPECT_THROW(npy_decode(bytes), FormatError);
 }
 
+// A v1.0 stream whose header claims `shape` for `descr`, followed by
+// `payload` zero bytes; the header is not padded, which the decoder allows.
+Bytes forged_npy(const std::string& descr, const std::string& shape,
+                 std::size_t payload = 0) {
+  const std::string header = "{'descr': '" + descr +
+                             "', 'fortran_order': False, 'shape': " + shape +
+                             ", }\n";
+  const auto hlen = static_cast<std::uint16_t>(header.size());
+  std::string raw("\x93NUMPY\x01\x00", 8);
+  raw.push_back(static_cast<char>(hlen & 0xff));
+  raw.push_back(static_cast<char>(hlen >> 8));
+  return to_bytes(raw + header + std::string(payload, '\0'));
+}
+
+TEST(Npy, ForgedShapesRejected) {
+  // The forging helper itself produces streams the decoder accepts.
+  const auto ok = npy_decode(forged_npy("<f4", "(2, 3)", 24));
+  EXPECT_EQ(ok.shape, (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(ok.f32.size(), 6u);
+
+  // The element count wraps to 0 in 64 bits: 2^32 * 2^32.
+  EXPECT_THROW(npy_decode(forged_npy("<f4", "(4294967296, 4294967296)")),
+               FormatError);
+  // The count fits, but count * 8 bytes wraps to 0: 2^61 * 8.
+  EXPECT_THROW(npy_decode(forged_npy("<f8", "(2305843009213693952,)")),
+               FormatError);
+  // Dimensions that are not non-negative decimal integers in range.
+  for (const char* shape : {"(abc,)", "(99999999999999999999999,)", "(-1,)",
+                            "(3x,)", "(+3,)"})
+    EXPECT_THROW(npy_decode(forged_npy("<f4", shape, 64)), FormatError)
+        << shape;
+}
+
 }  // namespace
 }  // namespace mummi::util
