@@ -67,7 +67,10 @@ void run_allocation(const char* label, sched::ClusterSpec spec,
   wm::WmConfig cfg;
   wm::WorkflowManager wm(cfg, maestro, trackers, patch_selector,
                          frame_selector);
-  if (auto state = ckpt.load()) wm.restore(*state);
+  if (const auto state = ckpt.load()) {
+    util::ByteReader r(*state);
+    wm.restore(r);
+  }
 
   // Jobs complete instantly in this demo; trackers route setups -> sims.
   int sims_completed = 0;
@@ -93,7 +96,9 @@ void run_allocation(const char* label, sched::ClusterSpec spec,
   wm.maintain(200);
   for (const auto id : scheduler.active_jobs()) scheduler.cancel(id);
 
-  ckpt.save(wm.serialize());
+  util::ByteWriter state;
+  wm.serialize(state);
+  ckpt.save(state.data());
   std::printf("[%s] %d-node %s: %d sims completed | selector: %zu candidates, "
               "%zu selected | ready buffers: %zu CG + %zu AA\n",
               label, scheduler.graph().n_nodes(),

@@ -92,8 +92,7 @@ std::vector<HDPoint> BinnedSampler::select(std::size_t k) {
   return out;
 }
 
-util::Bytes BinnedSampler::serialize() const {
-  util::ByteWriter w;
+void BinnedSampler::serialize(util::ByteWriter& w) const {
   w.u8(kSerialVersion);
   w.u32(static_cast<std::uint32_t>(edges_.size()));
   for (const auto& e : edges_) w.vec(e);
@@ -106,11 +105,9 @@ util::Bytes BinnedSampler::serialize() const {
   w.vec(selected_per_bin_);
   w.u64(bins_.size());
   for (const auto& b : bins_) b.serialize(w);
-  return std::move(w).take();
 }
 
-BinnedSampler BinnedSampler::deserialize(const util::Bytes& bytes) {
-  util::ByteReader r(bytes);
+BinnedSampler BinnedSampler::deserialize(util::ByteReader& r) {
   const auto version = r.u8();
   if (version != kSerialVersion)
     throw util::FormatError(

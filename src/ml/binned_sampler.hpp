@@ -54,8 +54,8 @@ class BinnedSampler final : public Sampler {
     return selected_per_bin_;
   }
 
-  [[nodiscard]] util::Bytes serialize() const override;
-  static BinnedSampler deserialize(const util::Bytes& bytes);
+  void serialize(util::ByteWriter& w) const override;
+  static BinnedSampler deserialize(util::ByteReader& r);
 
  private:
   // Each bin is a flat PointStore (shared SoA layout of the selection

@@ -212,8 +212,7 @@ float FpsSampler::rank_of(PointId id) const {
   return std::numeric_limits<float>::quiet_NaN();
 }
 
-util::Bytes FpsSampler::serialize() const {
-  util::ByteWriter w;
+void FpsSampler::serialize(util::ByteWriter& w) const {
   w.u8(kSerialVersion);
   w.u32(static_cast<std::uint32_t>(dim_));
   w.u64(capacity_);
@@ -222,11 +221,9 @@ util::Bytes FpsSampler::serialize() const {
   w.vec(rank2_);
   w.vec(seen_);
   selected_.serialize(w);
-  return std::move(w).take();
 }
 
-FpsSampler FpsSampler::deserialize(const util::Bytes& bytes) {
-  util::ByteReader r(bytes);
+FpsSampler FpsSampler::deserialize(util::ByteReader& r) {
   const auto version = r.u8();
   if (version != kSerialVersion)
     throw util::FormatError(

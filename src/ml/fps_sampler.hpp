@@ -55,8 +55,8 @@ class FpsSampler final : public Sampler {
   /// ranked candidates. For tests/diagnostics.
   [[nodiscard]] float rank_of(PointId id) const;
 
-  [[nodiscard]] util::Bytes serialize() const override;
-  static FpsSampler deserialize(const util::Bytes& bytes);
+  void serialize(util::ByteWriter& w) const override;
+  static FpsSampler deserialize(util::ByteReader& r);
 
  private:
   /// Lazy max-heap entry: rank2 is an upper bound on the slot's true rank

@@ -55,8 +55,8 @@ class Sampler {
   [[nodiscard]] virtual std::size_t candidate_count() const = 0;
   [[nodiscard]] virtual std::size_t selected_count() const = 0;
 
-  /// Checkpoint serialization.
-  [[nodiscard]] virtual util::Bytes serialize() const = 0;
+  /// Checkpoint serialization, appended to `w`.
+  virtual void serialize(util::ByteWriter& w) const = 0;
 
   /// Exact-replay history ("elaborate history files that may be replayed
   /// exactly", paper Sec. 4.4).

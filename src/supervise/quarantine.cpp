@@ -67,11 +67,10 @@ std::vector<std::string> QuarantineLedger::quarantined_keys() const {
   return out;  // map order ⇒ already sorted by (type, payload)
 }
 
-util::Bytes QuarantineLedger::serialize() const {
+void QuarantineLedger::serialize(util::ByteWriter& w) const {
   // The ledger rides inside the campaign checkpoint; a crash here must leave
   // the previous on-disk checkpoint (and its ledger) fully recoverable.
   util::crash_point("supervise.ledger.serialize");
-  util::ByteWriter w;
   w.u32(static_cast<std::uint32_t>(entries_.size()));
   for (const auto& [key, e] : entries_) {
     w.str(key.first);
@@ -85,12 +84,10 @@ util::Bytes QuarantineLedger::serialize() const {
     w.f64(e.first_strike_s);
     w.f64(e.quarantined_at_s);
   }
-  return std::move(w).take();
 }
 
-void QuarantineLedger::restore(const util::Bytes& bytes) {
+void QuarantineLedger::restore(util::ByteReader& r) {
   clear();
-  util::ByteReader r(bytes);
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     std::string type = r.str();

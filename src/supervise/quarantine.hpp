@@ -71,10 +71,11 @@ class QuarantineLedger {
   /// summary for logs, benches and determinism tests.
   [[nodiscard]] std::vector<std::string> quarantined_keys() const;
 
-  /// Checkpointable state; restore() replaces the whole ledger (the strike
-  /// limit is configuration and is not serialized).
-  [[nodiscard]] util::Bytes serialize() const;
-  void restore(const util::Bytes& bytes);
+  /// Checkpointable state, appended to `w`; restore() replaces the whole
+  /// ledger from `r` (the strike limit is configuration and is not
+  /// serialized).
+  void serialize(util::ByteWriter& w) const;
+  void restore(util::ByteReader& r);
   void clear();
 
  private:

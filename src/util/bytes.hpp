@@ -20,6 +20,12 @@ using Bytes = std::vector<std::uint8_t>;
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Writes into `buffer`'s storage from the start: its bytes are dropped
+  /// and its capacity kept, so a buffer handed back for every save grows
+  /// once instead of once per save.
+  explicit ByteWriter(Bytes buffer) : buf_(std::move(buffer)) { buf_.clear(); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
@@ -42,6 +48,19 @@ class ByteWriter {
     static_assert(std::is_trivially_copyable_v<T>);
     u64(v.size());
     raw(v.data(), v.size() * sizeof(T));
+  }
+
+  /// Length-prefixed section written in place: the same bytes as
+  /// `bytes(blob)` for the blob `write()` would produce on a fresh writer,
+  /// without building that blob. The u64 length is reserved up front and
+  /// patched once `write()` returns.
+  template <typename Fn>
+  void section(Fn&& write) {
+    const std::size_t at = buf_.size();
+    u64(0);
+    write();
+    const std::uint64_t n = buf_.size() - at - sizeof(std::uint64_t);
+    std::memcpy(buf_.data() + at, &n, sizeof n);
   }
 
   void raw(const void* p, std::size_t n) {
@@ -85,6 +104,16 @@ class ByteReader {
     Bytes b(n);
     raw(b.data(), n);
     return b;
+  }
+
+  /// Reader over the next length-prefixed section (see ByteWriter::section)
+  /// that borrows this reader's buffer; this reader skips past it. A length
+  /// beyond the remaining bytes throws FormatError before anything is read.
+  ByteReader section() {
+    const auto n = len(u64());
+    ByteReader sub(data_ + pos_, n);
+    pos_ += n;
+    return sub;
   }
 
   template <typename T>

@@ -1,9 +1,11 @@
 #include "util/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <vector>
 
 #include "util/crashpoint.hpp"
 #include "util/error.hpp"
@@ -14,60 +16,133 @@ namespace fs = std::filesystem;
 namespace mummi::util {
 
 namespace {
-// Frame v3 ("MuMMICK3"): magic, generation, size, checksum, payload. The
-// generation is a per-path monotone counter so load() can pick the newest
-// *complete* state among {path, .bak, .tmp} — a crash between the .bak
-// rotation and the final rename leaves the newest frame only in .tmp, and
-// without generations that frame was silently discarded for the older .bak.
-constexpr std::uint64_t kMagicV3 = 0x4d754d4d49434b33ULL;
+// Frame v4 ("MuMMICK4"): a 32-byte header — magic, generation, size,
+// checksum — then the payload. The generation is a per-path monotone counter
+// so load() can pick the newest *complete* state among {path, .bak, .tmp}: a
+// crash between the .bak rotation and the final rename leaves the newest
+// frame only in .tmp. The checksum covers generation | size | payload, so a
+// rewritten generation or size invalidates the frame instead of letting a
+// stale one outrank the newest.
+constexpr std::uint64_t kMagic = 0x4d754d4d49434b34ULL;
 
-Bytes frame(const Bytes& payload, std::uint64_t generation) {
-  ByteWriter w;
-  w.u64(kMagicV3);
-  w.u64(generation);
-  w.u64(payload.size());
-  w.u64(fnv1a(payload.data(), payload.size()));
-  w.raw(payload.data(), payload.size());
-  return std::move(w).take();
-}
-
-struct Unframed {
-  Bytes payload;
-  std::uint64_t generation = 0;
-};
-
-std::optional<Unframed> unframe(const Bytes& raw) {
-  try {
-    ByteReader r(raw);
-    if (r.u64() != kMagicV3) return std::nullopt;
-    Unframed out;
-    out.generation = r.u64();
-    const auto size = r.u64();
-    const auto checksum = r.u64();
-    if (size > r.remaining()) return std::nullopt;
-    out.payload.resize(size);
-    r.raw(out.payload.data(), size);
-    if (fnv1a(out.payload.data(), out.payload.size()) != checksum)
-      return std::nullopt;
-    return out;
-  } catch (const FormatError&) {
-    return std::nullopt;
-  }
-}
-
-/// Reads just the generation from a frame header (no checksum validation):
-/// cheap input to the next-generation counter. A torn frame can only inflate
-/// the counter (harmless — generations stay monotone); it can never win a
-/// load(), which demands a valid checksum.
-std::uint64_t peek_generation(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
+struct Header {
   std::uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof magic);
-  if (!in || magic != kMagicV3) return 0;
-  std::uint64_t gen = 0;
-  in.read(reinterpret_cast<char*>(&gen), sizeof gen);
-  return in ? gen : 0;
+  std::uint64_t generation = 0;
+  std::uint64_t size = 0;
+  std::uint64_t checksum = 0;
+};
+static_assert(sizeof(Header) == 32);
+
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ULL;
+
+constexpr std::uint64_t rotl(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+constexpr std::uint64_t lane_round(std::uint64_t lane, std::uint64_t word) {
+  return rotl(lane + word * kP2, 31) * kP1;
+}
+
+std::uint64_t word_at(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);  // little-endian, like ByteWriter
+  return w;
+}
+
+/// Word-at-a-time hash of the message generation | size | payload: message
+/// word i feeds lane i % 4 with an xxHash64-style multiply-rotate round,
+/// then the lanes fold together with the message length, then the tail
+/// bytes mix in and the result avalanches. Not XXH64-compatible.
+std::uint64_t frame_checksum(std::uint64_t generation, const std::uint8_t* p,
+                             std::size_t size) {
+  std::uint64_t lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  lane[0] = lane_round(lane[0], generation);
+  lane[1] = lane_round(lane[1], size);
+  const std::uint8_t* const end = p + size;
+  for (; end - p >= 32; p += 32) {  // payload words 0..3 are message 2..5
+    lane[2] = lane_round(lane[2], word_at(p));
+    lane[3] = lane_round(lane[3], word_at(p + 8));
+    lane[0] = lane_round(lane[0], word_at(p + 16));
+    lane[1] = lane_round(lane[1], word_at(p + 24));
+  }
+  for (std::size_t i = 2; end - p >= 8; p += 8, ++i)
+    lane[i % 4] = lane_round(lane[i % 4], word_at(p));
+  std::uint64_t h = rotl(lane[0], 1) + rotl(lane[1], 7) + rotl(lane[2], 12) +
+                    rotl(lane[3], 18);
+  for (const std::uint64_t l : lane) h = (h ^ lane_round(0, l)) * kP1 + kP4;
+  h += 2 * sizeof(std::uint64_t) + size;
+  for (; p < end; ++p) h = rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
+
+/// Reads a frame header (no checksum validation); nullopt when the file is
+/// missing, shorter than a header or not a v4 frame. Cheap: 32 bytes. A torn
+/// frame's generation can only inflate the next-generation counter
+/// (harmless — generations stay monotone); it can never win a load(), which
+/// demands a valid checksum.
+std::optional<Header> peek_header(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  Header h;
+  if (!in.read(reinterpret_cast<char*>(&h), sizeof h) || h.magic != kMagic)
+    return std::nullopt;
+  return h;
+}
+
+/// The payload of the frame at `path` whose header peek_header() returned,
+/// read straight into its buffer; nullopt unless the file holds all `size`
+/// bytes and they match the checksum.
+std::optional<Bytes> read_payload(const std::string& path, const Header& h) {
+  std::error_code ec;
+  const auto file_size = fs::file_size(path, ec);
+  if (ec || file_size < sizeof h || h.size > file_size - sizeof h)
+    return std::nullopt;
+  std::ifstream in(path, std::ios::binary);
+  if (!in.seekg(sizeof h)) return std::nullopt;
+  Bytes payload(static_cast<std::size_t>(h.size));
+  if (!in.read(reinterpret_cast<char*>(payload.data()),
+               static_cast<std::streamsize>(payload.size())))
+    return std::nullopt;
+  if (frame_checksum(h.generation, payload.data(), payload.size()) !=
+      h.checksum)
+    return std::nullopt;
+  return payload;
+}
+
+/// write_file over consecutive pieces: one file, one retry loop, the same
+/// crash points.
+void write_pieces(const std::string& path,
+                  std::span<const std::span<const std::uint8_t>> pieces,
+                  const IoRetryPolicy& retry) {
+  Rng jitter_rng(retry.jitter_seed ^ fnv1a(path));
+  const SleepFn& sleep = retry.sleep ? retry.sleep : wall_sleeper();
+  int attempt = 0;
+  crash_point("util.write_file.pre");
+  const bool ok = retry_with_backoff(retry.backoff, jitter_rng, sleep, [&] {
+    if (attempt > 0) log_warn("write retry ", attempt, " for ", path);
+    ++attempt;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out) return false;
+    // The torn window: the file is truncated, the payload is not yet down.
+    // Callers that need atomicity write a sibling temp and rename (see
+    // CheckpointFile::save, FsStore::put); this point proves they do.
+    crash_point("util.write_file.mid");
+    for (const auto piece : pieces)
+      out.write(reinterpret_cast<const char*>(piece.data()),
+                static_cast<std::streamsize>(piece.size()));
+    out.flush();
+    return static_cast<bool>(out);
+  });
+  if (!ok) throw IoError("write failed after retries: " + path);
+  crash_point("util.write_file.post");
 }
 }  // namespace
 
@@ -94,26 +169,8 @@ std::optional<Bytes> read_file(const std::string& path) {
 
 void write_file(const std::string& path, const Bytes& data,
                 const IoRetryPolicy& retry) {
-  Rng jitter_rng(retry.jitter_seed ^ fnv1a(path));
-  const SleepFn& sleep = retry.sleep ? retry.sleep : wall_sleeper();
-  int attempt = 0;
-  crash_point("util.write_file.pre");
-  const bool ok = retry_with_backoff(retry.backoff, jitter_rng, sleep, [&] {
-    if (attempt > 0) log_warn("write retry ", attempt, " for ", path);
-    ++attempt;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    // The torn window: the file is truncated, the payload is not yet down.
-    // Callers that need atomicity write a sibling temp and rename (see
-    // CheckpointFile::save, FsStore::put); this point proves they do.
-    crash_point("util.write_file.mid");
-    out.write(reinterpret_cast<const char*>(data.data()),
-              static_cast<std::streamsize>(data.size()));
-    out.flush();
-    return static_cast<bool>(out);
-  });
-  if (!ok) throw IoError("write failed after retries: " + path);
-  crash_point("util.write_file.post");
+  const std::span<const std::uint8_t> whole[] = {data};
+  write_pieces(path, whole, retry);
 }
 
 void make_dirs(const std::string& path) {
@@ -134,18 +191,22 @@ std::uint64_t CheckpointFile::next_generation() const {
   if (!gen_known_) {
     // Fresh handle over existing state (restart): resume the counter past
     // every candidate, torn or not, so generations never move backwards.
-    gen_ = std::max({peek_generation(path_), peek_generation(path_ + ".bak"),
-                     peek_generation(path_ + ".tmp")});
+    for (const char* suffix : {"", ".bak", ".tmp"})
+      if (const auto h = peek_header(path_ + suffix))
+        gen_ = std::max(gen_, h->generation);
     gen_known_ = true;
   }
   return ++gen_;
 }
 
 void CheckpointFile::save(const Bytes& payload) const {
-  const Bytes framed = frame(payload, next_generation());
+  Header h{kMagic, next_generation(), payload.size(), 0};
+  h.checksum = frame_checksum(h.generation, payload.data(), payload.size());
+  const std::span<const std::uint8_t> frame[] = {
+      {reinterpret_cast<const std::uint8_t*>(&h), sizeof h}, payload};
   const std::string tmp = path_ + ".tmp";
   crash_point("ckpt.save.pre_tmp");
-  write_file(tmp, framed, retry_);
+  write_pieces(tmp, frame, retry_);
   crash_point("ckpt.save.post_tmp");
   std::error_code ec;
   // Rotate the old checkpoint to .bak before the atomic replace. A crash
@@ -164,38 +225,39 @@ void CheckpointFile::save(const Bytes& payload) const {
 
 std::optional<Bytes> CheckpointFile::load() const {
   // Highest valid generation wins; ties keep the preference order
-  // primary > bak > tmp.
+  // primary > bak > tmp. Candidates are tried newest first, so only the
+  // winner's payload (plus any newer frame that fails its checksum) is read.
   struct Candidate {
     const char* label;
     std::string path;
+    Header header;
   };
-  const Candidate candidates[] = {{"primary", path_},
-                                  {"bak", path_ + ".bak"},
-                                  {"tmp", path_ + ".tmp"}};
-  std::optional<Unframed> best;
-  const char* winner = nullptr;
+  std::vector<Candidate> candidates;
+  for (const auto& [label, suffix] : {std::pair{"primary", ""},
+                                      std::pair{"bak", ".bak"},
+                                      std::pair{"tmp", ".tmp"}})
+    if (const auto h = peek_header(path_ + suffix))
+      candidates.push_back({label, path_ + suffix, *h});
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.header.generation > b.header.generation;
+                   });
   for (const auto& c : candidates) {
-    auto raw = read_file(c.path);
-    if (!raw) continue;
-    auto got = unframe(*raw);
-    if (!got) continue;
-    if (!best || got->generation > best->generation) {
-      best = std::move(got);
-      winner = c.label;
+    auto payload = read_payload(c.path, c.header);
+    if (!payload) continue;
+    // Keep future saves ahead of whatever we just recovered.
+    if (!gen_known_ || gen_ < c.header.generation) {
+      gen_ = c.header.generation;
+      gen_known_ = true;
     }
+    if (c.path != path_) {
+      log_warn("checkpoint primary invalid or stale, recovered generation ",
+               c.header.generation, " from ", c.label, ": ", path_);
+      persist_event("ckpt.recovered_from");
+    }
+    return payload;
   }
-  if (!best) return std::nullopt;
-  // Keep future saves ahead of whatever we just recovered.
-  if (!gen_known_ || gen_ < best->generation) {
-    gen_ = best->generation;
-    gen_known_ = true;
-  }
-  if (winner != candidates[0].label) {
-    log_warn("checkpoint primary invalid or stale, recovered generation ",
-             best->generation, " from ", winner, ": ", path_);
-    persist_event("ckpt.recovered_from");
-  }
-  return std::move(best->payload);
+  return std::nullopt;
 }
 
 bool CheckpointFile::exists() const {

@@ -7,10 +7,12 @@
 //   - atomic replace (write sibling .tmp, rename over the primary),
 //   - a rotating .bak of the previous good checkpoint,
 //   - bounded retries on transient failures,
-//   - a checksummed frame carrying a monotone generation counter (frame v3),
+//   - a checksummed frame carrying a monotone generation counter (frame v4),
 //     so load() recovers the newest *complete* state among
 //     {primary, .bak, .tmp} — in particular a crash between the .bak
 //     rotation and the final rename no longer loses the fully-written .tmp.
+//     The checksum is a word-at-a-time hash over generation | size | payload;
+//     load() validates candidates newest first and reads only what it needs.
 //
 // The save path is instrumented with util::crash_point boundaries
 // (ckpt.save.pre_tmp / post_tmp / post_bak / post_rename); the crash-point
@@ -52,7 +54,8 @@ class CheckpointFile {
 
   /// Loads the newest complete checkpoint: the highest-generation candidate
   /// among {primary, .bak, .tmp} that passes its checksum (ties prefer
-  /// primary, then .bak). Logs and counts
+  /// primary, then .bak). Candidates are tried in descending generation
+  /// order and the first valid one is returned. Logs and counts
   /// (`ckpt.recovered_from`) when a non-primary wins. Returns nullopt when
   /// no valid candidate exists.
   [[nodiscard]] std::optional<Bytes> load() const;

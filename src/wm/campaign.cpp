@@ -52,8 +52,12 @@ void tally_fields(Io& io, Totals& t) {
 }
 
 /// The campaign checkpoint after its version word.
-template <typename Io, typename Resume, typename Result, typename Tally>
-void checkpoint_fields(Io& io, Resume& rs, Result& result, Tally&& tally) {
+/// `wm` is the live WorkflowManager on save and the ByteReader that receives
+/// its section on load.
+template <typename Io, typename Resume, typename Result, typename Tally,
+          typename Wm>
+void checkpoint_fields(Io& io, Resume& rs, Result& result, Tally&& tally,
+                       Wm& wm) {
   io(rs.flat_run, rs.time_into_run_s, rs.rng.s[0], rs.rng.s[1], rs.rng.s[2],
      rs.rng.s[3], rs.rng.has_spare, rs.rng.spare, rs.next_patch_id,
      rs.next_frame_id);
@@ -78,12 +82,11 @@ void checkpoint_fields(Io& io, Resume& rs, Result& result, Tally&& tally) {
   // must keep merging RDFs into the same totals.
   io(result.analysis_frames, result.rdf_feedback);
   // Totals of the finished runs, then the interrupted run's share so far
-  // (the quarantine ledger itself rides inside wm_blob).
+  // (the quarantine ledger itself rides inside the WM section).
   tally_fields(io, result);
   tally_fields(io, tally);
-  // Last, because it is by far the largest field: the writer grows once for
-  // it and never again while the blob is alive.
-  io(rs.wm_blob);
+  // The WM state, by far the largest field, as a length-prefixed section.
+  io(wm);
 }
 
 struct Save {
@@ -94,6 +97,9 @@ struct Save {
   void operator()(bool v) { w.u8(v ? 1 : 0); }
   void operator()(const std::string& s) { w.str(s); }
   void operator()(const coupling::RdfSet& s) { w.bytes(s.serialize()); }
+  void operator()(const WorkflowManager& wm) {
+    w.section([&] { wm.serialize(w); });
+  }
   template <typename A, typename B>
   void operator()(const std::pair<A, B>& p) {
     (*this)(p.first, p.second);
@@ -126,6 +132,7 @@ struct Load {
   void operator()(coupling::RdfSet& s) {
     s = coupling::RdfSet::deserialize(r.bytes());
   }
+  void operator()(util::ByteReader& wm_state) { wm_state = r.section(); }
   template <typename A, typename B>
   void operator()(std::pair<A, B>& p) {
     (*this)(p.first, p.second);
@@ -391,7 +398,13 @@ void CampaignRun::restore(const WorkflowManager::CarryOver& carry) {
   // the checkpoint, then line up the payloads that were in flight when it
   // was taken ahead of fresh work.
   const Campaign::ResumeState& rs = *c_.resume_;
-  wm_->restore(rs.wm_blob);
+  {
+    obs::Span span("wm.resume", "wm");
+    util::ByteReader wm_state = rs.wm_state;
+    wm_->restore(wm_state);
+    obs::histogram("wm.resume_s", 0.0, 1.0, 50)
+        .observe(rs.load_s + span.elapsed_us() * 1e-6);
+  }
   auto restored = wm_->carry_over();
   prepend(restored.ready_cg, rs.inflight_cg);
   prepend(restored.ready_aa, rs.inflight_aa);
@@ -755,14 +768,13 @@ void CampaignRun::save_checkpoint() {
       ls.progress =
           std::min(ls.target, ls.progress + ls.rate_per_s * it->second);
   }
-  rs.wm_blob = wm_->serialize();
 
-  util::ByteWriter w;
+  util::ByteWriter w(std::move(c_.checkpoint_buffer_));
   w.u32(kCheckpointVersion);
   Save io{w};
-  checkpoint_fields(io, rs, result_, tally());
-  rs = {};  // free the WM blob copy before the frame copies the payload
-  util::CheckpointFile(cfg_.checkpoint_path).save(std::move(w).take());
+  checkpoint_fields(io, rs, result_, tally(), *wm_);
+  util::CheckpointFile(cfg_.checkpoint_path).save(w.data());
+  c_.checkpoint_buffer_ = std::move(w).take();
 }
 
 RunTally CampaignRun::tally() const {
@@ -864,16 +876,20 @@ Campaign::LogicalSim& Campaign::logical_sim(std::uint64_t payload, bool is_aa,
 std::optional<std::uint64_t> Campaign::try_load_checkpoint(
     CampaignResult& result) {
   if (config_.checkpoint_path.empty()) return std::nullopt;
-  const auto blob = util::CheckpointFile(config_.checkpoint_path).load();
-  if (!blob) return std::nullopt;
+  // The resume's cost: this load and decode, then the WM restore in the
+  // first CampaignRun (both spans are named wm.resume).
+  obs::Span span("wm.resume", "wm");
+  auto payload = util::CheckpointFile(config_.checkpoint_path).load();
+  if (!payload) return std::nullopt;
 
-  util::ByteReader r(*blob);
+  ResumeState rs;
+  rs.payload = std::move(*payload);
+  util::ByteReader r(rs.payload);
   MUMMI_CHECK_MSG(r.u32() == kCheckpointVersion,
                   "unknown campaign checkpoint version");
-  ResumeState rs;
   RunTally interrupted;
   Load io{r};
-  checkpoint_fields(io, rs, result, interrupted);
+  checkpoint_fields(io, rs, result, interrupted, rs.wm_state);
   if (!r.at_end())
     throw util::FormatError("campaign checkpoint has trailing bytes");
   interrupted.fold_into(result);
@@ -885,6 +901,8 @@ std::optional<std::uint64_t> Campaign::try_load_checkpoint(
   sims_.clear();
   for (const auto& [payload, ls] : rs.sims) sims_.emplace(payload, ls);
   rs.sims.clear();
+  rs.load_s = span.elapsed_us() * 1e-6;
+  // Moving the payload vector keeps its buffer, so wm_state stays valid.
   resume_ = std::move(rs);
   util::log_info("campaign: resuming run ", resume_->flat_run,
                  " from checkpoint ", config_.checkpoint_path, " (",

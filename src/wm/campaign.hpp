@@ -219,7 +219,11 @@ class Campaign {
     // Payloads in flight at checkpoint time, resumed ahead of fresh work.
     std::vector<std::uint64_t> inflight_cg, inflight_aa;
     std::vector<std::uint64_t> inflight_cg_setup, inflight_aa_setup;
-    util::Bytes wm_blob;         // WorkflowManager::serialize() payload
+    // The loaded checkpoint payload, kept whole: the resumed run restores
+    // the WM in place from wm_state, its section of the payload.
+    util::Bytes payload;
+    util::ByteReader wm_state{nullptr, 0};
+    double load_s = 0;  // wall time of the load, for wm.resume_s
   };
 
   /// Loads config_.checkpoint_path if present, restoring campaign-level
@@ -236,6 +240,10 @@ class Campaign {
   std::uint64_t next_patch_id_ = 1;
   std::uint64_t next_frame_id_ = 1;
   std::optional<ResumeState> resume_; // consumed by the first resumed run
+  // The last checkpoint's serialization buffer, refilled by the next one: at
+  // tens of MB, growing a fresh buffer (fresh pages, repeated copies) costs
+  // several times the encoding itself.
+  util::Bytes checkpoint_buffer_;
 };
 
 }  // namespace mummi::wm

@@ -87,24 +87,22 @@ std::size_t PatchSelector::selected_count() const {
   return total;
 }
 
-util::Bytes PatchSelector::serialize() const {
+void PatchSelector::serialize(util::ByteWriter& w) const {
   std::lock_guard lock(mutex_);
-  util::ByteWriter w;
   w.u32(static_cast<std::uint32_t>(queues_.size()));
   w.u32(static_cast<std::uint32_t>(next_queue_));
-  for (const auto& q : queues_) w.bytes(q->serialize());
-  return std::move(w).take();
+  for (const auto& q : queues_) w.section([&] { q->serialize(w); });
 }
 
-void PatchSelector::restore(const util::Bytes& bytes) {
+void PatchSelector::restore(util::ByteReader& r) {
   std::lock_guard lock(mutex_);
-  util::ByteReader r(bytes);
   const auto nq = r.u32();
   MUMMI_CHECK_MSG(nq == queues_.size(), "queue count mismatch on restore");
   next_queue_ = static_cast<int>(r.u32());
-  for (std::size_t q = 0; q < queues_.size(); ++q)
-    queues_[q] = std::make_unique<ml::FpsSampler>(
-        ml::FpsSampler::deserialize(r.bytes()));
+  for (auto& q : queues_) {
+    util::ByteReader section = r.section();
+    q = std::make_unique<ml::FpsSampler>(ml::FpsSampler::deserialize(section));
+  }
 }
 
 void PatchSelector::set_history_enabled(bool enabled) {
@@ -156,15 +154,15 @@ std::size_t FrameSelector::selected_count() const {
   return sampler_->selected_count();
 }
 
-util::Bytes FrameSelector::serialize() const {
+void FrameSelector::serialize(util::ByteWriter& w) const {
   std::lock_guard lock(mutex_);
-  return sampler_->serialize();
+  sampler_->serialize(w);
 }
 
-void FrameSelector::restore(const util::Bytes& bytes) {
+void FrameSelector::restore(util::ByteReader& r) {
   std::lock_guard lock(mutex_);
   sampler_ = std::make_unique<ml::BinnedSampler>(
-      ml::BinnedSampler::deserialize(bytes));
+      ml::BinnedSampler::deserialize(r));
 }
 
 }  // namespace mummi::wm

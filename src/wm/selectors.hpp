@@ -52,8 +52,9 @@ class PatchSelector {
   [[nodiscard]] int n_queues() const { return static_cast<int>(queues_.size()); }
   [[nodiscard]] int dim() const { return dim_; }
 
-  [[nodiscard]] util::Bytes serialize() const;
-  void restore(const util::Bytes& bytes);
+  /// Appends the queues' state to `w`; restore() replaces it from `r`.
+  void serialize(util::ByteWriter& w) const;
+  void restore(util::ByteReader& r);
 
   /// Disables event-history recording (campaign-scale memory relief).
   void set_history_enabled(bool enabled);
@@ -78,8 +79,9 @@ class FrameSelector {
   [[nodiscard]] std::size_t candidate_count() const;
   [[nodiscard]] std::size_t selected_count() const;
 
-  [[nodiscard]] util::Bytes serialize() const;
-  void restore(const util::Bytes& bytes);
+  /// Appends the sampler's state to `w`; restore() replaces it from `r`.
+  void serialize(util::ByteWriter& w) const;
+  void restore(util::ByteReader& r);
 
   /// Disables event-history recording (campaign-scale memory relief).
   void set_history_enabled(bool enabled);

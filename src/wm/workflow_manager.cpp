@@ -404,8 +404,7 @@ std::deque<std::uint64_t> read_deque(util::ByteReader& r) {
 }
 }  // namespace
 
-util::Bytes WorkflowManager::serialize() const {
-  util::ByteWriter w;
+void WorkflowManager::serialize(util::ByteWriter& w) const {
   write_deque(w, ready_cg_);
   write_deque(w, ready_aa_);
   write_deque(w, requeued_cg_setup_);
@@ -415,14 +414,12 @@ util::Bytes WorkflowManager::serialize() const {
     w.u64(payload);
     w.u32(static_cast<std::uint32_t>(tries));
   }
-  w.bytes(patch_selector_.serialize());
-  w.bytes(frame_selector_.serialize());
-  w.bytes(quarantine_.serialize());
-  return std::move(w).take();
+  w.section([&] { patch_selector_.serialize(w); });
+  w.section([&] { frame_selector_.serialize(w); });
+  w.section([&] { quarantine_.serialize(w); });
 }
 
-void WorkflowManager::restore(const util::Bytes& bytes) {
-  util::ByteReader r(bytes);
+void WorkflowManager::restore(util::ByteReader& r) {
   ready_cg_ = read_deque(r);
   ready_aa_ = read_deque(r);
   requeued_cg_setup_ = read_deque(r);
@@ -433,17 +430,19 @@ void WorkflowManager::restore(const util::Bytes& bytes) {
     const auto payload = r.u64();
     restarts_[payload] = static_cast<int>(r.u32());
   }
-  const util::Bytes patch_state = r.bytes();
+  util::ByteReader patch_state = r.section();
   patch_selector_.restore(patch_state);
-  const util::Bytes frame_state = r.bytes();
+  util::ByteReader frame_state = r.section();
   frame_selector_.restore(frame_state);
-  const util::Bytes quarantine_state = r.bytes();
+  util::ByteReader quarantine_state = r.section();
   quarantine_.restore(quarantine_state);
 }
 
 WorkflowManager::CarryOver WorkflowManager::carry_over() const {
+  util::ByteWriter ledger;
+  quarantine_.serialize(ledger);
   return CarryOver{ready_cg_, ready_aa_, requeued_cg_setup_,
-                   requeued_aa_setup_, quarantine_.serialize()};
+                   requeued_aa_setup_, std::move(ledger).take()};
 }
 
 void WorkflowManager::restore_carry_over(const CarryOver& state) {
@@ -451,7 +450,10 @@ void WorkflowManager::restore_carry_over(const CarryOver& state) {
   ready_aa_ = state.ready_aa;
   requeued_cg_setup_ = state.requeued_cg_setup;
   requeued_aa_setup_ = state.requeued_aa_setup;
-  if (!state.quarantine.empty()) quarantine_.restore(state.quarantine);
+  if (!state.quarantine.empty()) {
+    util::ByteReader ledger(state.quarantine);
+    quarantine_.restore(ledger);
+  }
 }
 
 }  // namespace mummi::wm

@@ -154,11 +154,13 @@ class WorkflowManager : public supervise::WorkloadControl {
   [[nodiscard]] CarryOver carry_over() const;
   void restore_carry_over(const CarryOver& state);
 
-  /// Full WM state to/from bytes: buffers, requeues, restart counts and both
-  /// selectors — everything needed to "be restored completely after any such
-  /// crash" (Sec. 4.4). Pair with util::CheckpointFile for armored disk I/O.
-  [[nodiscard]] util::Bytes serialize() const;
-  void restore(const util::Bytes& bytes);
+  /// Full WM state to/from bytes: buffers, requeues, restart counts, both
+  /// selectors and the quarantine ledger — everything needed to "be restored
+  /// completely after any such crash" (Sec. 4.4). serialize() appends to
+  /// `w`; restore() reads from `r`. Pair with util::CheckpointFile for
+  /// armored disk I/O.
+  void serialize(util::ByteWriter& w) const;
+  void restore(util::ByteReader& r);
 
  private:
   void bump(std::unordered_map<std::string, int>& map, const std::string& key,

@@ -113,10 +113,15 @@ TEST(Resilience, SelectorStateRoundTripsThroughCheckpointFile) {
   (void)selector.select(6);
 
   util::CheckpointFile ckpt((dir / "selector.ckpt").string());
-  ckpt.save(selector.serialize());
+  util::ByteWriter state;
+  selector.serialize(state);
+  ckpt.save(state.data());
 
   wm::PatchSelector restored(9, 5, 100);
-  restored.restore(*ckpt.load());
+  const auto loaded = ckpt.load();
+  ASSERT_TRUE(loaded.has_value());
+  util::ByteReader r(*loaded);
+  restored.restore(r);
   EXPECT_EQ(restored.candidate_count(), selector.candidate_count());
   EXPECT_EQ(restored.selected_count(), selector.selected_count());
   // Identical future behaviour.
@@ -243,7 +248,7 @@ std::vector<std::size_t> campaign_checkpoint_counts(
     const std::uint64_t n = r.u64();       // decision log
     for (std::uint64_t j = 0; j < n; ++j) (void)r.str();
   }
-  list(1);                                 // WM blob
+  list(1);                                 // WM section
   EXPECT_TRUE(r.at_end());
   return counts;
 }
@@ -299,6 +304,37 @@ TEST(Resilience, HostileCampaignCheckpointIsRejected) {
   }
   expect_rejected(util::Bytes(payload.begin(), payload.end() - 1),
                   "last byte cut");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignCheckpoint, PayloadBytesArePinned) {
+  // The checkpoint payload of one fixed crashed campaign, frame header
+  // stripped by load(). Supervision, faults and poison work fill every
+  // section (selectors, quarantine ledger, decision log), so a change to how
+  // any of them is encoded, or to the order they are written in, fails here.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mummi_pinned_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  wm::CampaignConfig cfg;
+  cfg.runs = {{20, 2, 1}};
+  cfg.proteins_per_snapshot = 20;
+  cfg.perf.createsim_mean_s = 900;
+  cfg.seed = 17;
+  cfg.supervise.enabled = true;
+  cfg.faults.job_hang_rate_per_h = 10.0;
+  cfg.faults.node_crash_rate_per_h = 4.0;
+  cfg.faults.seed = 5;
+  cfg.poison_payload_modulus = 3;
+  cfg.checkpoint_interval_s = 600;
+  cfg.checkpoint_path = (dir / "campaign.ckpt").string();
+  cfg.crash_at_campaign_h = 1.45;
+  EXPECT_THROW(wm::Campaign(cfg).run(), wm::SimulatedCrash);
+
+  const auto payload = util::CheckpointFile(cfg.checkpoint_path).load();
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(payload->size(), 42914u);
+  EXPECT_EQ(util::fnv1a(payload->data(), payload->size()),
+            3967243517296058208ULL);
   std::filesystem::remove_all(dir);
 }
 

@@ -132,7 +132,11 @@ TEST(BinnedSampler, SerializeRoundTrip) {
   BinnedSampler a(edges_3d(), 0.7, 5);
   a.add_candidates(corner_points(10));
   (void)a.select(5);
-  BinnedSampler b = BinnedSampler::deserialize(a.serialize());
+  util::ByteWriter state;
+  a.serialize(state);
+  util::ByteReader r(state.data());
+  BinnedSampler b = BinnedSampler::deserialize(r);
+  EXPECT_TRUE(r.at_end());
   EXPECT_EQ(b.candidate_count(), a.candidate_count());
   EXPECT_EQ(b.selected_count(), a.selected_count());
   EXPECT_EQ(b.selected_histogram(), a.selected_histogram());
@@ -145,7 +149,10 @@ TEST(BinnedSampler, RestoredSamplerContinuesExactStream) {
   BinnedSampler a(edges_3d(), 0.5, 17);
   a.add_candidates(corner_points(40));
   (void)a.select(9);  // advance the RNG mid-stream
-  BinnedSampler b = BinnedSampler::deserialize(a.serialize());
+  util::ByteWriter state;
+  a.serialize(state);
+  util::ByteReader r(state.data());
+  BinnedSampler b = BinnedSampler::deserialize(r);
   for (int round = 0; round < 6; ++round) {
     const auto want = a.select(4);
     const auto got = b.select(4);
@@ -157,11 +164,14 @@ TEST(BinnedSampler, RestoredSamplerContinuesExactStream) {
 
 TEST(BinnedSampler, DeserializeRejectsVersionMismatch) {
   BinnedSampler a(edges_3d(), 0.5, 1);
-  auto bytes = a.serialize();
+  util::ByteWriter w;
+  a.serialize(w);
+  auto bytes = std::move(w).take();
   ASSERT_FALSE(bytes.empty());
   EXPECT_EQ(bytes[0], BinnedSampler::kSerialVersion);
   bytes[0] = 1;  // masquerade as an older format
-  EXPECT_THROW((void)BinnedSampler::deserialize(bytes), util::FormatError);
+  util::ByteReader r(bytes);
+  EXPECT_THROW((void)BinnedSampler::deserialize(r), util::FormatError);
 }
 
 TEST(BinnedSampler, InvalidConstructionRejected) {

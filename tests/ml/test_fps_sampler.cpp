@@ -153,7 +153,11 @@ TEST(FpsSampler, SerializeRoundTripPreservesBehaviour) {
   FpsSampler a(2, 1000);
   a.add_candidates(grid_points(8));
   a.select(5);
-  FpsSampler b = FpsSampler::deserialize(a.serialize());
+  util::ByteWriter state;
+  a.serialize(state);
+  util::ByteReader r(state.data());
+  FpsSampler b = FpsSampler::deserialize(r);
+  EXPECT_TRUE(r.at_end());
   EXPECT_EQ(b.candidate_count(), a.candidate_count());
   EXPECT_EQ(b.selected_count(), a.selected_count());
   // Future selections agree: the restored sampler has the same selected set
@@ -175,16 +179,17 @@ TEST(FpsSampler, DeserializeRejectsVersionMismatch) {
   util::ByteWriter w;
   w.u32(9);     // old layout: dim first
   w.u64(1000);  // capacity
-  EXPECT_THROW((void)FpsSampler::deserialize(std::move(w).take()),
-               util::FormatError);
+  util::ByteReader r(w.data());
+  EXPECT_THROW((void)FpsSampler::deserialize(r), util::FormatError);
 }
 
 TEST(FpsSampler, SerializedBlobLeadsWithVersionByte) {
   FpsSampler fps(2, 100);
   fps.add_candidates(grid_points(3));
-  const auto bytes = fps.serialize();
-  ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes[0], FpsSampler::kSerialVersion);
+  util::ByteWriter w;
+  fps.serialize(w);
+  ASSERT_FALSE(w.data().empty());
+  EXPECT_EQ(w.data()[0], FpsSampler::kSerialVersion);
 }
 
 TEST(FpsSampler, DimensionMismatchRejected) {

@@ -98,7 +98,10 @@ TEST(FpsEquivalence, RoundTripMidStreamKeepsSequence) {
   naive.add_candidates(first);
   ASSERT_EQ(ids_of(fast.select(20)), ids_of(naive.select(20)));
 
-  ml::FpsSampler restored = ml::FpsSampler::deserialize(fast.serialize());
+  util::ByteWriter state;
+  fast.serialize(state);
+  util::ByteReader r(state.data());
+  ml::FpsSampler restored = ml::FpsSampler::deserialize(r);
   restored.set_history_enabled(false);
   const auto second = random_batch(80, 4, rng, next);
   restored.add_candidates(second);

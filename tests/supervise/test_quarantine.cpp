@@ -87,8 +87,12 @@ TEST(QuarantineLedger, SerializeRestoreRoundTripsEverything) {
   ledger.strike("cg_setup", 7, StrikeKind::kFailure, 30.0);
   ledger.strike("cg_sim", 3, StrikeKind::kNodeKill, 5.0, 2);
 
+  util::ByteWriter state;
+  ledger.serialize(state);
   QuarantineLedger restored(3);
-  restored.restore(ledger.serialize());
+  util::ByteReader r(state.data());
+  restored.restore(r);
+  EXPECT_TRUE(r.at_end());
   EXPECT_EQ(restored.size(), 2u);
   EXPECT_TRUE(restored.quarantined("cg_setup", 7));
   EXPECT_FALSE(restored.quarantined("cg_sim", 3));

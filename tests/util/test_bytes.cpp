@@ -56,6 +56,78 @@ TEST(Bytes, NestedBytes) {
   EXPECT_EQ(r.u8(), 1);
 }
 
+TEST(Bytes, SectionRoundTripMatchesNestedBytes) {
+  ByteWriter inner;
+  inner.u32(99);
+  inner.str("state");
+  ByteWriter nested;
+  nested.bytes(inner.data());
+  nested.u8(1);
+
+  ByteWriter w;
+  w.section([&] {
+    w.u32(99);
+    w.str("state");
+  });
+  w.u8(1);
+  EXPECT_EQ(w.data(), nested.data());
+
+  ByteReader r(w.data());
+  ByteReader s = r.section();
+  EXPECT_EQ(s.u32(), 99u);
+  EXPECT_EQ(s.str(), "state");
+  EXPECT_TRUE(s.at_end());
+  EXPECT_EQ(r.u8(), 1);
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(Bytes, NestedSections) {
+  ByteWriter w;
+  w.section([&] {
+    w.u8(1);
+    w.section([&] { w.u64(7); });
+    w.section([] {});
+    w.u8(2);
+  });
+  w.u8(3);
+  ByteReader r(w.data());
+  ByteReader outer = r.section();
+  EXPECT_EQ(outer.u8(), 1);
+  ByteReader first = outer.section();
+  EXPECT_EQ(first.u64(), 7u);
+  EXPECT_TRUE(first.at_end());
+  EXPECT_TRUE(outer.section().at_end());
+  EXPECT_EQ(outer.u8(), 2);
+  EXPECT_TRUE(outer.at_end());
+  EXPECT_EQ(r.u8(), 3);
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(Bytes, SectionReaderIsBounded) {
+  ByteWriter w;
+  w.section([&] { w.u32(5); });
+  w.u64(11);
+  ByteReader r(w.data());
+  ByteReader s = r.section();
+  EXPECT_EQ(s.u32(), 5u);
+  // The section ends where its length says, not where the buffer does.
+  EXPECT_THROW(s.u8(), FormatError);
+  EXPECT_EQ(r.u64(), 11u);
+}
+
+TEST(Bytes, ForgedSectionLengthThrows) {
+  ByteWriter w;
+  w.u64(1ULL << 40);  // a length no buffer here holds
+  w.u32(5);
+  ByteReader r(w.data());
+  EXPECT_THROW(r.section(), FormatError);
+  ByteWriter off_by_one;
+  off_by_one.u64(5);
+  off_by_one.u32(5);
+  ByteReader r2(off_by_one.data());
+  EXPECT_THROW(r2.section(), FormatError);
+}
+
 TEST(Bytes, TruncatedStreamThrows) {
   ByteWriter w;
   w.u64(5);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -62,6 +63,33 @@ TEST_F(CheckpointTest, CorruptPrimaryFallsBackToBackup) {
   const auto loaded = ckpt.load();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(to_string(*loaded), "good-old");
+}
+
+TEST_F(CheckpointTest, CorruptNewestWithIntactHeaderFallsBack) {
+  // Unlike a torn primary, this one keeps a valid header that outranks the
+  // .bak, so load() must reach the payload check and reject it there.
+  CheckpointFile ckpt(path("state"));
+  ckpt.save(to_bytes("good-old"));
+  ckpt.save(to_bytes("good-new"));
+  auto raw = *read_file(path("state"));
+  raw[32] ^= 0x01;  // first payload byte
+  write_file(path("state"), raw);
+  const auto loaded = ckpt.load();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(to_string(*loaded), "good-old");
+}
+
+TEST_F(CheckpointTest, ForgedGenerationCannotOutrankNewerFrame) {
+  // The checksum covers the generation: a stale .bak whose generation field
+  // is rewritten must fail validation, not win load() with old state.
+  CheckpointFile ckpt(path("state"));
+  ckpt.save(to_bytes("v1"));
+  ckpt.save(to_bytes("v2"));
+  auto raw = *read_file(path("state") + ".bak");
+  const std::uint64_t forged = 1ULL << 40;
+  std::memcpy(raw.data() + 8, &forged, sizeof forged);
+  write_file(path("state") + ".bak", raw);
+  EXPECT_EQ(to_string(*CheckpointFile(path("state")).load()), "v2");
 }
 
 TEST_F(CheckpointTest, ChecksumDetectsBitFlip) {

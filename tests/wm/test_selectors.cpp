@@ -63,10 +63,13 @@ TEST(PatchSelector, SerializeRestoreRoundTrip) {
   PatchSelector sel(9, 3, 100);
   for (int q = 0; q < 3; ++q) sel.add(q, points9d(8, q * 50u, q * 1.0f));
   (void)sel.select(4);
-  const auto state = sel.serialize();
+  util::ByteWriter state;
+  sel.serialize(state);
 
   PatchSelector restored(9, 3, 100);
-  restored.restore(state);
+  util::ByteReader r(state.data());
+  restored.restore(r);
+  EXPECT_TRUE(r.at_end());
   EXPECT_EQ(restored.candidate_count(), sel.candidate_count());
   EXPECT_EQ(restored.selected_count(), sel.selected_count());
   // Future selections agree.
@@ -83,7 +86,10 @@ TEST(PatchSelector, SerializeRestoreRoundTrip) {
 
 TEST(PatchSelector, RestoreRejectsQueueMismatch) {
   PatchSelector a(9, 3, 100), b(9, 5, 100);
-  EXPECT_THROW(b.restore(a.serialize()), util::Error);
+  util::ByteWriter state;
+  a.serialize(state);
+  util::ByteReader r(state.data());
+  EXPECT_THROW(b.restore(r), util::Error);
 }
 
 TEST(PatchSelector, ConcurrentAddAndSelect) {
@@ -126,8 +132,12 @@ TEST(FrameSelector, SerializeRestoreRoundTrip) {
                       {30.0f, 100.0f, 1.0f}});
   sel.add(ml::PointStore::from_points(frames, sel.dim()));
   (void)sel.select(5);
+  util::ByteWriter state;
+  sel.serialize(state);
   FrameSelector restored(0.8, 7);
-  restored.restore(sel.serialize());
+  util::ByteReader r(state.data());
+  restored.restore(r);
+  EXPECT_TRUE(r.at_end());
   EXPECT_EQ(restored.candidate_count(), 45u);
   EXPECT_EQ(restored.selected_count(), 5u);
 }

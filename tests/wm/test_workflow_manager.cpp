@@ -402,7 +402,8 @@ TEST_F(WorkflowManagerTest, FullStateSerializeRestore) {
   wm_->maintain(100);
   complete_all("cg_setup");
   wm_->requeue_setup("aa_setup", 555);
-  const auto state = wm_->serialize();
+  util::ByteWriter state;
+  wm_->serialize(state);
 
   // A crash: brand-new WM over a fresh scheduler, restored from bytes.
   sched::Scheduler fresh_sched(sched::ClusterSpec::summit(2),
@@ -414,7 +415,9 @@ TEST_F(WorkflowManagerTest, FullStateSerializeRestore) {
   cfg.gpu_frac_cg = 0.75;
   WorkflowManager restored(cfg, fresh_maestro, trackers_, fresh_patches,
                            fresh_frames);
-  restored.restore(state);
+  util::ByteReader r(state.data());
+  restored.restore(r);
+  EXPECT_TRUE(r.at_end());
   EXPECT_EQ(restored.cg_ready(), wm_->cg_ready());
   EXPECT_EQ(fresh_patches.candidate_count(),
             patch_selector_.candidate_count());
