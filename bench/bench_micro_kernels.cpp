@@ -156,9 +156,10 @@ BENCHMARK(BM_KdTreeKnn);
 
 void BM_FpsSelect(benchmark::State& state) {
   util::Rng rng(7);
+  util::ThreadPool pool;  // one worker per hardware thread runs the refresh
   for (auto _ : state) {
     state.PauseTiming();
-    ml::FpsSampler fps(9, 35000);
+    ml::FpsSampler fps(9, 35000, &pool);
     fps.set_history_enabled(false);
     std::vector<ml::HDPoint> pts;
     for (int i = 0; i < 5000; ++i) {

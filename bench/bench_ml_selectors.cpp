@@ -23,6 +23,7 @@
 #include "ml/fps_sampler.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace mummi;
 
@@ -71,8 +72,9 @@ int main(int argc, char** argv) {
               "candidates/s");
   std::vector<Row> rows;
   double fps_rate_at_max = 0;
+  util::ThreadPool pool;  // one worker per hardware thread runs the refresh
   for (int n : fps_sizes) {
-    ml::FpsSampler fps(9, static_cast<std::size_t>(fps_capacity));
+    ml::FpsSampler fps(9, static_cast<std::size_t>(fps_capacity), &pool);
     fps.set_history_enabled(false);
     // Prior selections so rank updates have a real selected set to query.
     fps.add_candidates(random_patches(fps_prior, 9, rng, 1));

@@ -97,8 +97,9 @@ cmake --build build-asan -j "$jobs" --target mummi_tests
 ./build-asan/tests/mummi_tests
 
 echo "=== tier 1: TSan build, concurrent KV + feedback tests ==="
-# The shared-lock shards and pooled scans/mgets are the code that races if
-# anything does; run them under ThreadSanitizer.
+# Concurrent clients read the shards under shared locks (scans and mgets
+# walk the shards serially on the caller) and write under exclusive ones:
+# the code that races if anything does; run it under ThreadSanitizer.
 cmake -B build-tsan -S . -DMUMMI_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs" --target mummi_tests
 ./build-tsan/tests/mummi_tests \
@@ -130,12 +131,14 @@ echo "=== tier 1: TSan build, threaded continuum engine tests ==="
 echo "=== tier 1: TSan build, blocked-parallel primitive + campaign tick ==="
 # util::for_blocks(_ordered) and util::BlockScratch are the one layer every
 # engine fans out through; their own suites (block handoff, exception
-# wait-out, scratch fold, block-size rule, pool resolution) run here first. The campaign maintain tick then
+# wait-out, scratch fold, block-size rule, null pool stays serial) run here
+# first, then the farthest-point rank refresh on 2- and 4-worker pools
+# against the serial reference. The campaign maintain tick then
 # steps and analyzes each block of sims on the pool while the caller folds
 # finished blocks in order, over shared SimStates; the determinism suites
 # drive 2/3/4/8-worker pools against the serial reference, so a racy block
 # handoff or early fold trips here.
 ./build-tsan/tests/mummi_tests \
-  --gtest_filter='*ForBlocks*:*BlockScratch*:*BlockSize*:*EnvSharedPool*:*InSitu*:*ParallelCampaign*'
+  --gtest_filter='*ForBlocks*:*BlockScratch*:*BlockSize*:*EnvSharedPool*:*FpsPool*:*InSitu*:*ParallelCampaign*'
 
 echo "=== tier 1: PASS ==="

@@ -21,7 +21,6 @@ constexpr std::uint32_t kFrameVersion = 2;
 GridSim2D::GridSim2D(ContinuumConfig config)
     : config_(config),
       h_(config.extent / config.grid),
-      pool_(config.pool != nullptr ? config.pool : util::env_shared_pool()),
       rng_(config.seed) {
   const int ns = n_species();
   MUMMI_CHECK_MSG(ns > 0 && config_.grid > 2 && config_.dt > 0,
@@ -141,7 +140,7 @@ void GridSim2D::step_lipids() {
   const double kappa = config_.kappa;
   const double coeff = config_.mobility * config_.dt;
 
-  build_footprints(pool_);
+  build_footprints(config_.pool);
   // Row blocks: ~16 for large grids, never below 8 rows. Each row is
   // computed whole by one block, so the seams never touch a sum.
   const std::size_t rows_per_block =
@@ -154,7 +153,7 @@ void GridSim2D::step_lipids() {
   // bit-identical to the legacy kernel. Interior columns use direct +-1
   // offsets; only j = 0 and j = n-1 pay the periodic wrap.
   util::for_blocks(
-      pool_, static_cast<std::size_t>(n), rows_per_block,
+      config_.pool, static_cast<std::size_t>(n), rows_per_block,
       [&](std::size_t rlo, std::size_t rhi) {
         for (std::size_t i = rlo; i < rhi; ++i) {
           const std::size_t r = i * n;
@@ -207,7 +206,7 @@ void GridSim2D::step_lipids() {
   // into the persistent next_ grids and swapped in — no per-step allocation.
   // Face fluxes and their combination order match the legacy kernel exactly.
   util::for_blocks(
-      pool_, static_cast<std::size_t>(n), rows_per_block,
+      config_.pool, static_cast<std::size_t>(n), rows_per_block,
       [&](std::size_t rlo, std::size_t rhi) {
         for (std::size_t i = rlo; i < rhi; ++i) {
           const std::size_t r = i * n;
@@ -309,7 +308,7 @@ void GridSim2D::step_proteins() {
   if (cand_scratch_.size() < nblocks) cand_scratch_.resize(nblocks);
   pair_counts_.assign(nblocks, 0);
 
-  util::for_blocks(pool_, np, block, [&](std::size_t lo, std::size_t hi) {
+  util::for_blocks(config_.pool, np, block, [&](std::size_t lo, std::size_t hi) {
     const std::size_t bi = lo / block;
     auto& cand = cand_scratch_[bi];
     std::uint64_t pairs = 0;

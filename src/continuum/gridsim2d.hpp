@@ -80,9 +80,8 @@ struct ContinuumConfig {
   double state_switch_rate = 2e-3;  // 1/us Markov jumps between states
   int n_proteins = 30;
   std::uint64_t seed = 42;
-  /// Pool the kernels thread through; null resolves through
-  /// util::env_shared_pool() (MUMMI_POOL_SIZE). Output is bit-identical
-  /// either way.
+  /// Pool the kernels thread through; null is serial. Output is
+  /// bit-identical either way.
   util::ThreadPool* pool = nullptr;
   /// Test-only: run the pre-refactor serial reference kernels (per-species
   /// loops, all-pairs repulsion, per-step allocations). Bit-identical to the
@@ -119,7 +118,7 @@ class GridSim2D {
   }
   [[nodiscard]] const Grid2d& field(int species) const { return fields_[species]; }
   [[nodiscard]] const std::vector<Protein>& proteins() const { return proteins_; }
-  [[nodiscard]] util::ThreadPool* pool() const { return pool_; }
+  [[nodiscard]] util::ThreadPool* pool() const { return config_.pool; }
 
   /// Captures the current state for the workflow to parse into patches.
   [[nodiscard]] Snapshot snapshot() const;
@@ -156,7 +155,6 @@ class GridSim2D {
 
   ContinuumConfig config_;
   double h_;  // grid spacing, nm
-  util::ThreadPool* pool_ = nullptr;
   std::vector<Grid2d> fields_;
   std::vector<Grid2d> mu_;      // scratch: excess chemical potential
   std::vector<Grid2d> next_;    // scratch: updated densities (swapped in)

@@ -25,7 +25,7 @@ struct AaBuildConfig {
   double restraint_k = 500.0;
   double temperature = 310.0;  // K
   double dt = 0.002;           // ps (AA timestep)
-  util::ThreadPool* pool = nullptr;  // MD engine pool (null: MUMMI_POOL_SIZE)
+  util::ThreadPool* pool = nullptr;  // MD engine pool (null: serial)
 };
 
 /// Built AA system plus the protein backbone trace (one atom per former

@@ -46,7 +46,7 @@ struct CgBuildConfig {
   int relax_steps = 100;         // short thermostatted equilibration
   double temperature = 310.0;    // K
   double dt = 0.02;              // ps
-  util::ThreadPool* pool = nullptr;  // MD engine pool (null: MUMMI_POOL_SIZE)
+  util::ThreadPool* pool = nullptr;  // MD engine pool (null: serial)
 };
 
 /// A built CG system plus the index bookkeeping the in-situ analysis needs.

@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mummi::ds {
 
@@ -26,10 +25,6 @@ void note_batch(const char* op_counter, std::size_t batch_size) {
   obs::histogram("kv.batch.size", 0.0, 70000.0, 70)
       .observe(static_cast<double>(batch_size));
 }
-
-// Minimum shard-group count before a scan/mget fans out over the global
-// pool; below this the submit overhead outweighs the parallel walk.
-constexpr std::size_t kParallelGroups = 2;
 }  // namespace
 
 KvCluster::KvCluster(std::size_t n_servers, KvCostModel cost) : cost_(cost) {
@@ -180,63 +175,41 @@ std::vector<std::string> KvCluster::scan(const std::string* ns,
   const std::size_t prefix_len = (ns != nullptr && !ns->empty())
                                      ? ns->size() + 1  // "<ns>:"
                                      : 0;
-  std::vector<std::vector<std::string>> slots(n_shards);
-  std::vector<char> scanned_shard(n_shards, 0);
-  std::atomic<std::size_t> scanned{0};
-
-  auto visit = [&](std::size_t i) {
+  // Shards are walked in index order; a shard's op counter ticks only when
+  // it actually walked keys for the scan.
+  std::vector<std::string> out;
+  std::size_t scanned = 0;
+  for (std::size_t i = 0; i < n_shards; ++i) {
     const Shard& shard = *shards_[i];
     std::shared_lock lock(shard.mutex);
     if (ns == nullptr) {
       // Full scan: every stored key is inspected against the pattern.
-      scanned.fetch_add(shard.data.size(), std::memory_order_relaxed);
-      scanned_shard[i] = 1;
+      scanned += shard.data.size();
+      shard_ops_[i]->inc();
       for (const auto& [k, _] : shard.data)
-        if (util::glob_match(pattern, k)) slots[i].push_back(k);
+        if (util::glob_match(pattern, k)) out.push_back(k);
     } else {
       // Namespace-confined scan: only this namespace's keys are touched,
       // so cost is independent of every other namespace's population.
       auto it = shard.by_ns.find(*ns);
-      if (it == shard.by_ns.end()) return;
-      scanned.fetch_add(it->second.size(), std::memory_order_relaxed);
-      scanned_shard[i] = 1;
+      if (it == shard.by_ns.end()) continue;
+      scanned += it->second.size();
+      shard_ops_[i]->inc();
       for (const auto& k : it->second) {
         const std::string_view tail = std::string_view(k).substr(prefix_len);
-        if (util::glob_match(pattern, tail)) slots[i].push_back(k);
+        if (util::glob_match(pattern, tail)) out.push_back(k);
       }
     }
-  };
-
-  if (n_shards >= kParallelGroups) {
-    // Fan out over the process pool. Slot order keeps results deterministic
-    // regardless of execution order.
-    util::for_blocks(
-        &util::global_pool(), n_shards, 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) visit(i);
-        });
-  } else {
-    for (std::size_t i = 0; i < n_shards; ++i) visit(i);
   }
-
-  std::vector<std::string> out;
-  std::size_t total = 0;
-  for (const auto& slot : slots) total += slot.size();
-  out.reserve(total);
-  for (auto& slot : slots)
-    for (auto& k : slot) out.push_back(std::move(k));
   std::sort(out.begin(), out.end());
 
   const double dt =
       cost_.per_query * static_cast<double>(n_shards) +
-      cost_.per_scanned_key *
-          static_cast<double>(scanned.load(std::memory_order_relaxed)) +
+      cost_.per_scanned_key * static_cast<double>(scanned) +
       cost_.per_returned_key * static_cast<double>(out.size());
   add_time(t_keys_, dt);
   static obs::Counter& ops = obs::counter("kv.ops.keys");
   ops.inc();
-  // Attribute the scan only to shards that actually walked keys for it.
-  for (std::size_t i = 0; i < n_shards; ++i)
-    if (scanned_shard[i]) shard_ops_[i]->inc();
   obs::histogram("kv.cost.keys_s", 0.0, 30.0, 60).observe(dt);
   return out;
 }
@@ -307,8 +280,7 @@ std::vector<std::optional<util::Bytes>> KvCluster::mget(
       [&](std::size_t i) { return server_of(keys[i]); });
   note_batch("kv.ops.mget", keys.size());
 
-  auto visit = [&](std::size_t gi) {
-    const std::size_t s = groups.touched[gi];
+  for (const std::size_t s : groups.touched) {
     const Shard& shard = *shards_[s];
     std::shared_lock lock(shard.mutex);
     double dt = cost_.per_query;  // one pipelined round trip per shard
@@ -322,14 +294,6 @@ std::vector<std::optional<util::Bytes>> KvCluster::mget(
     }
     shard_ops_[s]->inc();
     add_time(t_reads_, dt);
-  };
-  if (groups.touched.size() >= kParallelGroups) {
-    util::for_blocks(
-        &util::global_pool(), groups.touched.size(), 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t gi = begin; gi < end; ++gi) visit(gi);
-        });
-  } else {
-    visit(0);
   }
   return out;
 }

@@ -1,7 +1,5 @@
 #include "mdengine/simulation.hpp"
 
-#include <cstdlib>
-
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -14,7 +12,6 @@ Simulation::Simulation(System system, std::shared_ptr<const ForceField> ff,
       ff_(std::move(ff)),
       integrator_(std::move(integrator)),
       config_(config),
-      pool_(config.pool != nullptr ? config.pool : util::env_shared_pool()),
       neighbors_(ff_->cutoff(), config.skin) {
   MUMMI_CHECK(ff_ != nullptr && integrator_ != nullptr);
   if (config_.checkpoint_interval > 0)
@@ -35,16 +32,16 @@ void Simulation::clear_restraints() {
 ForceFn Simulation::force_fn() {
   return [this](System& s) {
     ensure_neighbors();
-    real pe = ff_->compute(s, neighbors_, pool_);
-    pe += compute_bonded(s, pool_);
+    real pe = ff_->compute(s, neighbors_, config_.pool);
+    pe += compute_bonded(s, config_.pool);
     if (have_restraints_) pe += restraints_.compute(s);
     return pe;
   };
 }
 
 void Simulation::ensure_neighbors() {
-  if (neighbors_.needs_rebuild(system_, pool_)) {
-    neighbors_.build(system_, pool_);
+  if (neighbors_.needs_rebuild(system_, config_.pool)) {
+    neighbors_.build(system_, config_.pool);
     ++rebuilds_;
   }
 }

@@ -25,9 +25,8 @@ struct SimulationConfig {
   int frame_interval = 100;  // steps between frame callbacks (0 = off)
   int checkpoint_interval = 0;  // steps between checkpoints (0 = off)
   std::string checkpoint_path;  // required if checkpoint_interval > 0
-  /// Pool the kernels thread through; null resolves through
-  /// util::env_shared_pool() (MUMMI_POOL_SIZE). Output is bit-identical
-  /// either way.
+  /// Pool the kernels thread through; null is serial. Output is
+  /// bit-identical either way.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -59,7 +58,7 @@ class Simulation {
   [[nodiscard]] real potential_energy() const { return last_pe_; }
   [[nodiscard]] std::size_t neighbor_rebuilds() const { return rebuilds_; }
   [[nodiscard]] const NeighborList& neighbors() const { return neighbors_; }
-  [[nodiscard]] util::ThreadPool* pool() const { return pool_; }
+  [[nodiscard]] util::ThreadPool* pool() const { return config_.pool; }
 
   /// Writes a checkpoint now (also called on schedule during run()).
   void checkpoint() const;
@@ -76,7 +75,6 @@ class Simulation {
   std::shared_ptr<const ForceField> ff_;
   std::unique_ptr<Integrator> integrator_;
   SimulationConfig config_;
-  util::ThreadPool* pool_ = nullptr;
   NeighborList neighbors_;
   Restraints restraints_;
   bool have_restraints_ = false;

@@ -58,9 +58,11 @@ float fold_min(std::span<const float> c, const PointStore& sel,
 }
 }  // namespace
 
-FpsSampler::FpsSampler(int dim, std::size_t capacity)
+FpsSampler::FpsSampler(int dim, std::size_t capacity,
+                       util::ThreadPool* refresh_pool)
     : dim_(dim),
       capacity_(capacity),
+      refresh_pool_(refresh_pool),
       pool_(dim),
       selected_index_(dim),
       selected_(dim) {
@@ -94,10 +96,11 @@ void FpsSampler::refresh_slot(std::size_t slot, std::size_t n_sel) {
 void FpsSampler::update_ranks() {
   selected_index_.flush();
   const std::size_t n_sel = selected_.size();
-  util::for_blocks(
-      &util::global_pool(), pool_.size(), kRefreshBlock, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) refresh_slot(s, n_sel);
-      });
+  util::for_blocks(refresh_pool_, pool_.size(), kRefreshBlock,
+                   [&](std::size_t begin, std::size_t end) {
+                     for (std::size_t s = begin; s < end; ++s)
+                       refresh_slot(s, n_sel);
+                   });
   evict_to_capacity();
   ranked_count_ = pool_.size();
   rebuild_heap();
@@ -223,7 +226,8 @@ void FpsSampler::serialize(util::ByteWriter& w) const {
   selected_.serialize(w);
 }
 
-FpsSampler FpsSampler::deserialize(util::ByteReader& r) {
+FpsSampler FpsSampler::deserialize(util::ByteReader& r,
+                                   util::ThreadPool* refresh_pool) {
   const auto version = r.u8();
   if (version != kSerialVersion)
     throw util::FormatError(
@@ -233,7 +237,7 @@ FpsSampler FpsSampler::deserialize(util::ByteReader& r) {
         " (blob predates the flat selection-layer layout)");
   const int dim = static_cast<int>(r.u32());
   const auto capacity = r.u64();
-  FpsSampler s(dim, capacity);
+  FpsSampler s(dim, capacity, refresh_pool);
   s.ranked_count_ = r.u64();
   s.pool_ = PointStore::deserialize(r);
   s.rank2_ = r.vec<float>();

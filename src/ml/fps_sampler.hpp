@@ -12,8 +12,8 @@
 //    seen_[s] counts how many selected points slot s's rank already folded
 //    in, so rank tightening is lazy and batched.
 //  - update_ranks() refreshes every stale slot in one pass, fanned out over
-//    util::for_blocks with fixed block boundaries — results are identical
-//    for any worker count.
+//    util::for_blocks on the pool the owner passes (null: serial) with fixed
+//    block boundaries — results are identical for any worker count.
 //  - select() pops from a lazy max-heap of (rank2 upper bound, id) entries;
 //    stale entries are detected by value/id mismatch, so each pick costs
 //    O(log n) amortized instead of a full scan.
@@ -26,6 +26,10 @@
 #include "ml/ann_index.hpp"
 #include "ml/sampler.hpp"
 
+namespace mummi::util {
+class ThreadPool;
+}  // namespace mummi::util
+
 namespace mummi::ml {
 
 class FpsSampler final : public Sampler {
@@ -34,7 +38,10 @@ class FpsSampler final : public Sampler {
   /// (v2 = flat SoA layout; v1 blobs are rejected, not misread).
   static constexpr std::uint8_t kSerialVersion = 2;
 
-  FpsSampler(int dim, std::size_t capacity);
+  /// `refresh_pool` runs the rank refresh; null is serial. It is not part
+  /// of the serialized state: deserialize takes it again.
+  FpsSampler(int dim, std::size_t capacity,
+             util::ThreadPool* refresh_pool = nullptr);
 
   using Sampler::add_candidates;
   void add_candidates(const PointStore& points) override;
@@ -56,7 +63,8 @@ class FpsSampler final : public Sampler {
   [[nodiscard]] float rank_of(PointId id) const;
 
   void serialize(util::ByteWriter& w) const override;
-  static FpsSampler deserialize(util::ByteReader& r);
+  static FpsSampler deserialize(util::ByteReader& r,
+                                util::ThreadPool* refresh_pool = nullptr);
 
  private:
   /// Lazy max-heap entry: rank2 is an upper bound on the slot's true rank
@@ -88,6 +96,7 @@ class FpsSampler final : public Sampler {
 
   int dim_;
   std::size_t capacity_;
+  util::ThreadPool* refresh_pool_;
   PointStore pool_;                  // all candidates, SoA
   std::vector<float> rank2_;         // min dist2 to selected[0..seen_[s])
   std::vector<std::uint32_t> seen_;  // per-slot fold watermark

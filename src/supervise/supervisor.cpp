@@ -9,6 +9,26 @@
 
 namespace mummi::supervise {
 
+namespace {
+// Deadlines for a job with timing {mean, sigma} and duration hint est:
+//   base = max(mean, est)
+//   soft = (kSoftFactor * base + kSoftSigmas * sigma) * stretch
+//   hard = (kHardFactor * base + kHardSigmas * sigma) * stretch
+// where `stretch` comes from set_duration_stretch (latency-spike faults
+// slow real jobs down; deadlines must stretch with them).
+constexpr double kSoftFactor = 2.0;
+constexpr double kSoftSigmas = 4.0;
+constexpr double kHardFactor = 4.0;
+constexpr double kHardSigmas = 6.0;
+
+constexpr int kMaxSpeculations = 64;  // per supervisor (one allocation)
+
+// Healthy-capacity floors for degraded mode (fraction of nodes undrained).
+constexpr double kDegradedFloorFrac = 0.70;  // below: level 1 (aa)
+constexpr double kCriticalFloorFrac = 0.40;  // below: level 2 (aa + new cg)
+constexpr double kRecoverHysteresisFrac = 0.05;
+}  // namespace
+
 void SupervisionStats::merge(const SupervisionStats& o) {
   hangs_detected += o.hangs_detected;
   speculations += o.speculations;
@@ -63,14 +83,14 @@ double Supervisor::stretch(double now) const {
 double Supervisor::soft_deadline(const Watch& w, double now) const {
   const auto& t = timings_.at(w.type);
   const double base = std::max(t.mean_s, w.est_duration);
-  return (cfg_.soft_factor * base + cfg_.soft_sigmas * t.sigma_s) *
+  return (kSoftFactor * base + kSoftSigmas * t.sigma_s) *
          stretch(now);
 }
 
 double Supervisor::hard_deadline(const Watch& w, double now) const {
   const auto& t = timings_.at(w.type);
   const double base = std::max(t.mean_s, w.est_duration);
-  return (cfg_.hard_factor * base + cfg_.hard_sigmas * t.sigma_s) *
+  return (kHardFactor * base + kHardSigmas * t.sigma_s) *
          stretch(now);
 }
 
@@ -273,7 +293,7 @@ void Supervisor::tick(double now) {
       hung.push_back(id);
     } else if (elapsed > soft_deadline(w, now) && cfg_.speculate &&
                !w.speculative && !w.spec_requested &&
-               speculations_launched_ < cfg_.max_speculations &&
+               speculations_launched_ < kMaxSpeculations &&
                twin_by_original_.count(id) == 0 &&
                twin_requested_.count(id) == 0) {
       stragglers.push_back(id);
@@ -341,14 +361,14 @@ void Supervisor::apply_shed_policy(double now) {
   const double healthy = n > 0 ? static_cast<double>(n - drained) / n : 1.0;
 
   int level = shed_level_;
-  if (healthy < cfg_.critical_floor_frac) {
+  if (healthy < kCriticalFloorFrac) {
     level = 2;
-  } else if (healthy < cfg_.degraded_floor_frac) {
+  } else if (healthy < kDegradedFloorFrac) {
     // Entering level 1, or recovering from level 2.
     if (shed_level_ < 1 ||
-        healthy >= cfg_.critical_floor_frac + cfg_.recover_hysteresis_frac)
+        healthy >= kCriticalFloorFrac + kRecoverHysteresisFrac)
       level = 1;
-  } else if (healthy >= cfg_.degraded_floor_frac + cfg_.recover_hysteresis_frac ||
+  } else if (healthy >= kDegradedFloorFrac + kRecoverHysteresisFrac ||
              shed_level_ == 0) {
     level = 0;
   }

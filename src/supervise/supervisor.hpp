@@ -79,31 +79,13 @@ class WorkloadControl {
   virtual QuarantineLedger& quarantine() = 0;
 };
 
+/// Virtual seconds between supervision passes (Supervisor::tick).
+inline constexpr double kTickIntervalS = 30.0;
+
 struct SuperviseConfig {
   bool enabled = false;
-
-  double tick_interval_s = 30.0;
-
-  /// Deadlines for a job with timing {mean, sigma} and duration hint est:
-  ///   base = max(mean, est)
-  ///   soft = (soft_factor * base + soft_sigmas * sigma) * stretch
-  ///   hard = (hard_factor * base + hard_sigmas * sigma) * stretch
-  /// where `stretch` comes from set_duration_stretch (latency-spike faults
-  /// slow real jobs down; deadlines must stretch with them).
-  double soft_factor = 2.0;
-  double soft_sigmas = 4.0;
-  double hard_factor = 4.0;
-  double hard_sigmas = 6.0;
-
   bool speculate = true;
-  int max_speculations = 64;  // per supervisor lifetime (one allocation)
-
   NodeHealthConfig node_health;
-
-  /// Healthy-capacity floors for degraded mode (fraction of nodes undrained).
-  double degraded_floor_frac = 0.70;  // below: shed level 1 (aa)
-  double critical_floor_frac = 0.40;  // below: shed level 2 (aa + new cg)
-  double recover_hysteresis_frac = 0.05;
 };
 
 /// Aggregate outcome counters; merged across allocations by the campaign.
@@ -140,7 +122,7 @@ class Supervisor {
 
   /// One supervision pass at virtual time `now`: watchdog deadlines, node
   /// probation, degraded-mode floor. The campaign schedules this every
-  /// cfg.tick_interval_s.
+  /// kTickIntervalS.
   void tick(double now);
 
   /// Closes open degraded-mode intervals at end of allocation.

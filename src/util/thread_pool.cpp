@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace mummi::util {
 
@@ -93,29 +92,6 @@ void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
 void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,
                 const BlockFn& fn) {
   for_blocks_ordered(pool, n, block, fn, [](std::size_t, std::size_t) {});
-}
-
-ThreadPool* env_shared_pool() {
-  if (const char* env = std::getenv("MUMMI_POOL_SIZE")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 1) return &global_pool();
-  }
-  return nullptr;
-}
-
-ThreadPool& global_pool() {
-  // MUMMI_POOL_SIZE overrides the hardware-concurrency default; campaign
-  // output is identical for every setting (for_blocks pins block boundaries
-  // to the data, not the workers), and CI exercises that claim by
-  // rerunning benches under different sizes.
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("MUMMI_POOL_SIZE")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0) return static_cast<std::size_t>(n);
-    }
-    return std::size_t{0};
-  }());
-  return pool;
 }
 
 }  // namespace mummi::util

@@ -4,7 +4,7 @@
 // The pool is the process-pool analogue of the paper's "tailored
 // multiprocessing pools" (Task 4). On top of it sit three pieces, shared by
 // the MD force engine, the continuum (DDFT) stencils, the in-situ campaign
-// tick, the KV scans and the ML selectors:
+// tick and the farthest-point selector's rank refresh:
 //   - block_size / block_count: the one rule that turns a problem size into
 //     block boundaries. Boundaries depend on (n, min_block, target_blocks)
 //     only, never on the worker count.
@@ -14,6 +14,9 @@
 //     ascending block order.
 // A caller that writes only its own block's items, or scatters into its own
 // BlockScratch buffer and folds, is bit-identical at any pool size.
+//
+// One rule for where work runs: a layer runs on the pool its owner passes;
+// null is serial. No layer reaches for a pool nobody passed it.
 #pragma once
 
 #include <algorithm>
@@ -75,10 +78,6 @@ class ThreadPool {
   std::size_t active_ = 0;
   bool stop_ = false;
 };
-
-/// Process-level singleton pool for library internals (MD forces, DDFT
-/// stencils). Sized once from hardware concurrency.
-ThreadPool& global_pool();
 
 using BlockFn = std::function<void(std::size_t, std::size_t)>;
 
@@ -169,12 +168,5 @@ class BlockScratch {
   bool dirty_ = false;  // writes pending that fold has not cleared
   std::vector<std::vector<T>> buf_;
 };
-
-/// Pool resolution for engine configs whose `pool` field is null: the shared
-/// global_pool() when MUMMI_POOL_SIZE requests more than one worker, nullptr
-/// (serial) otherwise. Read on every call (cheap, per-engine not per-step)
-/// so tests and tools can flip the env var. Output is bit-identical either
-/// way — the env var only trades wall time.
-ThreadPool* env_shared_pool();
 
 }  // namespace mummi::util

@@ -441,13 +441,13 @@ WorkflowManager::CarryOver CampaignRun::run() {
   // SimEngine fires equal-time events in scheduling order, so this order is
   // part of the science.
   if (supervisor_)
-    every(cfg_.supervise.tick_interval_s, &CampaignRun::supervise_tick);
+    every(supervise::kTickIntervalS, &CampaignRun::supervise_tick);
   maestro_.submit(continuum_spec());  // the continuum job loads first
-  every(cfg_.snapshot_interval_s, &CampaignRun::snapshot_tick);
+  every(cfg_.rates.continuum_snapshot_interval_s, &CampaignRun::snapshot_tick);
   every(cfg_.maintain_interval_s, &CampaignRun::maintain_tick);
   every(cfg_.feedback_interval_s, &CampaignRun::feedback_tick);
   every(cfg_.profile_interval_s, &CampaignRun::profile_tick);
-  if (cfg_.checkpoint_interval_s > 0 && !cfg_.checkpoint_path.empty())
+  if (cfg_.checkpoint_interval_s > 0)
     every(cfg_.checkpoint_interval_s, &CampaignRun::checkpoint_tick);
 
   if (cfg_.crash_at_campaign_h > 0) {
@@ -846,7 +846,11 @@ WorkflowManager::CarryOver CampaignRun::teardown() {
 
 Campaign::Campaign(CampaignConfig config)
     : config_(std::move(config)), rng_(config_.seed),
-      next_frame_id_(kFrameIdBase) {}
+      next_frame_id_(kFrameIdBase) {
+  if (config_.checkpoint_interval_s > 0 && config_.checkpoint_path.empty())
+    throw util::ConfigError(
+        "campaign: checkpoint_interval_s > 0 requires a checkpoint_path");
+}
 
 Campaign::~Campaign() = default;
 
@@ -915,14 +919,14 @@ CampaignResult Campaign::run() {
   double hours_total = 0;
   for (const auto& run : config_.runs) hours_total += run.walltime_h * run.count;
 
-  patch_selector_ = std::make_unique<PatchSelector>(9, 5, 35000);
+  patch_selector_ =
+      std::make_unique<PatchSelector>(9, 5, 35000, config_.insitu_pool);
   frame_selector_ = std::make_unique<FrameSelector>(0.8, rng_());
   {
     // In-situ analysis fan-out: per-sim streams are counter-based (never the
     // shared rng_), so the pool only trades wall time for tick latency.
     InSituConfig insitu_cfg;
-    insitu_cfg.pool = config_.insitu_pool != nullptr ? config_.insitu_pool
-                                                     : util::env_shared_pool();
+    insitu_cfg.pool = config_.insitu_pool;
     insitu_ = std::make_unique<InSituPlane>(
         config_.seed ^ 0xa5a5a5a5a5a5a5a5ULL, insitu_cfg);
   }

@@ -56,8 +56,8 @@ struct CampaignConfig {
   int continuum_nodes_max = 150;
   int continuum_cores_per_node = 24;
 
-  // Cadences (seconds of virtual wall time).
-  double snapshot_interval_s = 90;
+  // Cadences (seconds of virtual wall time). The continuum snapshot cadence
+  // is rates.continuum_snapshot_interval_s.
   double maintain_interval_s = 60;
   int submit_budget_per_maintain = 100;  // ~100 jobs/min throttle
   double feedback_interval_s = 300;
@@ -99,7 +99,8 @@ struct CampaignConfig {
   std::string poison_job_type = "cg_setup";
 
   /// Periodic campaign checkpoint cadence (virtual seconds); 0 disables.
-  /// Requires checkpoint_path. A fresh Campaign with the same config resumes
+  /// Requires checkpoint_path: the Campaign constructor throws
+  /// util::ConfigError without one. A fresh Campaign with the same config resumes
   /// from the newest checkpoint automatically (and removes it on success).
   double checkpoint_interval_s = 0;
   std::string checkpoint_path;
@@ -108,9 +109,9 @@ struct CampaignConfig {
   /// once this many campaign hours have elapsed. 0 disables.
   double crash_at_campaign_h = 0;
 
-  /// Pool for the in-situ analysis fan-out inside the maintain tick. Null
-  /// resolves through util::env_shared_pool() (MUMMI_POOL_SIZE). The pool
-  /// size only changes wall time: CampaignResult::science_fingerprint() is
+  /// Pool for the in-situ analysis fan-out inside the maintain tick and for
+  /// the Patch Selector's rank refresh; null is serial. The pool size only
+  /// changes wall time: CampaignResult::science_fingerprint() is
   /// byte-identical at any thread count.
   util::ThreadPool* insitu_pool = nullptr;
 };

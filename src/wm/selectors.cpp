@@ -4,12 +4,14 @@
 
 namespace mummi::wm {
 
-PatchSelector::PatchSelector(int dim, int n_queues, std::size_t capacity)
-    : dim_(dim), capacity_(capacity) {
+PatchSelector::PatchSelector(int dim, int n_queues, std::size_t capacity,
+                             util::ThreadPool* refresh_pool)
+    : dim_(dim), capacity_(capacity), refresh_pool_(refresh_pool) {
   MUMMI_CHECK_MSG(n_queues > 0, "need at least one queue");
   queues_.reserve(static_cast<std::size_t>(n_queues));
   for (int q = 0; q < n_queues; ++q)
-    queues_.push_back(std::make_unique<ml::FpsSampler>(dim, capacity));
+    queues_.push_back(
+        std::make_unique<ml::FpsSampler>(dim, capacity, refresh_pool));
 }
 
 void PatchSelector::add(int queue, const ml::PointStore& points) {
@@ -101,7 +103,8 @@ void PatchSelector::restore(util::ByteReader& r) {
   next_queue_ = static_cast<int>(r.u32());
   for (auto& q : queues_) {
     util::ByteReader section = r.section();
-    q = std::make_unique<ml::FpsSampler>(ml::FpsSampler::deserialize(section));
+    q = std::make_unique<ml::FpsSampler>(
+        ml::FpsSampler::deserialize(section, refresh_pool_));
   }
 }
 

@@ -30,8 +30,11 @@ struct PatchSelection {
 class PatchSelector {
  public:
   /// `n_queues` farthest-point queues (paper: 5; one per protein
-  /// configuration class), each capped at `capacity` candidates.
-  PatchSelector(int dim, int n_queues, std::size_t capacity);
+  /// configuration class), each capped at `capacity` candidates. Every queue
+  /// refreshes its ranks on `refresh_pool` (null: serial), also after
+  /// restore().
+  PatchSelector(int dim, int n_queues, std::size_t capacity,
+                util::ThreadPool* refresh_pool = nullptr);
 
   /// Ingests encoded patches into one queue (all-or-nothing per batch).
   void add(int queue, const ml::PointStore& points);
@@ -65,6 +68,7 @@ class PatchSelector {
   int next_queue_ = 0;
   int dim_;
   std::size_t capacity_;
+  util::ThreadPool* refresh_pool_;
 };
 
 class FrameSelector {

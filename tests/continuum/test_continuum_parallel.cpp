@@ -56,7 +56,6 @@ class ParallelContinuumDeterminism
 
 TEST_P(ParallelContinuumDeterminism, FramesBitIdenticalAcrossThreadCounts) {
   const auto [grid, seed, np] = GetParam();
-  ::unsetenv("MUMMI_POOL_SIZE");  // the serial reference must run serial
   util::ThreadPool two(2), eight(8);
 
   auto run = [&](util::ThreadPool* pool) {
@@ -266,7 +265,6 @@ TEST(ParallelContinuum, NonFiniteAndHugeProteinCoordinatesStepWithoutUb) {
     EXPECT_EQ(non_finite, 0);
     return sim.serialize();
   };
-  ::unsetenv("MUMMI_POOL_SIZE");
   util::ThreadPool four(4);
   const util::Bytes serial = run(nullptr);
   EXPECT_EQ(run(&four), serial);
@@ -301,16 +299,12 @@ TEST(ParallelContinuum, ProteinStreamSeedsAreDistinct) {
 }
 
 TEST(ParallelContinuum, PoolSizeEnvSelectsSharedPool) {
-  // A null ContinuumConfig::pool resolves through MUMMI_POOL_SIZE when the
-  // engine is built.
-  auto resolved_pool = [] { return GridSim2D(small_config(16, 3, 4)).pool(); };
-  ::unsetenv("MUMMI_POOL_SIZE");
-  EXPECT_EQ(resolved_pool(), nullptr);
-  ::setenv("MUMMI_POOL_SIZE", "1", 1);
-  EXPECT_EQ(resolved_pool(), nullptr);  // one worker: stay serial
+  // A null ContinuumConfig::pool is serial: the engine runs on the pool its
+  // owner passes, and the former MUMMI_POOL_SIZE switch is inert.
   ::setenv("MUMMI_POOL_SIZE", "4", 1);
-  EXPECT_EQ(resolved_pool(), &util::global_pool());
+  util::ThreadPool* const resolved = GridSim2D(small_config(16, 3, 4)).pool();
   ::unsetenv("MUMMI_POOL_SIZE");
+  EXPECT_EQ(resolved, nullptr);
   util::ThreadPool two(2);
   ContinuumConfig cfg = small_config(16, 3, 4);
   cfg.pool = &two;

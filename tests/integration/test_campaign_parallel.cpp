@@ -4,7 +4,9 @@
 // and checkpoint-resume campaigns alike.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -118,13 +120,26 @@ TEST(ParallelCampaign, InSituAccumulatorsPopulated) {
   EXPECT_EQ(frames, 4u * result.analysis_frames);
 }
 
+// Threads of this process (Linux: one /proc/self/task entry per thread).
+std::size_t process_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
 TEST(ParallelCampaign, EnvSharedPoolPathMatchesExplicitPool) {
-  // config.insitu_pool = nullptr resolves through env_shared_pool(); with
-  // MUMMI_POOL_SIZE unset that is serial — already covered above. Here:
-  // an explicit pool equals the serial path on a second config/seed.
+  // A null insitu_pool is serial: with the former MUMMI_POOL_SIZE switch
+  // set, the campaign (in-situ tick and patch-selection refresh alike) still
+  // starts no thread. An explicit pool then equals the serial path on a
+  // second config/seed.
   wm::CampaignConfig cfg = plain_config();
   cfg.seed = 123;
+  cfg.proteins_per_snapshot = 200;  // several refresh blocks per queue
+  ::setenv("MUMMI_POOL_SIZE", "4", 1);
+  const std::size_t threads_before = process_threads();
   const util::Bytes want = wm::Campaign(cfg).run().science_fingerprint();
+  EXPECT_EQ(process_threads(), threads_before);
+  ::unsetenv("MUMMI_POOL_SIZE");
   util::ThreadPool pool(3);  // odd size: chunk seams don't align with pool
   cfg.insitu_pool = &pool;
   EXPECT_EQ(wm::Campaign(cfg).run().science_fingerprint(), want);

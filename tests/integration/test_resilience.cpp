@@ -307,6 +307,20 @@ TEST(Resilience, HostileCampaignCheckpointIsRejected) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Resilience, CheckpointIntervalWithoutPathRejected) {
+  // A checkpoint cadence with nowhere to write would silently run without
+  // crash recovery; the constructor refuses it instead.
+  wm::CampaignConfig cfg;
+  cfg.runs = {{20, 1, 1}};
+  cfg.checkpoint_interval_s = 600;
+  EXPECT_THROW(wm::Campaign{cfg}, util::ConfigError);
+  cfg.checkpoint_path = "campaign.ckpt";
+  EXPECT_NO_THROW(wm::Campaign{cfg});
+  cfg.checkpoint_interval_s = 0;
+  cfg.checkpoint_path.clear();
+  EXPECT_NO_THROW(wm::Campaign{cfg});
+}
+
 TEST(CampaignCheckpoint, PayloadBytesArePinned) {
   // The checkpoint payload of one fixed crashed campaign, frame header
   // stripped by load(). Supervision, faults and poison work fill every

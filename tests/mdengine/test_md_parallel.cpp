@@ -123,9 +123,6 @@ TEST_P(ParallelMdDeterminism, ForcesAndEnergyBitIdenticalAcrossThreadCounts) {
 
 TEST_P(ParallelMdDeterminism, TrajectoriesBitIdenticalAcrossThreadCounts) {
   const auto [n, box_len, seed] = GetParam();
-  // cfg.pool = nullptr resolves through util::env_shared_pool(); make sure
-  // the serial reference really runs serial regardless of the environment.
-  ::unsetenv("MUMMI_POOL_SIZE");
   util::ThreadPool two(2), eight(8);
 
   auto run = [&](util::ThreadPool* pool) {
@@ -269,20 +266,13 @@ TEST(ParallelMd, KernelBlockBoundariesDependOnSizeOnly) {
 }
 
 TEST(ParallelMd, PoolSizeEnvSelectsSharedPool) {
-  // A null SimulationConfig::pool resolves through MUMMI_POOL_SIZE when the
-  // engine is built.
-  auto resolved_pool = [] {
-    Simulation sim(messy_system(30, 5.0, 5), messy_ff(),
-                   std::make_unique<VelocityVerlet>(), SimulationConfig{});
-    return sim.pool();
-  };
-  ::unsetenv("MUMMI_POOL_SIZE");
-  EXPECT_EQ(resolved_pool(), nullptr);
-  ::setenv("MUMMI_POOL_SIZE", "1", 1);
-  EXPECT_EQ(resolved_pool(), nullptr);  // one worker: stay serial
+  // A null SimulationConfig::pool is serial: the engine runs on the pool its
+  // owner passes, and the former MUMMI_POOL_SIZE switch is inert.
   ::setenv("MUMMI_POOL_SIZE", "4", 1);
-  EXPECT_EQ(resolved_pool(), &util::global_pool());
+  Simulation serial(messy_system(30, 5.0, 5), messy_ff(),
+                    std::make_unique<VelocityVerlet>(), SimulationConfig{});
   ::unsetenv("MUMMI_POOL_SIZE");
+  EXPECT_EQ(serial.pool(), nullptr);
   util::ThreadPool two(2);
   SimulationConfig explicit_cfg;
   explicit_cfg.pool = &two;
@@ -292,21 +282,23 @@ TEST(ParallelMd, PoolSizeEnvSelectsSharedPool) {
 }
 
 TEST(ParallelMd, EnvPooledSimulationMatchesSerialBitwise) {
-  auto run = [](bool env) {
-    if (env)
-      ::setenv("MUMMI_POOL_SIZE", "4", 1);
-    else
-      ::unsetenv("MUMMI_POOL_SIZE");
+  // With the former MUMMI_POOL_SIZE switch set, a null-pool run stays serial
+  // and still matches an explicit 4-worker pool bit for bit.
+  ::setenv("MUMMI_POOL_SIZE", "4", 1);
+  util::ThreadPool four(4);
+  auto run = [](util::ThreadPool* pool) {
     SimulationConfig cfg;
     cfg.dt = 0.01;
+    cfg.pool = pool;
     Simulation sim(messy_system(200, 5.0, 21), messy_ff(),
                    std::make_unique<Langevin>(310.0, 2.0, util::Rng(21)), cfg);
     sim.run(40);
-    ::unsetenv("MUMMI_POOL_SIZE");
     return sim;
   };
-  const Simulation serial = run(false);
-  const Simulation pooled = run(true);
+  const Simulation serial = run(nullptr);
+  const Simulation pooled = run(&four);
+  ::unsetenv("MUMMI_POOL_SIZE");
+  EXPECT_EQ(serial.pool(), nullptr);
   EXPECT_EQ(serial.potential_energy(), pooled.potential_energy());
   EXPECT_TRUE(bits_equal(serial.system().pos, pooled.system().pos));
   EXPECT_TRUE(bits_equal(serial.system().vel, pooled.system().vel));

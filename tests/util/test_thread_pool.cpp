@@ -12,7 +12,9 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 namespace mummi::util {
 namespace {
@@ -262,15 +264,26 @@ TEST(BlockScratch, ThrowBetweenResetAndFoldForcesReClear) {
 }
 
 TEST(EnvSharedPool, ResolvesFromPoolSizeEnv) {
-  // Engine configs with a null pool (SimulationConfig, ContinuumConfig,
-  // CampaignConfig) resolve through this.
-  ::unsetenv("MUMMI_POOL_SIZE");
-  EXPECT_EQ(env_shared_pool(), nullptr);
-  ::setenv("MUMMI_POOL_SIZE", "1", 1);
-  EXPECT_EQ(env_shared_pool(), nullptr);  // one worker: stay serial
+  // A null pool is serial: every block runs on the caller's thread, in
+  // order, and no environment variable conjures a pool (the former
+  // MUMMI_POOL_SIZE switch is set here to prove it is inert).
   ::setenv("MUMMI_POOL_SIZE", "4", 1);
-  EXPECT_EQ(env_shared_pool(), &global_pool());
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::vector<std::thread::id> ran_on;
+  for_blocks_ordered(
+      nullptr, 100, 10,
+      [&](std::size_t lo, std::size_t) {
+        ran_on.push_back(std::this_thread::get_id());
+        order.push_back(lo);
+      },
+      [](std::size_t, std::size_t) {});
   ::unsetenv("MUMMI_POOL_SIZE");
+  ASSERT_EQ(order.size(), 10u);
+  for (std::size_t b = 0; b < order.size(); ++b) {
+    EXPECT_EQ(order[b], b * 10);
+    EXPECT_EQ(ran_on[b], caller);
+  }
 }
 
 TEST(ThreadPool, WaitIdleUnderConcurrentEnqueue) {
@@ -451,8 +464,12 @@ TEST(ThreadPool, SizeMatchesRequest) {
 }
 
 TEST(ThreadPool, GlobalPoolSingleton) {
-  EXPECT_EQ(&global_pool(), &global_pool());
-  EXPECT_GE(global_pool().size(), 1u);
+  // There is no process-wide pool; an owner that wants one worker per
+  // hardware thread constructs ThreadPool(0).
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), hw);
+  EXPECT_EQ(ThreadPool().size(), hw);
 }
 
 }  // namespace
