@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace mummi::cont {
@@ -171,6 +172,17 @@ TEST(GridSim2D, RestoreRejectsMismatchedConfig) {
   other.grid = 16;
   GridSim2D b(other);
   EXPECT_THROW(b.restore(a.serialize()), util::Error);
+}
+
+TEST(EnginePins, GridSim2DFrameBytes) {
+  // The serialized state after a fixed number of DDFT steps: fields,
+  // proteins and RNG position all feed it, so any change to the kernels or
+  // their constants (mobility, kappa, chi scale) moves these bytes.
+  GridSim2D sim(small_config());
+  sim.step(25);
+  const util::Bytes frame = sim.serialize();
+  EXPECT_EQ(frame.size(), 41593u);
+  EXPECT_EQ(util::fnv1a(frame.data(), frame.size()), 2678348037167136785ULL);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "coupling/patch.hpp"
+#include "system_bytes.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::coupling {
@@ -118,6 +120,19 @@ TEST(MakeAaForcefield, ShorterRangeThanCg) {
   const auto aa_ff = make_aa_forcefield();
   EXPECT_LT(aa_ff->cutoff(), 1.2);
   EXPECT_LT(aa_ff->pair(0, 0).sigma, 0.47);
+}
+
+TEST(EnginePins, BackmapperSystemBytes) {
+  // The backmapped, minimized and restrained AA system for one fixed CG
+  // system and seed, hashed without Angle padding (see system_bytes.hpp):
+  // template spread, restraint stiffness and thermostat temperature all feed
+  // these bytes.
+  util::Rng rng(3);
+  const auto cg = small_cg(rng);
+  const util::Bytes bytes =
+      system_bytes(Backmapper(fast_aa()).build(cg, rng).system);
+  EXPECT_EQ(bytes.size(), 21912u);
+  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 3811538182269239195ULL);
 }
 
 }  // namespace

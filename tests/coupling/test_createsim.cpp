@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "coupling/patch.hpp"
+#include "system_bytes.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::coupling {
@@ -165,6 +167,19 @@ TEST(CreateSim, TooFewSpeciesRejected) {
   p.n_species = 1;
   p.density.assign(19 * 19, 0.2f);
   EXPECT_THROW(createsim.build(p, rng), util::Error);
+}
+
+TEST(EnginePins, CreateSimSystemBytes) {
+  // The built, minimized and relaxed CG system for one fixed RAS-RAF patch
+  // and seed, hashed without Angle padding (see system_bytes.hpp): box
+  // height, bead counts, thermostat temperature and the relaxation all feed
+  // these bytes.
+  CreateSim createsim(fast_config());
+  util::Rng rng(7);
+  const util::Bytes bytes = system_bytes(
+      createsim.build(test_patch(cont::ProteinState::kRasRafA), rng).system);
+  EXPECT_EQ(bytes.size(), 12792u);
+  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 16741340171382459207ULL);
 }
 
 }  // namespace
