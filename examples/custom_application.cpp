@@ -83,9 +83,9 @@ int main() {
   trackers.add(std::make_unique<wm::JobTracker>(
       wm::JobTracker::config_from(config, "receptor_md")));
 
-  // Selection: a 4-D binned sampler replaces the FPS queues; the
-  // PatchSelector slot is unused (the WmConfig simply leaves those job
-  // types empty).
+  // Selection: a 4-D binned sampler replaces the FPS queues (this
+  // application drives its two job types itself, without the WM's
+  // PatchSelector).
   ml::BinnedSampler selector({{0.25f, 0.5f, 0.75f},
                               {0.8f, 1.2f, 1.6f},
                               {0.5f, 1.5f},

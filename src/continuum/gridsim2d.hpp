@@ -72,9 +72,10 @@ struct ContinuumConfig {
   int inner_species = 8;     // lipid types, inner leaflet
   int outer_species = 6;     // lipid types, outer leaflet
   double dt = 0.05;          // us per step
-  double mobility = 20.0;    // nm^2 / us
-  double kappa = 25.0;       // gradient-penalty stiffness (nm^2 energy units)
-  double chi_scale = 0.4;    // lipid-lipid interaction magnitude
+  static constexpr double mobility = 20.0;  // nm^2 / us
+  // Gradient-penalty stiffness (nm^2 energy units).
+  static constexpr double kappa = 25.0;
+  static constexpr double chi_scale = 0.4;  // lipid-lipid interaction magnitude
   double protein_diffusion = 1.0;  // nm^2 / us
   double protein_radius = 10.0;    // Gaussian coupling footprint, nm
   double state_switch_rate = 2e-3;  // 1/us Markov jumps between states

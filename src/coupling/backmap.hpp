@@ -19,12 +19,12 @@ namespace mummi::coupling {
 
 struct AaBuildConfig {
   int atoms_per_bead = 4;     // Martini 4:1 mapping, inverted
-  double spread = 0.12;       // template radius, nm
+  static constexpr double spread = 0.12;  // template radius, nm
   int minimize_steps = 120;
   int restrained_steps = 80;  // position-restrained MD
-  double restraint_k = 500.0;
-  double temperature = 310.0;  // K
-  double dt = 0.002;           // ps (AA timestep)
+  static constexpr double restraint_k = 500.0;
+  static constexpr double temperature = 310.0;  // K
+  static constexpr double dt = 0.002;  // ps (AA timestep)
   util::ThreadPool* pool = nullptr;  // MD engine pool (null: serial)
 };
 

@@ -39,13 +39,13 @@ struct CgTypeLayout {
 struct CgBuildConfig {
   double lipids_per_nm2 = 0.25;  // per leaflet (Martini bilayers: ~1.5; kept
                                  // lower so repro-scale patches stay small)
-  double box_height = 12.0;      // nm
-  int ras_beads = 8;
-  int raf_beads = 6;
+  static constexpr double box_height = 12.0;  // nm
+  static constexpr int ras_beads = 8;
+  static constexpr int raf_beads = 6;
   int minimize_steps = 150;
   int relax_steps = 100;         // short thermostatted equilibration
-  double temperature = 310.0;    // K
-  double dt = 0.02;              // ps
+  static constexpr double temperature = 310.0;  // K
+  static constexpr double dt = 0.02;  // ps
   util::ThreadPool* pool = nullptr;  // MD engine pool (null: serial)
 };
 

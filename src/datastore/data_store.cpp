@@ -2,26 +2,6 @@
 
 namespace mummi::ds {
 
-std::vector<util::Bytes> DataStore::get_many(
-    const std::string& ns, const std::vector<std::string>& keys) const {
-  std::vector<util::Bytes> out;
-  out.reserve(keys.size());
-  for (const auto& key : keys) out.push_back(get(ns, key));
-  return out;
-}
-
-void DataStore::put_many(
-    const std::string& ns,
-    const std::vector<std::pair<std::string, util::Bytes>>& records) {
-  for (const auto& [key, value] : records) put(ns, key, value);
-}
-
-void DataStore::move_many(const std::string& src_ns,
-                          const std::vector<std::string>& keys,
-                          const std::string& dst_ns) {
-  for (const auto& key : keys) move(src_ns, key, dst_ns);
-}
-
 std::size_t DataStore::count(const std::string& ns) const {
   return keys(ns, "*").size();
 }

@@ -53,25 +53,23 @@ class DataStore {
                     const std::string& dst_ns) = 0;
 
   // --- batched operations --------------------------------------------------
-  // The feedback collect+tag hot path. Defaults loop over the scalar ops, so
-  // every backend works unchanged; backends with a cheaper bulk form
-  // (pipelined KV batches, amortized archive/lock handling) override them.
+  // The feedback collect+tag hot path.
 
   /// Fetches several records from one namespace, in input order. Throws
   /// util::StoreError when any key is absent (same contract as get).
   [[nodiscard]] virtual std::vector<util::Bytes> get_many(
-      const std::string& ns, const std::vector<std::string>& keys) const;
+      const std::string& ns, const std::vector<std::string>& keys) const = 0;
 
   /// Stores several records into one namespace.
   virtual void put_many(
       const std::string& ns,
-      const std::vector<std::pair<std::string, util::Bytes>>& records);
+      const std::vector<std::pair<std::string, util::Bytes>>& records) = 0;
 
   /// Moves several records to another namespace — batched tagging. Throws
   /// util::StoreError when any source is absent.
   virtual void move_many(const std::string& src_ns,
                          const std::vector<std::string>& keys,
-                         const std::string& dst_ns);
+                         const std::string& dst_ns) = 0;
 
   /// Number of records in a namespace. Default lists the namespace;
   /// index-backed stores answer without touching any record.

@@ -10,6 +10,8 @@
 namespace mummi::ds {
 
 namespace {
+using Cost = KvCostModel;
+
 // Virtual per-op cost distributions (Fig. 7's query-mix rates). Bounds cover
 // the calibrated cost model with headroom for large payload transfers.
 obs::HistogramMetric& cost_hist(const char* name) {
@@ -27,7 +29,7 @@ void note_batch(const char* op_counter, std::size_t batch_size) {
 }
 }  // namespace
 
-KvCluster::KvCluster(std::size_t n_servers, KvCostModel cost) : cost_(cost) {
+KvCluster::KvCluster(std::size_t n_servers) {
   MUMMI_CHECK_MSG(n_servers > 0, "cluster needs at least one server");
   shards_.reserve(n_servers);
   shard_ops_.reserve(n_servers);
@@ -75,7 +77,7 @@ void KvCluster::index_remove(Shard& shard, const std::string& key) {
 void KvCluster::set(const std::string& key, util::Bytes value) {
   const std::size_t s = server_of(key);
   const double dt =
-      cost_.per_query + cost_.per_byte * static_cast<double>(value.size());
+      Cost::per_query + Cost::per_byte * static_cast<double>(value.size());
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mutex);
   add_time(t_writes_, dt);
@@ -96,12 +98,12 @@ std::optional<util::Bytes> KvCluster::get(const std::string& key) const {
   shard_ops_[s]->inc();
   auto it = shard.data.find(key);
   if (it == shard.data.end()) {
-    add_time(t_reads_, cost_.per_query);
-    cost_hist("kv.cost.read_s").observe(cost_.per_query);
+    add_time(t_reads_, Cost::per_query);
+    cost_hist("kv.cost.read_s").observe(Cost::per_query);
     return std::nullopt;
   }
   const double dt =
-      cost_.per_read + cost_.per_byte * static_cast<double>(it->second.size());
+      Cost::per_read + Cost::per_byte * static_cast<double>(it->second.size());
   add_time(t_reads_, dt);
   cost_hist("kv.cost.read_s").observe(dt);
   return it->second;
@@ -118,11 +120,11 @@ bool KvCluster::del(const std::string& key) {
   const std::size_t s = server_of(key);
   Shard& shard = *shards_[s];
   std::unique_lock lock(shard.mutex);
-  add_time(t_dels_, cost_.per_query);
+  add_time(t_dels_, Cost::per_query);
   static obs::Counter& ops = obs::counter("kv.ops.del");
   ops.inc();
   shard_ops_[s]->inc();
-  cost_hist("kv.cost.del_s").observe(cost_.per_query);
+  cost_hist("kv.cost.del_s").observe(Cost::per_query);
   const bool erased = shard.data.erase(key) > 0;
   if (erased) index_remove(shard, key);
   return erased;
@@ -150,7 +152,7 @@ bool KvCluster::rename(const std::string& from, const std::string& to) {
   if (s_from == s_to) {
     Shard& shard = *shards_[s_from];
     std::unique_lock lock(shard.mutex);
-    add_time(t_dels_, cost_.per_query);
+    add_time(t_dels_, Cost::per_query);
     ops.inc();
     shard_ops_[s_from]->inc();
     return move_locked(shard, shard, from, to);
@@ -161,8 +163,8 @@ bool KvCluster::rename(const std::string& from, const std::string& to) {
   std::unique_lock lock_hi(hi.mutex);
   // A cross-shard rename is two round trips: DEL on the source shard plus
   // SET on the destination.
-  add_time(t_dels_, cost_.per_query);
-  add_time(t_writes_, cost_.per_query);
+  add_time(t_dels_, Cost::per_query);
+  add_time(t_writes_, Cost::per_query);
   ops.inc();
   shard_ops_[s_from]->inc();
   shard_ops_[s_to]->inc();
@@ -204,9 +206,9 @@ std::vector<std::string> KvCluster::scan(const std::string* ns,
   std::sort(out.begin(), out.end());
 
   const double dt =
-      cost_.per_query * static_cast<double>(n_shards) +
-      cost_.per_scanned_key * static_cast<double>(scanned) +
-      cost_.per_returned_key * static_cast<double>(out.size());
+      Cost::per_query * static_cast<double>(n_shards) +
+      Cost::per_scanned_key * static_cast<double>(scanned) +
+      Cost::per_returned_key * static_cast<double>(out.size());
   add_time(t_keys_, dt);
   static obs::Counter& ops = obs::counter("kv.ops.keys");
   ops.inc();
@@ -244,7 +246,7 @@ std::size_t KvCluster::count(const std::string& ns) const {
     shard_ops_[i]->inc();
   }
   add_time(t_keys_,
-           cost_.per_query * static_cast<double>(shards_.size()));
+           Cost::per_query * static_cast<double>(shards_.size()));
   static obs::Counter& ops = obs::counter("kv.ops.count");
   ops.inc();
   return n;
@@ -283,14 +285,14 @@ std::vector<std::optional<util::Bytes>> KvCluster::mget(
   for (const std::size_t s : groups.touched) {
     const Shard& shard = *shards_[s];
     std::shared_lock lock(shard.mutex);
-    double dt = cost_.per_query;  // one pipelined round trip per shard
+    double dt = Cost::per_query;  // one pipelined round trip per shard
     for (const std::uint32_t idx : groups.by_shard[s]) {
       auto it = shard.data.find(keys[idx]);
       if (it != shard.data.end()) {
         out[idx] = it->second;
-        dt += cost_.per_byte * static_cast<double>(it->second.size());
+        dt += Cost::per_byte * static_cast<double>(it->second.size());
       }
-      dt += cost_.batch_per_key;
+      dt += Cost::batch_per_key;
     }
     shard_ops_[s]->inc();
     add_time(t_reads_, dt);
@@ -309,11 +311,11 @@ void KvCluster::mset(
   for (const std::size_t s : groups.touched) {
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mutex);
-    double dt = cost_.per_query;
+    double dt = Cost::per_query;
     for (const std::uint32_t idx : groups.by_shard[s]) {
       const auto& [key, value] = kvs[idx];
-      dt += cost_.batch_per_key +
-            cost_.per_byte * static_cast<double>(value.size());
+      dt += Cost::batch_per_key +
+            Cost::per_byte * static_cast<double>(value.size());
       auto [it, inserted] = shard.data.insert_or_assign(key, value);
       if (inserted) index_add(shard, it->first);
     }
@@ -333,9 +335,9 @@ std::size_t KvCluster::mdel(const std::vector<std::string>& keys) {
   for (const std::size_t s : groups.touched) {
     Shard& shard = *shards_[s];
     std::unique_lock lock(shard.mutex);
-    double dt = cost_.per_query;
+    double dt = Cost::per_query;
     for (const std::uint32_t idx : groups.by_shard[s]) {
-      dt += cost_.batch_per_key;
+      dt += Cost::batch_per_key;
       if (shard.data.erase(keys[idx]) > 0) {
         index_remove(shard, keys[idx]);
         ++deleted;
@@ -390,12 +392,12 @@ std::size_t KvCluster::mrename(
     }
     // One DEL round trip on the source shard plus one SET round trip per
     // distinct destination shard; cross-shard pairs pay the marginal twice.
-    add_time(t_dels_, cost_.per_query +
-                          cost_.batch_per_key *
+    add_time(t_dels_, Cost::per_query +
+                          Cost::batch_per_key *
                               static_cast<double>(groups.by_shard[s].size()));
     add_time(t_writes_,
-             cost_.per_query * static_cast<double>(involved.size() - 1) +
-                 cost_.batch_per_key * static_cast<double>(cross_pairs));
+             Cost::per_query * static_cast<double>(involved.size() - 1) +
+                 Cost::batch_per_key * static_cast<double>(cross_pairs));
     for (const std::size_t i : involved) shard_ops_[i]->inc();
   }
   return n_renamed;

@@ -44,21 +44,21 @@ namespace mummi::ds {
 /// measured rates (~10k key-retrievals+deletions/s, ~2k value-reads/s on a
 /// 20-node cluster at 4000-node scale).
 struct KvCostModel {
-  double per_query = 1.0e-4;        // seconds per round trip (del/set)
-  double per_read = 5.0e-4;         // seconds per value retrieval
-  double per_byte = 2.0e-9;         // payload transfer
-  double per_scanned_key = 2.0e-8;  // KEYS pattern scan per stored key
-  double per_returned_key = 1.0e-4;  // KEYS result transfer per matched key
+  static constexpr double per_query = 1.0e-4;  // s per round trip (del/set)
+  static constexpr double per_read = 5.0e-4;  // seconds per value retrieval
+  static constexpr double per_byte = 2.0e-9;  // payload transfer
+  static constexpr double per_scanned_key = 2.0e-8;  // KEYS scan per key
+  static constexpr double per_returned_key = 1.0e-4;  // KEYS transfer per match
   /// Marginal per sub-operation inside a pipelined batch: the per-key server
   /// work once the round trip is amortized over the whole shard group.
-  double batch_per_key = 2.0e-5;
+  static constexpr double batch_per_key = 2.0e-5;
 };
 
 class KvCluster {
  public:
   /// A cluster of `n_servers` shards. Keys map to shards by hash, mirroring
   /// Redis hash slots.
-  explicit KvCluster(std::size_t n_servers, KvCostModel cost = {});
+  explicit KvCluster(std::size_t n_servers);
 
   void set(const std::string& key, util::Bytes value);
   [[nodiscard]] std::optional<util::Bytes> get(const std::string& key) const;
@@ -150,7 +150,6 @@ class KvCluster {
                           const std::string& to);
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  KvCostModel cost_;
   /// Per-shard op counters ("kv.shard.<i>.ops"), cached at construction so
   /// the hot KV paths never build a metric name. Registry handles are
   /// process-stable, and clusters of equal size share them. A batch visit

@@ -9,8 +9,8 @@ RedStore::RedStore(std::shared_ptr<KvCluster> cluster)
   MUMMI_CHECK(cluster_ != nullptr);
 }
 
-RedStore::RedStore(std::size_t n_servers, KvCostModel cost)
-    : cluster_(std::make_shared<KvCluster>(n_servers, cost)) {}
+RedStore::RedStore(std::size_t n_servers)
+    : cluster_(std::make_shared<KvCluster>(n_servers)) {}
 
 std::string RedStore::full_key(const std::string& ns, const std::string& key) {
   MUMMI_CHECK_MSG(!ns.empty() && ns.find(':') == std::string::npos,

@@ -19,7 +19,7 @@ class RedStore final : public DataStore {
   explicit RedStore(std::shared_ptr<KvCluster> cluster);
 
   /// Convenience: owns a fresh cluster of `n_servers`.
-  explicit RedStore(std::size_t n_servers, KvCostModel cost = {});
+  explicit RedStore(std::size_t n_servers);
 
   void put(const std::string& ns, const std::string& key,
            const util::Bytes& value) override;

@@ -21,7 +21,7 @@ namespace mummi::md {
 
 struct SimulationConfig {
   real dt = 0.02;            // ps (Martini-scale); AA uses ~0.002
-  real skin = 0.3;           // neighbor-list skin, nm
+  static constexpr real skin = 0.3;  // neighbor-list skin, nm
   int frame_interval = 100;  // steps between frame callbacks (0 = off)
   int checkpoint_interval = 0;  // steps between checkpoints (0 = off)
   std::string checkpoint_path;  // required if checkpoint_interval > 0

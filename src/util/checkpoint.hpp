@@ -38,7 +38,8 @@ struct IoRetryPolicy {
                         /*multiplier=*/2.0, /*max_delay_s=*/0.25,
                         /*jitter_frac=*/0.25};
   SleepFn sleep;                // empty = sleep for real (wall_sleeper)
-  std::uint64_t jitter_seed = 0x10aded;  // deterministic jitter stream
+  // Seed of the deterministic jitter stream.
+  static constexpr std::uint64_t jitter_seed = 0x10aded;
 };
 
 class CheckpointFile {

@@ -223,10 +223,10 @@ TrackerSet make_trackers(const PerfModel& perf) {
     cfg.sigma_duration = 0.25 * mean_s;
     trackers.add(std::make_unique<JobTracker>(cfg));
   };
-  add("cg_setup", 24, 0, perf.createsim_mean_s);
-  add("cg_sim", 3, 1, 86400);
-  add("aa_setup", 18, 0, perf.backmap_mean_s);
-  add("aa_sim", 3, 1, 86400);
+  add(job_type::kCgSetup, 24, 0, perf.createsim_mean_s);
+  add(job_type::kCgSim, 3, 1, 86400);
+  add(job_type::kAaSetup, 18, 0, perf.backmap_mean_s);
+  add(job_type::kAaSim, 3, 1, 86400);
   return trackers;
 }
 
@@ -365,7 +365,7 @@ CampaignRun::CampaignRun(Campaign& campaign, CampaignResult& result,
   // registers first.
   scheduler_.on_finish([this](const sched::Job& job) { on_finish(job); });
   // Selectors persist across the campaign.
-  wm_.emplace(cfg_.wm, maestro_, trackers_, *c_.patch_selector_,
+  wm_.emplace(WmConfig{}, maestro_, trackers_, *c_.patch_selector_,
               *c_.frame_selector_);
   restore(carry);
   wm_->on_sim_finished([this](const sched::Job& job) { on_sim_failed(job); });
@@ -381,7 +381,7 @@ CampaignRun::CampaignRun(Campaign& campaign, CampaignResult& result,
   // its job type — the repeat offender the quarantine ledger is keyed for.
   if (cfg_.poison_payload_modulus > 0)
     executor_.set_poison([this](const sched::Job& job) {
-      return job.spec.type == cfg_.poison_job_type && job.spec.payload != 0 &&
+      return job.spec.type == job_type::kCgSetup && job.spec.payload != 0 &&
              job.spec.payload % cfg_.poison_payload_modulus == 0;
     });
 
@@ -427,8 +427,8 @@ void CampaignRun::start_supervisor() {
     const auto& tc = trackers_.tracker(type).config();
     supervisor_->set_timing(type, {tc.mean_duration, tc.sigma_duration});
   }
-  supervisor_->set_timing(cfg_.wm.canary_type,
-                          {cfg_.wm.canary_duration_s, 0.0});
+  supervisor_->set_timing(job_type::kCanary,
+                          {WmConfig::canary_duration_s, 0.0});
   // Latency-spike faults stretch real durations; deadlines stretch along.
   supervisor_->set_duration_stretch(
       [this](double now) { return injector_.latency_factor(now); });
@@ -443,7 +443,7 @@ WorkflowManager::CarryOver CampaignRun::run() {
   if (supervisor_)
     every(supervise::kTickIntervalS, &CampaignRun::supervise_tick);
   maestro_.submit(continuum_spec());  // the continuum job loads first
-  every(cfg_.rates.continuum_snapshot_interval_s, &CampaignRun::snapshot_tick);
+  every(RateModel::continuum_snapshot_interval_s, &CampaignRun::snapshot_tick);
   every(cfg_.maintain_interval_s, &CampaignRun::maintain_tick);
   every(cfg_.feedback_interval_s, &CampaignRun::feedback_tick);
   every(cfg_.profile_interval_s, &CampaignRun::profile_tick);
@@ -473,7 +473,7 @@ void CampaignRun::every(double interval_s, void (CampaignRun::*tick)()) {
 
 void CampaignRun::on_finish(const sched::Job& job) {
   const auto& type = job.spec.type;
-  if (type == "continuum") {
+  if (type == job_type::kContinuum) {
     if (job.state == sched::JobState::kFailed) {
       // A node crash took the continuum down. It is untracked (no WM
       // restart policy), so the campaign itself reloads it from its
@@ -486,7 +486,7 @@ void CampaignRun::on_finish(const sched::Job& job) {
     }
     return;
   }
-  if (type != "cg_sim" && type != "aa_sim") return;
+  if (type != job_type::kCgSim && type != job_type::kAaSim) return;
   auto it = c_.sims_.find(job.spec.payload);
   if (it == c_.sims_.end()) return;
   LogicalSim& ls = it->second;
@@ -514,7 +514,7 @@ void CampaignRun::on_sim_failed(const sched::Job& job) {
 }
 
 void CampaignRun::on_start(const sched::Job& job) {
-  if (job.spec.type == "continuum") continuum_running_ = true;
+  if (job.spec.type == job_type::kContinuum) continuum_running_ = true;
   const sched::JobId id = job.id;
   executor_.launch(job, [this, id](bool ok) {
     // A node-crash fault may have killed the job after this completion
@@ -530,14 +530,15 @@ double CampaignRun::job_duration(const sched::Job& job) {
   // Active latency spikes (GPFS/fabric congestion) stretch job durations;
   // 1.0 when no spike is live, so fault-free runs are bit-identical.
   const double stretch = injector_.latency_factor(engine_.now());
-  if (type == "continuum") return 2.0 * walltime_s_;  // cut at teardown
-  if (type == "cg_setup")
+  if (type == job_type::kContinuum)
+    return 2.0 * walltime_s_;  // cut at teardown
+  if (type == job_type::kCgSetup)
     return stretch * cfg_.perf.sample_createsim_seconds(c_.rng_);
-  if (type == "aa_setup")
+  if (type == job_type::kAaSetup)
     return stretch * cfg_.perf.sample_backmap_seconds(c_.rng_);
-  if (type == "cg_sim" || type == "aa_sim") {
-    LogicalSim& ls =
-        c_.logical_sim(job.spec.payload, type == "aa_sim", degraded_);
+  if (type == job_type::kCgSim || type == job_type::kAaSim) {
+    LogicalSim& ls = c_.logical_sim(job.spec.payload,
+                                    type == job_type::kAaSim, degraded_);
     return std::max(1.0, stretch * (ls.target - ls.progress) / ls.rate_per_s);
   }
   return job.spec.est_duration;
@@ -546,7 +547,7 @@ double CampaignRun::job_duration(const sched::Job& job) {
 sched::JobSpec CampaignRun::continuum_spec() const {
   sched::JobSpec spec;
   spec.name = "gridsim2d";
-  spec.type = "continuum";
+  spec.type = job_type::kContinuum;
   spec.request.slot = sched::Slot{cfg_.continuum_cores_per_node, 0};
   spec.request.nslots = continuum_nodes_;
   spec.request.one_slot_per_node = true;
@@ -572,7 +573,7 @@ void CampaignRun::snapshot_tick() {
       cfg_.perf.continuum_ms_per_day(continuum_nodes_ *
                                      cfg_.continuum_cores_per_node) *
       (1.0 + 0.03 * c_.rng_.normal()));
-  result_.ledger.bytes_continuum += cfg_.rates.continuum_snapshot_bytes;
+  result_.ledger.bytes_continuum += RateModel::continuum_snapshot_bytes;
   result_.ledger.files_total += 1;
 
   // Task 1: the Patch Creator cuts one patch per protein. Embeddings are
@@ -603,7 +604,7 @@ void CampaignRun::snapshot_tick() {
   }
   result_.patches_created += created;
   result_.ledger.bytes_patches +=
-      static_cast<double>(created) * cfg_.rates.patch_bytes;
+      static_cast<double>(created) * RateModel::patch_bytes;
   result_.ledger.files_total += created;
 }
 
@@ -623,7 +624,7 @@ void CampaignRun::analyze_insitu() {
   // calibrated rate, now as per-sim Poisson draws from counter-based
   // streams so the tick is byte-identical at any thread count.
   const auto payloads = wm_->running_payloads(
-      "cg_sim",
+      job_type::kCgSim,
       [this](const sched::Job& job) { return executor_.is_hung(job.id); });
   if (payloads.empty()) return;
   const double mean_per_sim = (cfg_.perf.cg_us_per_day / 86400.0) *
@@ -667,8 +668,8 @@ void CampaignRun::analyze_insitu() {
 }
 
 void CampaignRun::feedback_tick() {
-  const int running_cg = wm_->running("cg_sim");
-  const int running_aa = wm_->running("aa_sim");
+  const int running_cg = wm_->running(job_type::kCgSim);
+  const int running_aa = wm_->running(job_type::kAaSim);
   auto& ledger = result_.ledger;
   if (running_cg > 0) {
     // CG->continuum: RDF pushes arrive every ~3-4 min per simulation.
@@ -680,20 +681,20 @@ void CampaignRun::feedback_tick() {
                     fb::FeedbackCosts::redis().process_per_frame));
     // Data ledger: trajectory frames written during this interval.
     const double cg_frames = running_cg * cfg_.feedback_interval_s /
-                             cfg_.rates.cg_frame_interval_s;
-    ledger.bytes_cg_frames += cg_frames * cfg_.rates.cg_frame_bytes;
-    ledger.bytes_cg_analysis += cg_frames * cfg_.rates.cg_analysis_bytes;
+                             RateModel::cg_frame_interval_s;
+    ledger.bytes_cg_frames += cg_frames * RateModel::cg_frame_bytes;
+    ledger.bytes_cg_analysis += cg_frames * RateModel::cg_analysis_bytes;
     ledger.files_total +=
         static_cast<std::uint64_t>(cg_frames * kFilesPerCgFrame);
   }
   if (running_aa > 0) {
     // AA->CG: fewer frames, ~2 s each through external calls, pooled.
     const double aa_frames = running_aa * cfg_.feedback_interval_s /
-                             cfg_.rates.aa_frame_interval_s;
+                             RateModel::aa_frame_interval_s;
     const auto frames = static_cast<std::size_t>(aa_frames);
     result_.aa2cg_stats.push_back(feedback_iteration(
         frames, 60.0 + 2.0 * static_cast<double>(frames) / 6.0));
-    ledger.bytes_aa_frames += aa_frames * cfg_.rates.aa_frame_bytes;
+    ledger.bytes_aa_frames += aa_frames * RateModel::aa_frame_bytes;
     ledger.files_total += static_cast<std::uint64_t>(aa_frames);
   }
 }
@@ -743,12 +744,12 @@ void CampaignRun::save_checkpoint() {
   for (const sched::JobId id : active) {
     const sched::Job& job = scheduler_.job(id);
     const auto& type = job.spec.type;
-    const bool is_sim = type == "cg_sim" || type == "aa_sim";
-    auto* fly = type == "cg_sim"     ? &rs.inflight_cg
-                : type == "aa_sim"   ? &rs.inflight_aa
-                : type == "cg_setup" ? &rs.inflight_cg_setup
-                : type == "aa_setup" ? &rs.inflight_aa_setup
-                                     : nullptr;
+    const bool is_sim = type == job_type::kCgSim || type == job_type::kAaSim;
+    auto* fly = type == job_type::kCgSim     ? &rs.inflight_cg
+                : type == job_type::kAaSim   ? &rs.inflight_aa
+                : type == job_type::kCgSetup ? &rs.inflight_cg_setup
+                : type == job_type::kAaSetup ? &rs.inflight_aa_setup
+                                             : nullptr;
     if (fly == nullptr) continue;
     if (seen.emplace(fly, job.spec.payload).second)
       fly->push_back(job.spec.payload);
@@ -800,7 +801,7 @@ WorkflowManager::CarryOver CampaignRun::teardown() {
     // over, so a hang costs at most the rest of this allocation.
     const bool was_running =
         job.state == sched::JobState::kRunning && !executor_.is_hung(id);
-    if (type == "cg_sim" || type == "aa_sim") {
+    if (type == job_type::kCgSim || type == job_type::kAaSim) {
       auto it = c_.sims_.find(job.spec.payload);
       if (it != c_.sims_.end() && was_running) {
         LogicalSim& ls = it->second;
@@ -818,8 +819,9 @@ WorkflowManager::CarryOver CampaignRun::teardown() {
       // An original and its speculative twin share a payload; it resumes
       // exactly once.
       if (torn_down_sims.insert(job.spec.payload).second)
-        (type == "cg_sim" ? resume_cg : resume_aa).push_back(job.spec.payload);
-    } else if (type == "cg_setup" || type == "aa_setup") {
+        (type == job_type::kCgSim ? resume_cg : resume_aa)
+            .push_back(job.spec.payload);
+    } else if (type == job_type::kCgSetup || type == job_type::kAaSetup) {
       if (torn_down_setups.insert(job.spec.payload).second)
         wm_->requeue_setup(type, job.spec.payload);
     }
@@ -830,11 +832,11 @@ WorkflowManager::CarryOver CampaignRun::teardown() {
   prepend(carry.ready_aa, resume_aa);
 
   // Backmap data volumes from completed AA setups this run.
-  const auto backmaps =
-      static_cast<double>(trackers_.tracker("aa_setup").counters().completed);
+  const auto backmaps = static_cast<double>(
+      trackers_.tracker(job_type::kAaSetup).counters().completed);
   result_.ledger.bytes_backmap +=
       backmaps *
-      (cfg_.rates.backmap_local_bytes + cfg_.rates.backmap_gpfs_bytes);
+      (RateModel::backmap_local_bytes + RateModel::backmap_gpfs_bytes);
   result_.ledger.files_total += static_cast<std::uint64_t>(backmaps) * 4;
 
   if (supervisor_) supervisor_->finalize(engine_.now());
@@ -896,6 +898,24 @@ std::optional<std::uint64_t> Campaign::try_load_checkpoint(
   checkpoint_fields(io, rs, result, interrupted, rs.wm_state);
   if (!r.at_end())
     throw util::FormatError("campaign checkpoint has trailing bytes");
+  // The resume position must name a run of this schedule and a point inside
+  // that run's walltime: run() would skip every run past the schedule, and a
+  // time outside [0, walltime] stretches the allocation or makes it NaN.
+  const RunSpec* run = nullptr;
+  std::uint64_t first = 0;  // flat index of the first run of `spec`
+  for (const auto& spec : config_.runs) {
+    const auto n = static_cast<std::uint64_t>(std::max(spec.count, 0));
+    if (rs.flat_run - first < n) {
+      run = &spec;
+      break;
+    }
+    first += n;
+  }
+  if (run == nullptr)
+    throw util::FormatError("campaign checkpoint: resume run not scheduled");
+  if (!(rs.time_into_run_s >= 0 &&
+        rs.time_into_run_s <= run->walltime_h * 3600.0))
+    throw util::FormatError("campaign checkpoint: resume time outside its run");
   interrupted.fold_into(result);
   result.resumed_from_checkpoint = true;
 
@@ -925,10 +945,8 @@ CampaignResult Campaign::run() {
   {
     // In-situ analysis fan-out: per-sim streams are counter-based (never the
     // shared rng_), so the pool only trades wall time for tick latency.
-    InSituConfig insitu_cfg;
-    insitu_cfg.pool = config_.insitu_pool;
     insitu_ = std::make_unique<InSituPlane>(
-        config_.seed ^ 0xa5a5a5a5a5a5a5a5ULL, insitu_cfg);
+        config_.seed ^ 0xa5a5a5a5a5a5a5a5ULL, config_.insitu_pool);
   }
   // Campaign-scale candidate volumes: stream history to /dev/null instead of
   // holding tens of millions of event ids in memory.

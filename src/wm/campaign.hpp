@@ -46,36 +46,34 @@ struct CampaignConfig {
   std::vector<RunSpec> runs = {
       {100, 6, 5}, {100, 12, 3}, {500, 12, 3}, {1000, 24, 20}, {4000, 24, 1}};
 
-  WmConfig wm;
   PerfModel perf;
-  RateModel rates;
-  sched::QueueConfig queue;        // async by default; Fig. 6 flips it
+  sched::QueueConfig queue;  // async by default; tests run it synchronous
   sched::MatchPolicy match_policy = sched::MatchPolicy::kFirstMatch;
 
   // Continuum job shape (150 nodes x 24 cores on the big runs).
-  int continuum_nodes_max = 150;
-  int continuum_cores_per_node = 24;
+  static constexpr int continuum_nodes_max = 150;
+  static constexpr int continuum_cores_per_node = 24;
 
   // Cadences (seconds of virtual wall time). The continuum snapshot cadence
-  // is rates.continuum_snapshot_interval_s.
-  double maintain_interval_s = 60;
-  int submit_budget_per_maintain = 100;  // ~100 jobs/min throttle
-  double feedback_interval_s = 300;
-  double profile_interval_s = 600;
+  // is RateModel::continuum_snapshot_interval_s.
+  static constexpr double maintain_interval_s = 60;
+  static constexpr int submit_budget_per_maintain = 100;  // jobs/min throttle
+  static constexpr double feedback_interval_s = 300;
+  static constexpr double profile_interval_s = 600;
 
   // Patch/frame synthesis rates.
   int proteins_per_snapshot = 333;
-  double frame_candidates_per_us = 102.0;  // 9.8M candidates / 96.7 ms CG
+  static constexpr double frame_candidates_per_us = 102.0;  // 9.8M / 96.7 ms CG
   double frame_candidate_scale = 1.0;      // <1 subsamples (memory relief)
 
   // Trajectory-length targets (tuned so completed-sim means match Sec. 5.1:
   // ~2.8 us/CG sim, 34.5k CG sims; 50-65 ns/AA sim, ~9.6k AA sims).
   double cg_min_us = 0.5, cg_mean_us = 4.0, cg_max_us = 5.0;
-  double aa_min_ns = 50.0, aa_max_ns = 65.0;
+  static constexpr double aa_min_ns = 50.0, aa_max_ns = 65.0;
 
   // The incompatible-MPI episode degrading CG throughput for the first
   // third of the campaign (Sec. 5.1).
-  double degraded_until_fraction = 0.33;
+  static constexpr double degraded_until_fraction = 0.33;
 
   double sim_failure_prob = 0.005;  // per-job failure odds
   std::uint64_t seed = 7;
@@ -92,11 +90,10 @@ struct CampaignConfig {
   supervise::SuperviseConfig supervise;
 
   /// Poison-work model: payloads whose id is a nonzero multiple of this
-  /// modulus deterministically fail every `poison_job_type` attempt —
+  /// modulus deterministically fail every job_type::kCgSetup attempt —
   /// the "work item that kills whatever runs it" pattern the quarantine
   /// ledger exists for. 0 disables.
   std::uint64_t poison_payload_modulus = 0;
-  std::string poison_job_type = "cg_setup";
 
   /// Periodic campaign checkpoint cadence (virtual seconds); 0 disables.
   /// Requires checkpoint_path: the Campaign constructor throws

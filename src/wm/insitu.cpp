@@ -10,6 +10,17 @@ namespace mummi::wm {
 
 namespace {
 
+// Miniature CG stand-in per sim: 4 lipid species x 4 head beads + a 6-bead
+// RAS-RAF backbone (4 RAS + 2 RAF) in a 4 x 4 x 8 nm box.
+constexpr int kSpecies = 4;
+constexpr int kHeadsPerSpecies = 4;
+constexpr int kRasBeads = 4;
+constexpr int kRafBeads = 2;
+constexpr double kBoxXy = 4.0;
+constexpr double kBoxZ = 8.0;
+constexpr md::real kRdfRmax = 2.0;
+constexpr std::size_t kRdfBins = 16;
+
 /// Poisson draw: Knuth's product method for small means, rounded-normal
 /// approximation above (never reached at campaign candidate rates, but keeps
 /// the helper total). Consumes a data-independent *stream*, not a shared RNG.
@@ -35,19 +46,19 @@ md::Vec3 random_unit(util::Rng& rng) {
   return v * (1.0 / n);
 }
 
-coupling::CgSystemInfo make_proto(const InSituConfig& config) {
+coupling::CgSystemInfo make_proto() {
   coupling::CgSystemInfo info;
-  info.system.box.length = {config.box_xy, config.box_xy, config.box_z};
-  info.heads_by_species.resize(static_cast<std::size_t>(config.n_species));
-  for (int s = 0; s < config.n_species; ++s)
-    for (int h = 0; h < config.heads_per_species; ++h)
+  info.system.box.length = {kBoxXy, kBoxXy, kBoxZ};
+  info.heads_by_species.resize(static_cast<std::size_t>(kSpecies));
+  for (int s = 0; s < kSpecies; ++s)
+    for (int h = 0; h < kHeadsPerSpecies; ++h)
       info.heads_by_species[static_cast<std::size_t>(s)].push_back(
           info.system.add_particle({}, s, 72.0));
-  const int protein_type = config.n_species;
-  for (int b = 0; b < config.ras_beads + config.raf_beads; ++b)
+  const int protein_type = kSpecies;
+  for (int b = 0; b < kRasBeads + kRafBeads; ++b)
     info.protein_beads.push_back(
         info.system.add_particle({}, protein_type, 72.0));
-  info.ras_beads = config.ras_beads;
+  info.ras_beads = kRasBeads;
   return info;
 }
 
@@ -58,13 +69,12 @@ struct InSituPlane::SimState {
   coupling::CgAnalysis analysis;
   InSituResult result;
 
-  SimState(const coupling::CgSystemInfo& info, std::uint64_t sim_id,
-           md::real rmax, std::size_t bins)
-      : system(info.system), analysis(info, sim_id, rmax, bins) {}
+  SimState(const coupling::CgSystemInfo& info, std::uint64_t sim_id)
+      : system(info.system), analysis(info, sim_id, kRdfRmax, kRdfBins) {}
 };
 
-InSituPlane::InSituPlane(std::uint64_t seed, InSituConfig config)
-    : seed_(seed), config_(config), proto_(make_proto(config_)) {}
+InSituPlane::InSituPlane(std::uint64_t seed, util::ThreadPool* pool)
+    : seed_(seed), pool_(pool), proto_(make_proto()) {}
 
 InSituPlane::~InSituPlane() = default;
 
@@ -135,9 +145,7 @@ std::uint64_t InSituPlane::tick(
     if (old != states_.end() && old->first == payload)
       live.push_back(std::move(*old++));
     else
-      live.emplace_back(payload, std::make_unique<SimState>(
-                                     proto_, payload, config_.rdf_rmax,
-                                     config_.rdf_bins));
+      live.emplace_back(payload, std::make_unique<SimState>(proto_, payload));
   }
   states_ = std::move(live);
 
@@ -145,7 +153,7 @@ std::uint64_t InSituPlane::tick(
   util::for_blocks_ordered(
       // At least 16 sims per block amortize the per-task dispatch; past
       // 512 sims the tick is capped at 32 blocks.
-      config_.pool, n, util::block_size(n, 16, 32),
+      pool_, n, util::block_size(n, 16, 32),
       // Pool task per block: step, then analyze, each of the block's sims.
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {

@@ -29,21 +29,6 @@
 
 namespace mummi::wm {
 
-struct InSituConfig {
-  // Miniature CG stand-in per sim: 4 lipid species x 4 head beads + a
-  // 6-bead RAS-RAF backbone (4 RAS + 2 RAF) in a 4 x 4 x 8 nm box.
-  int n_species = 4;
-  int heads_per_species = 4;
-  int ras_beads = 4;
-  int raf_beads = 2;
-  double box_xy = 4.0;
-  double box_z = 8.0;
-  md::real rdf_rmax = 2.0;
-  std::size_t rdf_bins = 16;
-  /// Pool for the fan-out; null runs serially (same outputs either way).
-  util::ThreadPool* pool = nullptr;
-};
-
 /// Per-sim outcome of one tick, handed to the fold callback.
 struct InSituResult {
   std::uint64_t sim = 0;
@@ -59,7 +44,8 @@ struct InSituResult {
 
 class InSituPlane {
  public:
-  explicit InSituPlane(std::uint64_t seed, InSituConfig config = {});
+  /// `pool` runs the fan-out; null runs serially (same outputs either way).
+  explicit InSituPlane(std::uint64_t seed, util::ThreadPool* pool = nullptr);
   ~InSituPlane();  // out of line: SimState is incomplete here
 
   /// Advances and analyzes every sim in `payloads` (must be ascending and
@@ -95,7 +81,7 @@ class InSituPlane {
                    double candidate_mean, InSituResult& out) const;
 
   std::uint64_t seed_;
-  InSituConfig config_;
+  util::ThreadPool* pool_;
   /// Geometry template shared by every sim (per-sim state differs only in
   /// positions, which are regenerated statelessly each tick).
   coupling::CgSystemInfo proto_;

@@ -16,8 +16,22 @@
 
 namespace mummi::wm {
 
+/// The job types of the MuMMI workflow: tracker keys and JobSpec::type
+/// values. The WM, the campaign and the supervision plane all name them here.
+namespace job_type {
+inline constexpr char kCgSetup[] = "cg_setup";  // createsim
+inline constexpr char kCgSim[] = "cg_sim";
+inline constexpr char kAaSetup[] = "aa_setup";  // backmapping
+inline constexpr char kAaSim[] = "aa_sim";
+/// Node-probation probe. It has no tracker; the Supervisor interprets its
+/// completion.
+inline constexpr char kCanary[] = "canary";
+/// The continuum model. It has no tracker; the campaign reloads it itself.
+inline constexpr char kContinuum[] = "continuum";
+}  // namespace job_type
+
 struct JobTypeConfig {
-  std::string type;          // e.g. "cg_setup", "cg_sim", "aa_setup", "aa_sim"
+  std::string type;          // e.g. job_type::kCgSim
   sched::Request request;    // resource shape per job
   int max_restarts = 2;      // resubmissions after failure
   double mean_duration = 0;  // seconds (executor hint)

@@ -20,7 +20,7 @@ WorkflowManager::WorkflowManager(WmConfig config, Maestro& maestro,
       trackers_(trackers),
       patch_selector_(patch_selector),
       frame_selector_(frame_selector),
-      quarantine_(config_.quarantine_strikes) {
+      quarantine_(WmConfig::quarantine_strikes) {
   maestro_.on_start([this](const sched::Job& job) {
     bump(pending_, job.spec.type, -1);
     bump(running_, job.spec.type, +1);
@@ -130,10 +130,8 @@ int WorkflowManager::maintain(int submit_budget) {
   // Degraded mode (paper priority ordering: aa sheds before cg): level >= 1
   // stops all aa work, level >= 2 additionally stops new cg setups while cg
   // sims keep the ML-feedback loop alive.
-  if (!config_.cg_sim_type.empty())
-    fill_sims(config_.cg_sim_type, ready_cg_, cg_capacity());
-  if (shed_level_ < 1 && !config_.aa_sim_type.empty())
-    fill_sims(config_.aa_sim_type, ready_aa_, aa_capacity());
+  fill_sims(job_type::kCgSim, ready_cg_, cg_capacity());
+  if (shed_level_ < 1) fill_sims(job_type::kAaSim, ready_aa_, aa_capacity());
 
   // Setups: keep the prepared buffers near target without oversubscribing
   // CPUs ("a full buffer prevents new setup jobs"; CPU jobs run "only when
@@ -150,7 +148,6 @@ int WorkflowManager::maintain(int submit_budget) {
                          std::deque<std::uint64_t>& ready,
                          std::deque<std::uint64_t>& requeued, int headroom,
                          int sim_capacity, auto select_batch) {
-    if (setup_type.empty()) return;
     const auto& tracker = trackers_.tracker(setup_type);
     const int cores_each = tracker.config().request.slot.cores *
                            tracker.config().request.nslots;
@@ -193,7 +190,7 @@ int WorkflowManager::maintain(int submit_budget) {
       }
   };
   if (shed_level_ < 2)
-    fill_setups(config_.cg_setup_type, config_.cg_sim_type, ready_cg_,
+    fill_setups(job_type::kCgSetup, job_type::kCgSim, ready_cg_,
               requeued_cg_setup_, config_.cg_ready_target, cg_capacity(),
               [this](std::size_t m) {
                 obs::Span select_span("wm.select.patch", "wm");
@@ -206,7 +203,7 @@ int WorkflowManager::maintain(int submit_budget) {
                 return payloads;
               });
   if (shed_level_ < 1)
-    fill_setups(config_.aa_setup_type, config_.aa_sim_type, ready_aa_,
+    fill_setups(job_type::kAaSetup, job_type::kAaSim, ready_aa_,
               requeued_aa_setup_, config_.aa_ready_target, aa_capacity(),
               [this](std::size_t m) {
                 obs::Span select_span("wm.select.frame", "wm");
@@ -236,9 +233,9 @@ void WorkflowManager::handle_finish(const sched::Job& job) {
   if (!trackers_.has(type)) return;  // e.g. the continuum job
   auto& tracker = trackers_.tracker(type);
 
-  const bool is_cg_setup = type == config_.cg_setup_type;
-  const bool is_aa_setup = type == config_.aa_setup_type;
-  const bool is_sim = type == config_.cg_sim_type || type == config_.aa_sim_type;
+  const bool is_cg_setup = type == job_type::kCgSetup;
+  const bool is_aa_setup = type == job_type::kAaSetup;
+  const bool is_sim = type == job_type::kCgSim || type == job_type::kAaSim;
 
   if (job.state == sched::JobState::kCompleted) {
     tracker.note_completed();
@@ -309,10 +306,9 @@ bool WorkflowManager::launch_speculative(const sched::Job& job) {
   const std::string& type = job.spec.type;
   if (!trackers_.has(type)) return false;
   // Don't duplicate work the shed policy is rejecting.
-  const bool is_aa =
-      type == config_.aa_setup_type || type == config_.aa_sim_type;
+  const bool is_aa = type == job_type::kAaSetup || type == job_type::kAaSim;
   if (shed_level_ >= 1 && is_aa) return false;
-  if (shed_level_ >= 2 && type == config_.cg_setup_type) return false;
+  if (shed_level_ >= 2 && type == job_type::kCgSetup) return false;
 
   sched::JobSpec spec = job.spec;  // duration hint and attrs match the twin
   spec.attrs["speculative"] = "1";
@@ -325,22 +321,20 @@ bool WorkflowManager::launch_speculative(const sched::Job& job) {
 }
 
 bool WorkflowManager::submit_canary(int node) {
-  if (config_.canary_type.empty()) return false;
   sched::JobSpec spec;
   spec.name = "canary-" + std::to_string(node);
-  spec.type = config_.canary_type;
+  spec.type = job_type::kCanary;
   spec.request.slot = sched::Slot{1, 0};
   spec.request.pin_node = node;
-  spec.est_duration = config_.canary_duration_s;
+  spec.est_duration = WmConfig::canary_duration_s;
   spec.attrs["canary_node"] = std::to_string(node);
-  bump(pending_, config_.canary_type, +1);
+  bump(pending_, job_type::kCanary, +1);
   maestro_.submit(std::move(spec));
   maestro_.poll();
   return true;
 }
 
 void WorkflowManager::shed_pending(const std::string& type) {
-  if (type.empty()) return;
   auto& scheduler = maestro_.scheduler();
   auto ids = scheduler.active_jobs();
   std::sort(ids.begin(), ids.end());  // deterministic cancel order
@@ -351,13 +345,13 @@ void WorkflowManager::shed_pending(const std::string& type) {
     if (job.spec.attrs.count("speculative") > 0) continue;  // dies with twin
     const std::uint64_t payload = job.spec.payload;
     maestro_.cancel(id);  // handle_finish rebalances pending_
-    if (type == config_.cg_sim_type)
+    if (type == job_type::kCgSim)
       ready_cg_.push_front(payload);
-    else if (type == config_.aa_sim_type)
+    else if (type == job_type::kAaSim)
       ready_aa_.push_front(payload);
-    else if (type == config_.cg_setup_type)
+    else if (type == job_type::kCgSetup)
       requeued_cg_setup_.push_front(payload);
-    else if (type == config_.aa_setup_type)
+    else if (type == job_type::kAaSetup)
       requeued_aa_setup_.push_front(payload);
   }
 }
@@ -372,19 +366,19 @@ void WorkflowManager::set_shed_level(int level, double now) {
   if (level >= 1 && prev < 1) {
     // aa sheds before cg (the paper's priority ordering): pending aa work is
     // withdrawn; payloads return to the front of their queues for recovery.
-    shed_pending(config_.aa_sim_type);
-    shed_pending(config_.aa_setup_type);
+    shed_pending(job_type::kAaSim);
+    shed_pending(job_type::kAaSetup);
   }
-  if (level >= 2 && prev < 2) shed_pending(config_.cg_setup_type);
+  if (level >= 2 && prev < 2) shed_pending(job_type::kCgSetup);
   // Dropping the level needs no action here: the next maintain() pass
   // resumes submission from the preserved queues.
 }
 
 void WorkflowManager::requeue_setup(const std::string& type,
                                     std::uint64_t payload) {
-  if (type == config_.cg_setup_type)
+  if (type == job_type::kCgSetup)
     requeued_cg_setup_.push_back(payload);
-  else if (type == config_.aa_setup_type)
+  else if (type == job_type::kAaSetup)
     requeued_aa_setup_.push_back(payload);
   else
     throw util::Error("requeue_setup: unknown setup type " + type);

@@ -32,12 +32,6 @@
 namespace mummi::wm {
 
 struct WmConfig {
-  // Job types (tracker keys). Any may be empty to disable that stage.
-  std::string cg_setup_type = "cg_setup";
-  std::string cg_sim_type = "cg_sim";
-  std::string aa_setup_type = "aa_setup";
-  std::string aa_sim_type = "aa_sim";
-
   /// Fraction of total GPUs reserved for CG simulations (paper: 60-80%);
   /// the remainder goes to AA.
   double gpu_frac_cg = 0.78;
@@ -50,14 +44,11 @@ struct WmConfig {
   int aa_ready_target = 30;
 
   /// Poison-work quarantine: strikes (failures/hangs, or node kills on that
-  /// many distinct nodes) before a payload is never resubmitted. <= 0
-  /// disables quarantining.
-  int quarantine_strikes = 3;
+  /// many distinct nodes) before a payload is never resubmitted.
+  static constexpr int quarantine_strikes = 3;
 
-  /// Node-probation canary probes (supervision plane). The canary type has
-  /// no tracker; its completion is interpreted by the Supervisor.
-  std::string canary_type = "canary";
-  double canary_duration_s = 60.0;
+  /// Duration of a node-probation canary probe (job_type::kCanary).
+  static constexpr double canary_duration_s = 60.0;
 };
 
 class WorkflowManager : public supervise::WorkloadControl {
@@ -126,7 +117,7 @@ class WorkflowManager : public supervise::WorkloadControl {
   /// setups. Raising the level cancels pending shed-type jobs and requeues
   /// their payloads; maintain() honors the level until it drops.
   void set_shed_level(int level, double now) override;
-  /// Canary probe pinned to `node` (config_.canary_type).
+  /// Canary probe pinned to `node` (job_type::kCanary).
   bool submit_canary(int node) override;
   [[nodiscard]] supervise::QuarantineLedger& quarantine() override {
     return quarantine_;

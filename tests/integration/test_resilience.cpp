@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include <deque>
 
@@ -294,6 +295,21 @@ TEST(Resilience, HostileCampaignCheckpointIsRejected) {
     std::memcpy(forged.data() + at, &huge, sizeof huge);
     expect_rejected(forged, "count at byte " + std::to_string(at));
   }
+  // The resume position: the flat run index (byte 4) must name a run of the
+  // one-run schedule, and the seconds into it (byte 12) must lie inside its
+  // 2 h walltime.
+  auto with = [&](std::size_t at, auto value) {
+    util::Bytes forged = payload;
+    std::memcpy(forged.data() + at, &value, sizeof value);
+    return forged;
+  };
+  expect_rejected(with(4, std::uint64_t{1}), "resume run past the schedule");
+  expect_rejected(with(12, -3600.0), "resume time before the run");
+  expect_rejected(with(12, 3 * 2 * 3600.0), "resume time 3x the walltime");
+  expect_rejected(with(12, std::numeric_limits<double>::quiet_NaN()),
+                  "resume time NaN");
+  expect_rejected(with(12, std::numeric_limits<double>::infinity()),
+                  "resume time infinite");
   util::Bytes appended = payload;
   appended.push_back(0);
   expect_rejected(appended, "one trailing byte");
