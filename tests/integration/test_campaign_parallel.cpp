@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/checkpoint.hpp"
 #include "util/thread_pool.hpp"
 #include "wm/campaign.hpp"
 
@@ -41,6 +42,25 @@ wm::CampaignConfig faulted_config() {
   cfg.faults.node_down_mean_s = 300.0;
   cfg.faults.seed = 5;
   return cfg;
+}
+
+// 1,000 proteins per snapshot: several synthesis blocks with a ragged tail,
+// so the snapshot tick's draws, transform and routing all cross block seams.
+wm::CampaignConfig synthesis_config() {
+  wm::CampaignConfig cfg;
+  cfg.runs = {{20, 2, 1}};
+  cfg.proteins_per_snapshot = 1000;
+  cfg.perf.createsim_mean_s = 900;
+  cfg.seed = 2021;
+  cfg.checkpoint_interval_s = 600;
+  return cfg;
+}
+
+std::filesystem::path scratch_dir(const std::string& name) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   (name + "_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 // Runs `cfg` once per pool size {serial, 2, 4, 8} and asserts every
@@ -104,6 +124,71 @@ TEST(ParallelCampaign, CrashResumeFingerprintIdenticalAcrossPoolSizes) {
   // Crash on 2 threads, resume on 8: pool size is invisible to the science.
   EXPECT_EQ(crash_and_resume("p2p8.ckpt", &p2, &p8), want);
 
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EnginePins, SnapshotSynthesisBytes) {
+  // Snapshot synthesis at 1,000 proteins per snapshot: the checkpoint
+  // payload of a crashed run (the campaign rng_ state rides it, spare
+  // included) and the science fingerprint of its resume. Serial here; the
+  // ParallelCampaign suite holds every pool size to these bytes.
+  const auto dir = scratch_dir("mummi_synth_pin");
+  wm::CampaignConfig cfg = synthesis_config();
+  cfg.checkpoint_path = (dir / "campaign.ckpt").string();
+  cfg.crash_at_campaign_h = 1.45;
+  EXPECT_THROW(wm::Campaign(cfg).run(), wm::SimulatedCrash);
+  const auto payload = util::CheckpointFile(cfg.checkpoint_path).load();
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(payload->size(), 2769920u);
+  EXPECT_EQ(util::fnv1a(payload->data(), payload->size()),
+            12550805878322369708ULL);
+
+  cfg.crash_at_campaign_h = 0;
+  const auto result = wm::Campaign(cfg).run();
+  EXPECT_TRUE(result.resumed_from_checkpoint);
+  const util::Bytes fp = result.science_fingerprint();
+  EXPECT_EQ(fp.size(), 3612u);
+  EXPECT_EQ(util::fnv1a(fp.data(), fp.size()), 17885858049185668540ULL);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ParallelCampaign, SnapshotSynthesisIdenticalAcrossPoolSizes) {
+  const auto dir = scratch_dir("mummi_synth_pools");
+  wm::CampaignConfig cfg = synthesis_config();
+  cfg.checkpoint_path = (dir / "campaign.ckpt").string();
+  const auto serial = wm::Campaign(cfg).run();
+  EXPECT_GT(serial.patches_created, 50u * 1000u);
+  const util::Bytes want = serial.science_fingerprint();
+  for (const std::size_t nthreads : {2u, 3u, 4u}) {
+    util::ThreadPool pool(nthreads);
+    cfg.insitu_pool = &pool;
+    EXPECT_EQ(wm::Campaign(cfg).run().science_fingerprint(), want)
+        << "fingerprint diverged at " << nthreads << " threads";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ParallelCampaign, SnapshotSynthesisCrashOn2ResumeOn4) {
+  // A checkpoint written on 2 workers resumes on 4 to the serial
+  // crash+resume bytes.
+  const auto dir = scratch_dir("mummi_synth_resume");
+  auto crash_and_resume = [&](const std::string& ckpt,
+                              util::ThreadPool* crash_pool,
+                              util::ThreadPool* resume_pool) {
+    wm::CampaignConfig cfg = synthesis_config();
+    cfg.checkpoint_path = (dir / ckpt).string();
+    cfg.crash_at_campaign_h = 1.45;
+    cfg.insitu_pool = crash_pool;
+    EXPECT_THROW(wm::Campaign(cfg).run(), wm::SimulatedCrash);
+    cfg.crash_at_campaign_h = 0;
+    cfg.insitu_pool = resume_pool;
+    const auto result = wm::Campaign(cfg).run();
+    EXPECT_TRUE(result.resumed_from_checkpoint);
+    return result.science_fingerprint();
+  };
+  const util::Bytes want = crash_and_resume("serial.ckpt", nullptr, nullptr);
+  util::ThreadPool p2(2), p4(4);
+  EXPECT_EQ(crash_and_resume("p2p4.ckpt", &p2, &p4), want);
   std::filesystem::remove_all(dir);
 }
 
