@@ -137,7 +137,10 @@ echo "=== tier 1: TSan build, blocked-parallel primitive + campaign tick ==="
 # steps and analyzes each block of sims on the pool while the caller folds
 # finished blocks in order, over shared SimStates; the determinism suites
 # drive 2/3/4/8-worker pools against the serial reference, so a racy block
-# handoff or early fold trips here.
+# handoff or early fold trips here. Snapshot synthesis draws each block on the
+# caller (prepare) while workers transform the blocks before it; the
+# ForBlocksOrdered.Prepare* and ParallelCampaign.SnapshotSynthesis* cases
+# drive that handoff.
 ./build-tsan/tests/mummi_tests \
   --gtest_filter='*ForBlocks*:*BlockScratch*:*BlockSize*:*EnvSharedPool*:*FpsPool*:*InSitu*:*ParallelCampaign*'
 

@@ -67,17 +67,62 @@ class Rng {
       has_spare_ = false;
       return spare_;
     }
-    double u, v, s;
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double factor = sqrt_m2log(s);
-    spare_ = v * factor;
+    const Polar p = polar();
+    const double factor = sqrt_m2log(p.s);
+    spare_ = p.v * factor;
     has_spare_ = true;
-    return u * factor;
+    return p.u * factor;
   }
+
+  /// A normal() value whose polar transform has not run yet: value() is
+  /// `a * sqrt_m2log(s)`, the expression normal() evaluates, so it is
+  /// bit-identical. s == 0 (which the polar method never accepts) marks a
+  /// spare resolved before deferral began: its value is `a` itself.
+  struct PolarDraw {
+    double a = 0.0;
+    double s = 0.0;
+    [[nodiscard]] double value() const {
+      return s == 0.0 ? a : a * sqrt_m2log(s);
+    }
+  };
+
+  /// normal() with the transform deferred, so one thread draws in order
+  /// while others transform. next() advances the generator exactly as
+  /// normal() does. The spare of the last pair drawn stays raw until
+  /// settle() (or the destructor) writes its value into the generator —
+  /// also when that spare was already consumed, because normal() leaves a
+  /// consumed spare in place and save_state() carries it. Until then the
+  /// generator's uniform draws are fine; its normal() and save_state() are
+  /// not.
+  class DeferredNormals {
+   public:
+    explicit DeferredNormals(Rng& rng) : rng_(rng) {}
+    ~DeferredNormals() { settle(); }
+    DeferredNormals(const DeferredNormals&) = delete;
+    DeferredNormals& operator=(const DeferredNormals&) = delete;
+
+    PolarDraw next() {
+      if (rng_.has_spare_) {
+        rng_.has_spare_ = false;
+        return raw_ ? spare_ : PolarDraw{rng_.spare_, 0.0};
+      }
+      const Polar p = rng_.polar();
+      spare_ = {p.v, p.s};
+      raw_ = true;
+      rng_.has_spare_ = true;
+      return {p.u, p.s};
+    }
+
+    void settle() {
+      if (raw_) rng_.spare_ = spare_.value();
+      raw_ = false;
+    }
+
+   private:
+    Rng& rng_;
+    PolarDraw spare_;   // the last drawn pair's v, owed or consumed
+    bool raw_ = false;  // spare_ not yet written into the generator
+  };
 
   /// Normal with given mean and stddev.
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
@@ -121,6 +166,21 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
   static double sqrt_m2log(double s);
+
+  /// One accepted polar pair: u, v uniform in the unit disc minus its
+  /// centre, s = u^2 + v^2.
+  struct Polar {
+    double u, v, s;
+  };
+  Polar polar() {
+    double u, v, s;
+    do {
+      u = uniform(-1.0, 1.0);
+      v = uniform(-1.0, 1.0);
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    return {u, v, s};
+  }
 
   std::uint64_t state_[4];
   bool has_spare_ = false;

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace mummi::util {
 
@@ -58,7 +59,8 @@ void ThreadPool::wait_idle() {
 }
 
 void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
-                        const BlockFn& work, const BlockFn& consume) {
+                        const BlockFn& prepare, const BlockFn& work,
+                        const BlockFn& consume) {
   if (n == 0) return;
   if (block == 0) block = 1;
   const std::size_t nblocks = block_count(n, block);
@@ -66,6 +68,7 @@ void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
   auto hi = [block, n](std::size_t b) { return std::min((b + 1) * block, n); };
   if (pool == nullptr || pool->size() <= 1 || nblocks <= 1 || t_in_worker) {
     for (std::size_t b = 0; b < nblocks; ++b) {
+      prepare(lo(b), hi(b));
       work(lo(b), hi(b));
       consume(lo(b), hi(b));
     }
@@ -73,10 +76,20 @@ void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
   }
   std::vector<std::future<void>> done;
   done.reserve(nblocks);
+  std::exception_ptr prepare_failed;
   try {
-    for (std::size_t b = 0; b < nblocks; ++b)
-      done.push_back(pool->submit([&work, lo, hi, b] { work(lo(b), hi(b)); }));
     for (std::size_t b = 0; b < nblocks; ++b) {
+      try {
+        prepare(lo(b), hi(b));
+      } catch (...) {
+        // The serial path consumed every block before this one; so does
+        // this path, unless one of their works failed first.
+        prepare_failed = std::current_exception();
+        break;
+      }
+      done.push_back(pool->submit([&work, lo, hi, b] { work(lo(b), hi(b)); }));
+    }
+    for (std::size_t b = 0; b < done.size(); ++b) {
       done[b].get();  // rethrows a work failure for block b
       consume(lo(b), hi(b));
     }
@@ -87,6 +100,13 @@ void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
       if (f.valid()) f.wait();
     throw;
   }
+  if (prepare_failed) std::rethrow_exception(prepare_failed);
+}
+
+void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
+                        const BlockFn& work, const BlockFn& consume) {
+  for_blocks_ordered(pool, n, block, [](std::size_t, std::size_t) {}, work,
+                     consume);
 }
 
 void for_blocks(ThreadPool* pool, std::size_t n, std::size_t block,

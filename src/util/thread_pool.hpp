@@ -9,7 +9,9 @@
 //     block boundaries. Boundaries depend on (n, min_block, target_blocks)
 //     only, never on the worker count.
 //   - for_blocks / for_blocks_ordered: a blocked map over [0, n), optionally
-//     with an ordered consume step on the caller. One body serves both.
+//     with a serial prepare step on the caller before each block is
+//     submitted and an ordered consume step on the caller after it finishes.
+//     One body serves all three forms.
 //   - BlockScratch<T>: per-block scatter buffers folded into an output in
 //     ascending block order.
 // A caller that writes only its own block's items, or scatters into its own
@@ -111,6 +113,19 @@ inline std::size_t block_count(std::size_t n, std::size_t block) {
 /// one from the lowest failing block.
 void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
                         const BlockFn& work, const BlockFn& consume);
+
+/// for_blocks_ordered with a serial `prepare(lo, hi)` step before each
+/// block's work: the caller runs it in ascending block order just before it
+/// submits that block, so preparing block b + 1 overlaps work(b) — a caller
+/// can draw block b + 1's inputs from one sequential stream while the pool
+/// transforms block b's. The serial path runs prepare(b), work(b),
+/// consume(b) block by block. If prepare(k) throws, the blocks before k are
+/// waited out and consumed, as the serial path would have, and then its
+/// exception propagates (unless a work before k failed first: the lowest
+/// failing block still wins).
+void for_blocks_ordered(ThreadPool* pool, std::size_t n, std::size_t block,
+                        const BlockFn& prepare, const BlockFn& work,
+                        const BlockFn& consume);
 
 /// for_blocks_ordered with no consume step: runs fn(lo, hi) over every block
 /// and returns once all blocks have finished.

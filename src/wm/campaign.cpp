@@ -336,6 +336,14 @@ class CampaignRun {
   std::optional<WorkflowManager> wm_;  // built after on_finish registration
   sched::SimExecutor executor_;
   std::optional<supervise::Supervisor> supervisor_;
+
+  // snapshot_tick buffers, reused across snapshots: the deferred noise
+  // draws, the embeddings and the queue of each protein, and the per-queue
+  // stores they are routed into.
+  std::vector<util::Rng::PolarDraw> synth_noise_;
+  std::vector<float> synth_coords_;
+  std::vector<std::uint8_t> synth_queue_;
+  std::vector<ml::PointStore> synth_by_queue_;
 };
 
 CampaignRun::CampaignRun(Campaign& campaign, CampaignResult& result,
@@ -578,29 +586,61 @@ void CampaignRun::snapshot_tick() {
 
   // Task 1: the Patch Creator cuts one patch per protein. Embeddings are
   // written straight into per-queue flat stores — the selector ingest path
-  // is allocation-free end to end.
+  // is allocation-free end to end. Synthetic metric-space embedding: smooth
+  // drift + noise, so novelty structure exists for FPS to exploit.
+  //
+  // Three steps per block of proteins. Draw: the rng_ draws stay on the
+  // caller in the serial order (9 normals, state, multi per protein), with
+  // the polar transform deferred. Transform: the pure math runs on the pool.
+  // Route: points reach the per-queue stores in protein order. The bytes
+  // are those of drawing and transforming one protein at a time.
   const auto n_queues =
       static_cast<std::size_t>(c_.patch_selector_->n_queues());
-  std::vector<ml::PointStore> by_queue(n_queues, ml::PointStore(9));
-  float coords[9];
-  static_assert(cont::kNumProteinStates == 4, "queue routing assumes 4 states");
-  for (int p = 0; p < cfg_.proteins_per_snapshot; ++p) {
-    const ml::PointId id = c_.next_patch_id_++;
-    // Synthetic metric-space embedding: smooth drift + noise, so novelty
-    // structure exists for FPS to exploit.
-    for (int d = 0; d < 9; ++d)
-      coords[d] =
-          static_cast<float>(std::sin(0.01 * static_cast<double>(id) + d) +
-                             0.3 * c_.rng_.normal());
-    const auto state = c_.rng_.uniform_index(cont::kNumProteinStates);
-    const bool multi = c_.rng_.uniform() < 0.2;  // multi-protein patches
-    by_queue[multi ? 4 : state].add(id, coords);
-  }
+  synth_by_queue_.resize(n_queues, ml::PointStore(9));
+  {
+    obs::Span span("wm.synth", "wm");
+    for (auto& store : synth_by_queue_) store.clear();
+    const auto n = static_cast<std::size_t>(cfg_.proteins_per_snapshot);
+    synth_noise_.resize(9 * n);
+    synth_coords_.resize(9 * n);
+    synth_queue_.resize(n);
+    const ml::PointId first_id = c_.next_patch_id_;
+    c_.next_patch_id_ += n;
+    static_assert(cont::kNumProteinStates == 4,
+                  "queue routing assumes 4 states");
+    util::Rng::DeferredNormals normals(c_.rng_);
+    util::for_blocks_ordered(
+        cfg_.insitu_pool, n, util::block_size(n, 128, 16),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t p = lo; p < hi; ++p) {
+            for (std::size_t d = 0; d < 9; ++d)
+              synth_noise_[9 * p + d] = normals.next();
+            const auto state = c_.rng_.uniform_index(cont::kNumProteinStates);
+            const bool multi = c_.rng_.uniform() < 0.2;  // multi-protein
+            synth_queue_[p] = static_cast<std::uint8_t>(multi ? 4 : state);
+          }
+        },
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t p = lo; p < hi; ++p) {
+            const auto id = static_cast<double>(first_id + p);
+            for (int d = 0; d < 9; ++d)
+              synth_coords_[9 * p + d] = static_cast<float>(
+                  std::sin(0.01 * id + d) +
+                  0.3 * synth_noise_[9 * p + d].value());
+          }
+        },
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t p = lo; p < hi; ++p)
+            synth_by_queue_[synth_queue_[p]].add(
+                first_id + p,
+                std::span<const float>(&synth_coords_[9 * p], 9));
+        });
+  }  // `normals` settles rng_'s spare here
   std::size_t created = 0;
   for (std::size_t q = 0; q < n_queues; ++q) {
-    created += by_queue[q].size();
-    if (!by_queue[q].empty())
-      wm_->ingest_patches(static_cast<int>(q), by_queue[q]);
+    const ml::PointStore& store = synth_by_queue_[q];
+    created += store.size();
+    if (!store.empty()) wm_->ingest_patches(static_cast<int>(q), store);
   }
   result_.patches_created += created;
   result_.ledger.bytes_patches +=

@@ -106,10 +106,11 @@ struct CampaignConfig {
   /// once this many campaign hours have elapsed. 0 disables.
   double crash_at_campaign_h = 0;
 
-  /// Pool for the in-situ analysis fan-out inside the maintain tick and for
-  /// the Patch Selector's rank refresh; null is serial. The pool size only
-  /// changes wall time: CampaignResult::science_fingerprint() is
-  /// byte-identical at any thread count.
+  /// Pool for the in-situ analysis fan-out inside the maintain tick, for
+  /// the Patch Selector's rank refresh and for the transform step of
+  /// snapshot synthesis (the draws stay on the caller); null is serial. The
+  /// pool size only changes wall time: CampaignResult::science_fingerprint()
+  /// is byte-identical at any thread count.
   util::ThreadPool* insitu_pool = nullptr;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -91,6 +94,92 @@ TEST(Rng, SplitStreamsIndependent) {
   for (int i = 0; i < 100; ++i)
     if (parent() == child()) ++same;
   EXPECT_LE(same, 1);
+}
+
+// Bitwise equality of every generator field, the spare included even when
+// has_spare is false: save_state() writes it into checkpoints.
+void expect_same_state(const Rng& a, const Rng& b) {
+  const Rng::State sa = a.save_state(), sb = b.save_state();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(sa.s[i], sb.s[i]) << "word " << i;
+  EXPECT_EQ(sa.has_spare, sb.has_spare);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sa.spare),
+            std::bit_cast<std::uint64_t>(sb.spare));
+}
+
+TEST(Rng, DeferredNormalsMatchNormalBitwise) {
+  for (const bool carried : {false, true})
+    for (const int n : {0, 1, 2, 9, 27}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (carried ? " carried spare" : " no spare"));
+      Rng eager(31), deferred(31);
+      if (carried) {  // one normal() leaves a resolved spare owed
+        eager.normal();
+        deferred.normal();
+      }
+      std::vector<Rng::PolarDraw> draws;
+      {
+        Rng::DeferredNormals normals(deferred);
+        for (int i = 0; i < n; ++i) draws.push_back(normals.next());
+        normals.settle();
+      }
+      for (const Rng::PolarDraw& d : draws)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(d.value()),
+                  std::bit_cast<std::uint64_t>(eager.normal()));
+      expect_same_state(eager, deferred);
+      // The streams stay in step afterwards.
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(eager.normal()),
+                std::bit_cast<std::uint64_t>(deferred.normal()));
+      EXPECT_EQ(eager(), deferred());
+    }
+}
+
+TEST(Rng, DeferredNormalsKeepStaleSpare) {
+  // Two normal() calls consume the spare they drew but leave it in place:
+  // has_spare is false and spare holds v * factor. The deferred path must
+  // leave the same stale value, not the raw v or the older spare.
+  Rng eager(8), deferred(8);
+  eager.normal();
+  eager.normal();
+  {
+    Rng::DeferredNormals normals(deferred);
+    normals.next();
+    normals.next();
+  }  // the destructor settles
+  EXPECT_FALSE(eager.save_state().has_spare);
+  EXPECT_NE(eager.save_state().spare, 0.0);
+  expect_same_state(eager, deferred);
+}
+
+TEST(Rng, DeferredNormalsInterleaveWithUniformDraws) {
+  // The snapshot order: per item, 9 normals, a bounded index, a uniform —
+  // deferred draws and uniform draws share one sequential stream.
+  Rng eager(2021), deferred(2021);
+  std::vector<double> want;
+  std::vector<std::uint64_t> want_index, got_index;
+  for (int p = 0; p < 27; ++p) {
+    for (int d = 0; d < 9; ++d) want.push_back(eager.normal());
+    want_index.push_back(eager.uniform_index(4));
+    want.push_back(eager.uniform());
+  }
+  std::vector<double> got;
+  {
+    Rng::DeferredNormals normals(deferred);
+    std::vector<Rng::PolarDraw> draws;
+    for (int p = 0; p < 27; ++p) {
+      for (int d = 0; d < 9; ++d) draws.push_back(normals.next());
+      got_index.push_back(deferred.uniform_index(4));
+      draws.push_back({deferred.uniform(), 0.0});  // s == 0: value as is
+    }
+    normals.settle();
+    for (const auto& d : draws) got.push_back(d.value());
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "draw " << i;
+  EXPECT_EQ(got_index, want_index);
+  expect_same_state(eager, deferred);
 }
 
 TEST(Rng, SatisfiesUniformRandomBitGenerator) {

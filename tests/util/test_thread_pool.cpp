@@ -175,6 +175,13 @@ TEST(BlockSize, EngineConstantsPinned) {
   EXPECT_EQ(block_count(512, block_size(512, 16, 32)), 32u);
   EXPECT_EQ(block_size(2200, 16, 32), 69u);
   EXPECT_EQ(block_count(2200, block_size(2200, 16, 32)), 32u);
+  // Snapshot synthesis: 128 / 16 (campaign_insitu's 20 proteins run inline,
+  // campaign_resilient's 3,000 take 16 blocks).
+  EXPECT_EQ(block_count(20, block_size(20, 128, 16)), 1u);
+  EXPECT_EQ(block_size(1000, 128, 16), 128u);
+  EXPECT_EQ(block_count(1000, block_size(1000, 128, 16)), 8u);
+  EXPECT_EQ(block_size(3000, 128, 16), 188u);
+  EXPECT_EQ(block_count(3000, block_size(3000, 128, 16)), 16u);
   // Footprint fold: 4096 / 16.
   EXPECT_EQ(block_size(16 * 16 * 4, 4096, 16), 4096u);
   EXPECT_EQ(block_size(192 * 192 * 4, 4096, 16), 9216u);
@@ -456,6 +463,167 @@ TEST(ForBlocksOrdered, NestedInsideWorkerRunsInline) {
     }));
   for (auto& f : futures) f.get();
   EXPECT_EQ(total.load(), 400);
+}
+
+TEST(ForBlocksOrdered, PrepareRunsOnCallerAscendingBeforeWork) {
+  ThreadPool pool(4);
+  const std::size_t n = 1000, block = 64, nblocks = (n + block - 1) / block;
+  std::vector<std::size_t> prepared;  // written on the caller only
+  std::vector<int> ready(nblocks, 0);  // published to work by submit()
+  std::atomic<int> unprepared_work{0};
+  const auto caller = std::this_thread::get_id();
+  for_blocks_ordered(
+      &pool, n, block,
+      [&](std::size_t lo, std::size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        prepared.push_back(lo);
+        ready[lo / block] = 1;
+      },
+      [&](std::size_t lo, std::size_t) {
+        if (ready[lo / block] != 1) ++unprepared_work;
+      },
+      [](std::size_t, std::size_t) {});
+  EXPECT_EQ(unprepared_work.load(), 0);
+  ASSERT_EQ(prepared.size(), nblocks);
+  for (std::size_t b = 0; b < nblocks; ++b) EXPECT_EQ(prepared[b], b * block);
+}
+
+// Draw / transform / route over [0, n): prepare draws each item's input from
+// one sequential stream, work transforms it in place, consume appends it.
+// Returns the prepare and consume sequences and the routed output.
+struct PrepareTrace {
+  std::vector<std::size_t> prepared, consumed;
+  std::vector<double> out;
+  bool operator==(const PrepareTrace&) const = default;
+};
+PrepareTrace prepare_trace(ThreadPool* pool, std::size_t n, std::size_t block,
+                           std::size_t throw_at = ~std::size_t{0}) {
+  PrepareTrace t;
+  std::vector<double> staged(n);
+  std::uint64_t x = 88172645463325252ULL;
+  try {
+    for_blocks_ordered(
+        pool, n, block,
+        [&](std::size_t lo, std::size_t hi) {
+          if (lo == throw_at) throw std::runtime_error("prepare");
+          t.prepared.push_back(lo);
+          for (std::size_t i = lo; i < hi; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            staged[i] = static_cast<double>(x >> 11) * 0x1.0p-53;
+          }
+        },
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i)
+            staged[i] = std::sin(staged[i] + static_cast<double>(i));
+        },
+        [&](std::size_t lo, std::size_t hi) {
+          t.consumed.push_back(lo);
+          t.out.insert(t.out.end(), staged.begin() + static_cast<long>(lo),
+                       staged.begin() + static_cast<long>(hi));
+        });
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "prepare");
+  }
+  return t;
+}
+
+TEST(ForBlocksOrdered, PrepareSerialAndPooledTracesIdentical) {
+  ThreadPool p1(1), p2(2), p3(3), p8(8);
+  for (const std::size_t n : {1u, 16u, 17u, 337u, 1000u}) {
+    const PrepareTrace want = prepare_trace(nullptr, n, 16);
+    ASSERT_EQ(want.out.size(), n);
+    for (ThreadPool* p : {&p1, &p2, &p3, &p8})
+      EXPECT_TRUE(prepare_trace(p, n, 16) == want)
+          << "n=" << n << " pool=" << p->size();
+  }
+}
+
+TEST(ForBlocksOrdered, PrepareThrowWaitsOutEarlierBlocks) {
+  // prepare(k) throws: blocks before k were submitted and must finish (and
+  // be consumed, as on the serial path) before the exception reaches the
+  // caller; no block from k on is worked.
+  ThreadPool pool(4);
+  const std::size_t block = 10, k = 5;
+  std::atomic<int> worked{0}, finished{0};
+  int finished_at_catch = -1;
+  std::vector<std::size_t> consumed;
+  try {
+    for_blocks_ordered(
+        &pool, 100, block,
+        [&](std::size_t lo, std::size_t) {
+          if (lo == k * block) throw std::runtime_error("prepare");
+        },
+        [&](std::size_t, std::size_t) {
+          ++worked;
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          ++finished;
+        },
+        [&](std::size_t lo, std::size_t) { consumed.push_back(lo); });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "prepare");
+    finished_at_catch = finished.load();
+  }
+  pool.wait_idle();
+  EXPECT_EQ(worked.load(), static_cast<int>(k));
+  EXPECT_EQ(finished_at_catch, static_cast<int>(k));
+  EXPECT_EQ(consumed, (std::vector<std::size_t>{0, 10, 20, 30, 40}));
+  // The serial path stops at the same place.
+  ThreadPool p2(2);
+  EXPECT_TRUE(prepare_trace(&p2, 100, block, k * block) ==
+              prepare_trace(nullptr, 100, block, k * block));
+}
+
+TEST(ForBlocksOrdered, PrepareThrowLosesToEarlierWorkFailure) {
+  // work(2) fails before prepare(5) does on the serial path; the pooled path
+  // reports the same, lowest failing block.
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    try {
+      for_blocks_ordered(
+          p, 100, 10,
+          [](std::size_t lo, std::size_t) {
+            if (lo == 50) throw std::runtime_error("prepare");
+          },
+          [](std::size_t lo, std::size_t) {
+            if (lo == 20) throw std::runtime_error("work");
+          },
+          [](std::size_t, std::size_t) {});
+      ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "work");
+    }
+    pool.wait_idle();
+  }
+}
+
+TEST(ForBlocksOrdered, PrepareNestedInsideWorkerRunsInline) {
+  // A nested call inside a worker runs prepare, work and consume inline on
+  // that worker, block by block.
+  ThreadPool pool(2);
+  std::atomic<int> total{0};
+  std::vector<std::future<void>> futures;
+  for (int t = 0; t < 4; ++t)
+    futures.push_back(pool.submit([&pool, &total] {
+      const auto self = std::this_thread::get_id();
+      std::vector<char> steps;
+      auto step = [&](char c) {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        steps.push_back(c);
+      };
+      for_blocks_ordered(
+          &pool, 30, 10, [&](std::size_t, std::size_t) { step('p'); },
+          [&](std::size_t, std::size_t) { step('w'); },
+          [&](std::size_t lo, std::size_t hi) {
+            step('c');
+            total += static_cast<int>(hi - lo);
+          });
+      EXPECT_EQ(std::string(steps.begin(), steps.end()), "pwcpwcpwc");
+    }));
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(total.load(), 120);
 }
 
 TEST(ThreadPool, SizeMatchesRequest) {
