@@ -76,11 +76,13 @@ echo "=== tier 1: -march=native build, floating-point contract tests ==="
 # The determinism contracts compare bytes, so they must survive an ISA level
 # with FMA: mummi_util pins -ffp-contract=off for everything built on src/,
 # and this stage proves it by running the golden corpus, the engine byte pins
-# and the exact-reproduction tests on the host's full ISA.
+# and the exact-reproduction tests on the host's full ISA. The FPS
+# equivalence suite holds the sampler's vectorized rank fold to the scalar
+# reference's dist2 bit for bit.
 cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native >/dev/null
 cmake --build build-native -j "$jobs" --target mummi_tests
 ./build-native/tests/mummi_tests \
-  --gtest_filter='GoldenFingerprintContract.*:EnginePins.*:*LegacyKernelsMatchEngineExactly*:*NanFieldsFreezeProteinsInsideBox*'
+  --gtest_filter='GoldenFingerprintContract.*:EnginePins.*:*LegacyKernelsMatchEngineExactly*:*NanFieldsFreezeProteinsInsideBox*:*FpsEquivalence*'
 
 if [[ "$no_sanitize" == 1 ]]; then
   echo "=== tier 1: PASS (sanitizer stage skipped) ==="

@@ -59,6 +59,23 @@ HDPoint PointStore::swap_remove(std::size_t slot) {
   return out;
 }
 
+void PointStore::retain(const std::vector<char>& keep) {
+  MUMMI_CHECK_MSG(keep.size() == ids_.size(), "retain mask size mismatch");
+  const auto d = static_cast<std::size_t>(dim_);
+  std::size_t out = 0;
+  for (std::size_t s = 0; s < keep.size(); ++s) {
+    if (!keep[s]) continue;
+    if (out != s) {
+      ids_[out] = ids_[s];
+      std::copy_n(coords_.begin() + static_cast<long>(s * d), d,
+                  coords_.begin() + static_cast<long>(out * d));
+    }
+    ++out;
+  }
+  ids_.resize(out);
+  coords_.resize(out * d);
+}
+
 void PointStore::serialize(util::ByteWriter& w) const {
   w.u32(static_cast<std::uint32_t>(dim_));
   w.vec(ids_);

@@ -66,6 +66,9 @@ class PointStore {
   /// returns the removed point. Callers tracking slots must re-map the moved
   /// point from slot size()-1 to `slot`.
   HDPoint swap_remove(std::size_t slot);
+  /// Keeps the slots whose `keep` flag is set, in slot order; `keep` has
+  /// one flag per slot. Storage capacity is kept for the next appends.
+  void retain(const std::vector<char>& keep);
 
   void serialize(util::ByteWriter& w) const;
   static PointStore deserialize(util::ByteReader& r);

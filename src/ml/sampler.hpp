@@ -30,9 +30,10 @@ class Sampler {
 
   virtual ~Sampler() = default;
 
-  /// Ingests candidates (cheap; ranking may be deferred). The batch is
-  /// all-or-nothing: a dimension mismatch throws before anything is added
-  /// or recorded in history().
+  /// Ingests candidates; a capped sampler may rank them and drop those
+  /// that cannot survive to the next select. The batch is all-or-nothing: a
+  /// dimension mismatch throws before anything is added or recorded in
+  /// history().
   virtual void add_candidates(const PointStore& points) = 0;
 
   /// Owning-point convenience over the flat path: the whole batch is
@@ -48,8 +49,10 @@ class Sampler {
   /// Triggers any deferred rank updates.
   virtual std::vector<HDPoint> select(std::size_t k) = 0;
 
-  /// Forces the deferred ranking work now (what the paper times at 3-4 min
-  /// for full queues).
+  /// Brings every rank up to date and trims the pool to its capacity now
+  /// (the paper times this at 3-4 min for full queues). FpsSampler ranks
+  /// each candidate on arrival, so for it this is only the trim;
+  /// BinnedSampler keeps its ranking current and has nothing to do.
   virtual void update_ranks() = 0;
 
   [[nodiscard]] virtual std::size_t candidate_count() const = 0;

@@ -46,8 +46,8 @@ class PatchSelector {
   /// steps, minus the per-pick rank-refresh overhead.
   [[nodiscard]] std::vector<PatchSelection> select(std::size_t k);
 
-  /// Forces rank refresh on all queues (the 3-4 minute operation the paper
-  /// times); returns candidates ranked.
+  /// Brings every queue's ranks up to date and trims it to capacity (the
+  /// 3-4 minute operation the paper times); returns the candidates held.
   std::size_t update_ranks();
 
   [[nodiscard]] std::size_t candidate_count() const;

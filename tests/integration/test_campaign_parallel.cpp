@@ -139,9 +139,9 @@ TEST(EnginePins, SnapshotSynthesisBytes) {
   EXPECT_THROW(wm::Campaign(cfg).run(), wm::SimulatedCrash);
   const auto payload = util::CheckpointFile(cfg.checkpoint_path).load();
   ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(payload->size(), 2769920u);
+  EXPECT_EQ(payload->size(), 2558128u);
   EXPECT_EQ(util::fnv1a(payload->data(), payload->size()),
-            12550805878322369708ULL);
+            16666000491736848806ULL);
 
   cfg.crash_at_campaign_h = 0;
   const auto result = wm::Campaign(cfg).run();

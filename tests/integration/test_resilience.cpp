@@ -362,9 +362,9 @@ TEST(CampaignCheckpoint, PayloadBytesArePinned) {
 
   const auto payload = util::CheckpointFile(cfg.checkpoint_path).load();
   ASSERT_TRUE(payload.has_value());
-  EXPECT_EQ(payload->size(), 42914u);
+  EXPECT_EQ(payload->size(), 40834u);
   EXPECT_EQ(util::fnv1a(payload->data(), payload->size()),
-            3967243517296058208ULL);
+            16513070527393436211ULL);
   std::filesystem::remove_all(dir);
 }
 
