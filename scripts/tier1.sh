@@ -78,11 +78,14 @@ echo "=== tier 1: -march=native build, floating-point contract tests ==="
 # and this stage proves it by running the golden corpus, the engine byte pins
 # and the exact-reproduction tests on the host's full ISA. The FPS
 # equivalence suite holds the sampler's vectorized rank fold to the scalar
-# reference's dist2 bit for bit.
+# reference's dist2 bit for bit. Box::min_image computes
+# length * round_away(d / length), a product FMA could contract into the
+# subtraction: the round_away and RDF suites and the in-situ sweeps (exact
+# block RDF sums) run here too.
 cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native >/dev/null
 cmake --build build-native -j "$jobs" --target mummi_tests
 ./build-native/tests/mummi_tests \
-  --gtest_filter='GoldenFingerprintContract.*:EnginePins.*:*LegacyKernelsMatchEngineExactly*:*NanFieldsFreezeProteinsInsideBox*:*FpsEquivalence*'
+  --gtest_filter='GoldenFingerprintContract.*:EnginePins.*:*LegacyKernelsMatchEngineExactly*:*NanFieldsFreezeProteinsInsideBox*:*FpsEquivalence*:*InSitu*:RoundAway.*:Rdf.*'
 
 if [[ "$no_sanitize" == 1 ]]; then
   echo "=== tier 1: PASS (sanitizer stage skipped) ==="
@@ -136,10 +139,11 @@ echo "=== tier 1: TSan build, blocked-parallel primitive + campaign tick ==="
 # wait-out, scratch fold, block-size rule, null pool stays serial) run here
 # first, then the farthest-point rank refresh on 2- and 4-worker pools
 # against the serial reference. The campaign maintain tick then
-# steps and analyzes each block of sims on the pool while the caller folds
-# finished blocks in order, over shared SimStates; the determinism suites
-# drive 2/3/4/8-worker pools against the serial reference, so a racy block
-# handoff or early fold trips here. Snapshot synthesis draws each block on the
+# steps and analyzes each block of sims on the pool into per-block scratch
+# systems, per-sim result slots and per-block RDF partials, while the caller
+# folds finished blocks in order; the determinism suites drive 2/3/4/8-worker
+# pools against the serial reference, so a racy block handoff or early fold
+# trips here. Snapshot synthesis draws each block on the
 # caller (prepare) while workers transform the blocks before it; the
 # ForBlocksOrdered.Prepare* and ParallelCampaign.SnapshotSynthesis* cases
 # drive that handoff.

@@ -1,6 +1,7 @@
 #include "coupling/analysis.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -74,27 +75,34 @@ CgAnalysis::CgAnalysis(const CgSystemInfo& info, std::uint64_t sim_id,
       rdf_rmax_(rdf_rmax),
       rdf_bins_(rdf_bins) {
   MUMMI_CHECK_MSG(!protein_beads_.empty(), "CG analysis needs protein beads");
-  accum_.per_species.reserve(heads_by_species_.size());
-  for (std::size_t s = 0; s < heads_by_species_.size(); ++s)
-    accum_.per_species.emplace_back(rdf_rmax_, rdf_bins_);
+  accum_ = make_rdfs();
 }
 
 CgFrameInfo CgAnalysis::analyze(const md::System& system, long step) {
+  ++frames_;
+  return analyze(system, sim_id_, step, accum_);
+}
+
+CgFrameInfo CgAnalysis::analyze(const md::System& system,
+                                std::uint64_t sim_id, long step,
+                                RdfSet& rdfs) const {
   for (std::size_t s = 0; s < heads_by_species_.size(); ++s)
     if (!heads_by_species_[s].empty())
-      accum_.per_species[s].add_frame(system, protein_beads_,
-                                      heads_by_species_[s]);
-  ++frames_;
-  return compute_frame_info(system, protein_beads_, ras_beads_, sim_id_, step);
+      rdfs.per_species[s].add_frame(system, protein_beads_,
+                                    heads_by_species_[s]);
+  return compute_frame_info(system, protein_beads_, ras_beads_, sim_id, step);
+}
+
+RdfSet CgAnalysis::make_rdfs() const {
+  RdfSet out;
+  out.per_species.reserve(heads_by_species_.size());
+  for (std::size_t s = 0; s < heads_by_species_.size(); ++s)
+    out.per_species.emplace_back(rdf_rmax_, rdf_bins_);
+  return out;
 }
 
 RdfSet CgAnalysis::take_rdfs() {
-  RdfSet out = std::move(accum_);
-  accum_ = RdfSet{};
-  accum_.per_species.reserve(heads_by_species_.size());
-  for (std::size_t s = 0; s < heads_by_species_.size(); ++s)
-    accum_.per_species.emplace_back(rdf_rmax_, rdf_bins_);
-  return out;
+  return std::exchange(accum_, make_rdfs());
 }
 
 }  // namespace mummi::coupling

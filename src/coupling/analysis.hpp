@@ -23,6 +23,11 @@ struct RdfSet {
   /// Element-wise merge; binning must match.
   void merge(const RdfSet& other);
 
+  /// Zeroes every accumulator in place, keeping species and binning.
+  void clear() {
+    for (auto& rdf : per_species) rdf.clear();
+  }
+
   [[nodiscard]] util::Bytes serialize() const;
   static RdfSet deserialize(const util::Bytes& bytes);
 };
@@ -37,6 +42,14 @@ class CgAnalysis {
   /// Analyzes one frame: accumulates the protein-lipid RDFs and returns the
   /// candidate-frame identifying info.
   CgFrameInfo analyze(const md::System& system, long step);
+
+  /// The same analysis for any sim with these selections, into `rdfs`
+  /// (shaped by make_rdfs); const, so one CgAnalysis serves many threads.
+  CgFrameInfo analyze(const md::System& system, std::uint64_t sim_id,
+                      long step, RdfSet& rdfs) const;
+
+  /// Empty RDFs with this analysis's species and binning.
+  [[nodiscard]] RdfSet make_rdfs() const;
 
   /// Hands over the RDFs accumulated since the last take (and resets) —
   /// what gets pushed to the feedback store every few frames.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -15,7 +16,13 @@ RdfAccumulator::RdfAccumulator(real r_max, std::size_t nbins)
 void RdfAccumulator::add_frame(const System& system,
                                const std::vector<int>& sel_a,
                                const std::vector<int>& sel_b) {
-  const real dr = r_max_ / static_cast<real>(counts_.size());
+  const std::size_t nbins = counts_.size();
+  const real dr = r_max_ / static_cast<real>(nbins);
+  // Out-of-range pairs (r >= r_max, NaN, or a quotient rounding up to
+  // nbins) select a per-call overflow slot: on random positions a branch
+  // here is a coin flip. min() maps NaN to nbins, so every cast is in range.
+  double* const bins = counts_.data();
+  double overflow = 0;
   std::size_t overlap = 0;
   for (int a : sel_a) {
     for (int b : sel_b) {
@@ -25,8 +32,10 @@ void RdfAccumulator::add_frame(const System& system,
       }
       const Vec3 d = system.box.min_image(system.pos[a], system.pos[b]);
       const real r = d.norm();
-      if (r >= r_max_) continue;
-      counts_[static_cast<std::size_t>(r / dr)] += 1.0;
+      const auto bin = static_cast<std::size_t>(static_cast<std::int64_t>(
+          std::min(static_cast<real>(nbins), r / dr)));
+      double* const slot[2] = {&overflow, bins + bin};
+      *slot[(r < r_max_) & (bin < nbins)] += 1.0;
     }
   }
   const double npairs = static_cast<double>(sel_a.size()) *

@@ -18,6 +18,7 @@ class RdfAccumulator {
   RdfAccumulator(real r_max, std::size_t nbins);
 
   /// Adds one frame's contribution for pairs (a in sel_a, b in sel_b, a!=b).
+  /// Pairs at or past r_max, or at a non-finite distance, count in no bin.
   void add_frame(const System& system, const std::vector<int>& sel_a,
                  const std::vector<int>& sel_b);
 
@@ -36,6 +37,13 @@ class RdfAccumulator {
   /// Merges another accumulator with identical binning — the feedback
   /// aggregation step ("vectorized additions of small Numpy arrays").
   void merge(const RdfAccumulator& other);
+
+  /// Zeroes counts, frames and pair density in place, keeping the binning.
+  void clear() {
+    counts_.assign(counts_.size(), 0.0);
+    frames_ = 0;
+    pair_density_sum_ = 0;
+  }
 
   /// Restores raw state (deserialization support).
   void restore_raw(std::vector<double> counts, std::size_t frames,

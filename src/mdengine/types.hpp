@@ -4,11 +4,25 @@
 // time in ps, energy in kJ/mol, mass in amu, temperature in K.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace mummi::md {
 
 using real = double;
+
+/// std::round bit for bit (signed zero too), inline and without a data-
+/// dependent branch: truncate |x|, add 1 if the exact remainder is >= 0.5,
+/// copy the sign back. |x| >= 2^52, inf and NaN pass through unchanged.
+inline real round_away(real x) {
+  constexpr real kExact = 4503599627370496.0;  // 2^52
+  const real a = std::fabs(x);
+  const auto i = static_cast<std::int64_t>(std::min(kExact, a));
+  const std::int64_t up = a - static_cast<real>(i) >= 0.5;
+  const real r = std::copysign(static_cast<real>(i + up), x);
+  return a < kExact ? r : x;
+}
 
 /// Boltzmann constant in kJ/(mol K).
 constexpr real kBoltzmann = 0.00831446;
@@ -40,9 +54,9 @@ struct Box {
   /// Minimum-image displacement a - b.
   [[nodiscard]] Vec3 min_image(const Vec3& a, const Vec3& b) const {
     Vec3 d = a - b;
-    d.x -= length.x * std::round(d.x / length.x);
-    d.y -= length.y * std::round(d.y / length.y);
-    d.z -= length.z * std::round(d.z / length.z);
+    d.x -= length.x * round_away(d.x / length.x);
+    d.y -= length.y * round_away(d.y / length.y);
+    d.z -= length.z * round_away(d.z / length.z);
     return d;
   }
 

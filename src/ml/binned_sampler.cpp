@@ -88,7 +88,7 @@ std::vector<HDPoint> BinnedSampler::select(std::size_t k) {
     }
     ids.push_back(out.back().id);
   }
-  record('S', std::move(ids));
+  record('S', ids);
   return out;
 }
 

@@ -189,7 +189,7 @@ std::vector<HDPoint> FpsSampler::select(std::size_t k) {
     }
     cut_ = Key{};  // below capacity: every arrival is admitted until it fills
   }
-  record('S', std::move(ids));
+  record('S', ids);
   return out;
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "ml/point.hpp"
@@ -69,8 +70,10 @@ class Sampler {
   void set_history_enabled(bool enabled) { history_enabled_ = enabled; }
 
  protected:
-  void record(char op, std::vector<PointId> ids) {
-    if (history_enabled_) history_.push_back(Event{op, std::move(ids)});
+  /// Copies `ids` only when history is on.
+  void record(char op, std::span<const PointId> ids) {
+    if (history_enabled_)
+      history_.push_back(Event{op, {ids.begin(), ids.end()}});
   }
 
  private:

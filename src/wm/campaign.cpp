@@ -658,11 +658,8 @@ void CampaignRun::maintain_tick() {
 
 void CampaignRun::analyze_insitu() {
   // Task 2 ingestion from the distributed CG analyses: one in-situ analysis
-  // per running CG sim per tick (stepping, CgAnalysis, encoder feature
-  // extraction, RDF accumulation), fanned out across the insitu pool and
-  // folded in ascending sim-id order — candidate volume stays at the
-  // calibrated rate, now as per-sim Poisson draws from counter-based
-  // streams so the tick is byte-identical at any thread count.
+  // per running CG sim per tick, folded in ascending sim-id order; candidate
+  // volume stays at the calibrated rate as per-sim Poisson draws.
   const auto payloads = wm_->running_payloads(
       job_type::kCgSim,
       [this](const sched::Job& job) { return executor_.is_hung(job.id); });
@@ -692,12 +689,13 @@ void CampaignRun::analyze_insitu() {
             frames.add(c_.next_frame_id_++, std::span<const float>(d));
           candidates += r.candidates;
         }
-        if (result_.rdf_feedback.per_species.empty())
-          result_.rdf_feedback = r.rdfs;
-        else
-          result_.rdf_feedback.merge(r.rdfs);
-        ++result_.analysis_frames;
       });
+  // One merge per tick of the plane's exact RDF sum.
+  if (result_.rdf_feedback.per_species.empty())
+    result_.rdf_feedback = c_.insitu_->rdfs();
+  else
+    result_.rdf_feedback.merge(c_.insitu_->rdfs());
+  result_.analysis_frames += payloads.size();
   if (candidates > 0) {
     result_.frame_candidates += candidates;
     result_.ledger.files_total += candidates;  // the ~850 B id records

@@ -64,19 +64,11 @@ coupling::CgSystemInfo make_proto() {
 
 }  // namespace
 
-struct InSituPlane::SimState {
-  md::System system;
-  coupling::CgAnalysis analysis;
-  InSituResult result;
-
-  SimState(const coupling::CgSystemInfo& info, std::uint64_t sim_id)
-      : system(info.system), analysis(info, sim_id, kRdfRmax, kRdfBins) {}
-};
-
 InSituPlane::InSituPlane(std::uint64_t seed, util::ThreadPool* pool)
-    : seed_(seed), pool_(pool), proto_(make_proto()) {}
-
-InSituPlane::~InSituPlane() = default;
+    : seed_(seed),
+      pool_(pool),
+      proto_(make_proto()),
+      analysis_(proto_, 0, kRdfRmax, kRdfBins) {}
 
 std::uint64_t InSituPlane::stream_seed(std::uint64_t seed, std::uint64_t sim,
                                        std::uint64_t tick,
@@ -90,10 +82,10 @@ std::uint64_t InSituPlane::stream_seed(std::uint64_t seed, std::uint64_t sim,
   return z ^ (z >> 31);
 }
 
-void InSituPlane::step_sim(std::uint64_t payload, SimState& st,
-                           std::uint64_t tick_key) const {
+void InSituPlane::run_sim(std::uint64_t payload, md::System& sys,
+                          std::uint64_t tick_key, double candidate_mean,
+                          InSituResult& out) const {
   util::Rng rng(stream_seed(seed_, payload, tick_key, 0));
-  md::System& sys = st.system;
   const md::Vec3 box = sys.box.length;
   for (const auto& species : proto_.heads_by_species)
     for (const int i : species)
@@ -108,22 +100,19 @@ void InSituPlane::step_sim(std::uint64_t payload, SimState& st,
     sys.pos[static_cast<std::size_t>(i)] = sys.box.wrap(p);
     p += 0.47 * random_unit(rng);
   }
-}
 
-void InSituPlane::analyze_sim(std::uint64_t payload, SimState& st,
-                              std::uint64_t tick_key, double candidate_mean,
-                              InSituResult& out) const {
   out.sim = payload;
-  out.frame = st.analysis.analyze(
-      st.system, static_cast<long>(tick_key & 0x7fffffffffffffffULL));
-  out.rdfs = st.analysis.take_rdfs();
-  util::Rng rng(stream_seed(seed_, payload, tick_key, 1));
-  out.candidates = draw_poisson(rng, candidate_mean);
+  out.rdfs.clear();
+  out.frame = analysis_.analyze(
+      sys, payload, static_cast<long>(tick_key & 0x7fffffffffffffffULL),
+      out.rdfs);
+  util::Rng draws(stream_seed(seed_, payload, tick_key, 1));
+  out.candidates = draw_poisson(draws, candidate_mean);
   out.extra.clear();
   for (std::uint32_t k = 1; k < out.candidates; ++k) {
-    const auto tilt = static_cast<float>(90.0 * std::sqrt(rng.uniform()));
-    const auto rot = static_cast<float>(rng.uniform(0.0, 360.0));
-    const auto sep = static_cast<float>(std::min(3.0, rng.exponential(1.0)));
+    const auto tilt = static_cast<float>(90.0 * std::sqrt(draws.uniform()));
+    const auto rot = static_cast<float>(draws.uniform(0.0, 360.0));
+    const auto sep = static_cast<float>(std::min(3.0, draws.exponential(1.0)));
     out.extra.push_back({tilt, rot, sep});
   }
 }
@@ -132,41 +121,45 @@ std::uint64_t InSituPlane::tick(
     const std::vector<std::uint64_t>& payloads, std::uint64_t tick_key,
     double candidate_mean,
     const std::function<void(const InSituResult&)>& fold) {
-  // Merge the ascending payloads against the ascending live states: keep the
-  // sims still running, create the newly started ones, drop the departed
-  // (serial: allocation stays off the workers). Afterwards states_[i]
-  // belongs to payloads[i].
   const std::size_t n = payloads.size();
-  std::vector<std::pair<std::uint64_t, std::unique_ptr<SimState>>> live;
-  live.reserve(n);
-  auto old = states_.begin();
-  for (const std::uint64_t payload : payloads) {
-    while (old != states_.end() && old->first < payload) ++old;
-    if (old != states_.end() && old->first == payload)
-      live.push_back(std::move(*old++));
-    else
-      live.emplace_back(payload, std::make_unique<SimState>(proto_, payload));
+  // At least 16 sims per block amortize the per-task dispatch; past 512 sims
+  // the tick is capped at 32 blocks.
+  const std::size_t block = util::block_size(n, 16, 32);
+  const std::size_t nblocks = util::block_count(n, block);
+  // Grown on the caller, only past the largest tick yet; a tick overwrites
+  // or zeroes every entry it reads.
+  if (slots_.size() < n) {
+    InSituResult empty;
+    empty.rdfs = analysis_.make_rdfs();
+    slots_.resize(n, empty);
   }
-  states_ = std::move(live);
+  if (scratch_.size() < nblocks) scratch_.resize(nblocks, proto_.system);
+  if (partials_.size() < nblocks)
+    partials_.resize(nblocks, analysis_.make_rdfs());
+  if (rdfs_.per_species.empty()) rdfs_ = analysis_.make_rdfs();
+  rdfs_.clear();
+  active_ = n;
 
   std::uint64_t fold_ns = 0;
   util::for_blocks_ordered(
-      // At least 16 sims per block amortize the per-task dispatch; past
-      // 512 sims the tick is capped at 32 blocks.
-      pool_, n, util::block_size(n, 16, 32),
-      // Pool task per block: step, then analyze, each of the block's sims.
+      pool_, n, block,
+      // Pool task per block: each sim steps into the block's scratch system
+      // and is analyzed into its slot; the block sums its sims' RDFs.
       [&](std::size_t lo, std::size_t hi) {
+        coupling::RdfSet& partial = partials_[lo / block];
+        partial.clear();
         for (std::size_t i = lo; i < hi; ++i) {
-          SimState& st = *states_[i].second;
-          step_sim(payloads[i], st, tick_key);
-          analyze_sim(payloads[i], st, tick_key, candidate_mean, st.result);
+          run_sim(payloads[i], scratch_[lo / block], tick_key, candidate_mean,
+                  slots_[i]);
+          partial.merge(slots_[i].rdfs);
         }
       },
       // Caller, ascending blocks: fold each block as soon as it finishes —
       // globally ascending in sim id while later blocks are still in flight.
       [&](std::size_t lo, std::size_t hi) {
         const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = lo; i < hi; ++i) fold(states_[i].second->result);
+        for (std::size_t i = lo; i < hi; ++i) fold(slots_[i]);
+        rdfs_.merge(partials_[lo / block]);
         fold_ns += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - t0)

@@ -6,22 +6,17 @@
 // At campaign scale those analyses are thousands of independent tasks per
 // tick — the last serial hot path in the coordination loop before this class.
 //
-// InSituPlane advances one miniature logical CG system per running sim
-// (stepping), runs the real coupling::CgAnalysis over it (RDF accumulation +
-// encoder feature extraction), and draws the per-sim candidate counts — all
-// under the engines' bit-level discipline: per-sim counter-based RNG streams,
-// block boundaries a function of the sim count only, and one ordered fan-out
-// (util::for_blocks_ordered): each pool task steps and then analyzes its own
-// block of sims, while the caller folds finished blocks in ascending sim-id
-// order as the later blocks are still running. Threads change wall time,
-// never output.
+// InSituPlane keeps no per-sim state: each tick regenerates every sim's
+// miniature CG system from counter-based streams into a per-block scratch
+// md::System, runs the real coupling::CgAnalysis over it and draws its
+// candidate count. Pool tasks analyze blocks and sum their RDFs; the caller
+// folds finished blocks in ascending sim-id order (util::for_blocks_ordered).
+// Threads change wall time, never output (DESIGN.md §4k).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "coupling/analysis.hpp"
@@ -46,15 +41,14 @@ class InSituPlane {
  public:
   /// `pool` runs the fan-out; null runs serially (same outputs either way).
   explicit InSituPlane(std::uint64_t seed, util::ThreadPool* pool = nullptr);
-  ~InSituPlane();  // out of line: SimState is incomplete here
 
   /// Advances and analyzes every sim in `payloads` (must be ascending and
   /// unique) for the tick identified by `tick_key`, then folds results
   /// serially in ascending payload order via `fold`. `candidate_mean` is the
   /// Poisson mean of candidate frames per sim this tick. Returns nanoseconds
-  /// spent in the serial fold (wm.tick.fold_ns). `fold` runs on the calling
-  /// thread; if it throws, the tick waits out its in-flight blocks and
-  /// rethrows, and the plane stays usable for the next tick.
+  /// spent on the caller folding (wm.tick.fold_ns). `fold` runs on the
+  /// calling thread; if it throws, the tick waits out its in-flight blocks
+  /// and rethrows, and the plane stays usable for the next tick.
   ///
   /// Output is a pure function of (seed, payloads, tick_key, candidate_mean):
   /// per-sim streams are counter-based, positions are regenerated statelessly
@@ -64,7 +58,14 @@ class InSituPlane {
                      std::uint64_t tick_key, double candidate_mean,
                      const std::function<void(const InSituResult&)>& fold);
 
-  [[nodiscard]] std::size_t active_sims() const { return states_.size(); }
+  /// The last tick's RDFs summed over its sims. Byte-equal to the ascending
+  /// merge of every InSituResult::rdfs because every addend is exact: bin
+  /// counts and frames are integers, and the pair density is 24/128 = 3/16 a
+  /// frame, so no grouping of the sum rounds.
+  [[nodiscard]] const coupling::RdfSet& rdfs() const { return rdfs_; }
+
+  /// Sims analyzed by the last tick.
+  [[nodiscard]] std::size_t active_sims() const { return active_; }
 
   /// Counter-based per-(sim, tick, lane) stream seed — the continuum engine's
   /// protein_stream_seed idiom: a splitmix64-style avalanche, so nearby sims
@@ -73,20 +74,20 @@ class InSituPlane {
                                    std::uint64_t tick, std::uint64_t lane);
 
  private:
-  struct SimState;
-
-  void step_sim(std::uint64_t payload, SimState& st,
-                std::uint64_t tick_key) const;
-  void analyze_sim(std::uint64_t payload, SimState& st, std::uint64_t tick_key,
-                   double candidate_mean, InSituResult& out) const;
+  /// Steps `payload` into `sys` and analyzes it into `out`.
+  void run_sim(std::uint64_t payload, md::System& sys, std::uint64_t tick_key,
+               double candidate_mean, InSituResult& out) const;
 
   std::uint64_t seed_;
   util::ThreadPool* pool_;
-  /// Geometry template shared by every sim (per-sim state differs only in
-  /// positions, which are regenerated statelessly each tick).
+  /// Geometry template shared by every sim (sims differ only in positions).
   coupling::CgSystemInfo proto_;
-  /// Live sims, ascending by payload (the order of the last tick's payloads).
-  std::vector<std::pair<std::uint64_t, std::unique_ptr<SimState>>> states_;
+  coupling::CgAnalysis analysis_;
+  std::vector<InSituResult> slots_;         // slots_[i]: payloads[i]
+  std::vector<md::System> scratch_;         // per block
+  std::vector<coupling::RdfSet> partials_;  // per block: its sims' RDF sum
+  coupling::RdfSet rdfs_;
+  std::size_t active_ = 0;
 };
 
 }  // namespace mummi::wm

@@ -52,6 +52,24 @@ TEST(CgAnalysis, TakeResetsAccumulation) {
   for (const auto& rdf : rdfs.per_species) EXPECT_EQ(rdf.frames(), 0u);
 }
 
+TEST(CgAnalysis, SharedAnalyzeMatchesOwnAccumulator) {
+  // The const form tags the frame with the caller's sim id and adds to the
+  // caller's RdfSet; otherwise it is the same analysis, byte for byte.
+  util::Rng rng(4);
+  const auto cg = small_cg(rng);
+  CgAnalysis own(cg, 42);
+  const CgAnalysis shared(cg, 0);
+  RdfSet rdfs = shared.make_rdfs();
+  for (long step = 1; step <= 2; ++step) {
+    const auto want = own.analyze(cg.system, step);
+    const auto got = shared.analyze(cg.system, 42, step, rdfs);
+    EXPECT_EQ(got.serialize(), want.serialize());
+  }
+  EXPECT_EQ(rdfs.serialize(), own.take_rdfs().serialize());
+  rdfs.clear();
+  EXPECT_EQ(rdfs.serialize(), shared.make_rdfs().serialize());
+}
+
 TEST(CgAnalysis, FrameDescriptorInRange) {
   util::Rng rng(3);
   const auto cg = small_cg(rng);

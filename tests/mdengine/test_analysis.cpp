@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "mdengine/rdf.hpp"
 #include "mdengine/secondary_structure.hpp"
@@ -94,6 +95,53 @@ TEST(Rdf, RestoreRawRoundTrip) {
   RdfAccumulator b(2.0, 8);
   b.restore_raw(a.counts(), a.frames(), a.pair_density_sum());
   EXPECT_EQ(b.g(), a.g());
+}
+
+TEST(Rdf, NonFiniteDistanceCountsInNoBin) {
+  // A NaN or inf position gives a NaN distance, which used to pass the
+  // r >= r_max test and index the histogram with NaN / dr. Every pair with
+  // such a particle now counts in no bin; finite pairs are binned as ever
+  // and the pair density still counts every distinct pair.
+  System s;
+  s.box.length = {5, 5, 5};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<int> a_sel{s.add_particle({1, 1, 1}, 0, 1.0)};
+  const std::vector<int> b_sel{s.add_particle({1.5, 1, 1}, 1, 1.0),
+                               s.add_particle({nan, 1, 1}, 1, 1.0),
+                               s.add_particle({1, inf, 1}, 1, 1.0),
+                               s.add_particle({1, 1, -inf}, 1, 1.0)};
+  RdfAccumulator rdf(2.0, 8);
+  rdf.add_frame(s, a_sel, b_sel);
+  std::vector<double> want(8, 0.0);
+  want[2] = 1.0;  // r = 0.5, dr = 0.25
+  EXPECT_EQ(rdf.counts(), want);
+  EXPECT_EQ(rdf.frames(), 1u);
+  EXPECT_DOUBLE_EQ(rdf.pair_density_sum(), 4.0 / 125.0);
+
+  // A pair exactly at r_max, or past it, counts in no bin either.
+  System edge;
+  edge.box.length = {10, 10, 10};
+  const std::vector<int> p{edge.add_particle({1, 1, 1}, 0, 1.0)};
+  const std::vector<int> q{edge.add_particle({3, 1, 1}, 1, 1.0),
+                           edge.add_particle({1, 4, 1}, 1, 1.0)};
+  RdfAccumulator at_max(2.0, 8);
+  at_max.add_frame(edge, p, q);
+  EXPECT_EQ(at_max.counts(), std::vector<double>(8, 0.0));
+}
+
+TEST(Rdf, ClearKeepsBinning) {
+  System s;
+  s.box.length = {5, 5, 5};
+  const std::vector<int> sel{s.add_particle({1, 1, 1}, 0, 1.0),
+                             s.add_particle({1.5, 1, 1}, 0, 1.0)};
+  RdfAccumulator rdf(2.0, 8);
+  rdf.add_frame(s, sel, sel);
+  rdf.clear();
+  EXPECT_EQ(rdf.counts(), std::vector<double>(8, 0.0));
+  EXPECT_EQ(rdf.frames(), 0u);
+  EXPECT_EQ(rdf.pair_density_sum(), 0.0);
+  EXPECT_EQ(rdf.r_max(), 2.0);
 }
 
 TEST(Rdf, BinningMismatchRejected) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "mdengine/cell_list.hpp"
@@ -37,6 +40,81 @@ TEST(Box, MinImageShortestVector) {
   EXPECT_DOUBLE_EQ(d.x, -1.0);  // through the boundary, not across the box
   const Vec3 mid = box.min_image({7, 0, 0}, {2, 0, 0});
   EXPECT_DOUBLE_EQ(std::abs(mid.x), 5.0);  // exactly half the box: either sign
+}
+
+// round_away must be std::round bit for bit (the sign of zero included):
+// min_image feeds every MD, encoder, secondary-structure and RDF byte pin.
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+void expect_round_matches(double x) {
+  ASSERT_EQ(bits(round_away(x)), bits(std::round(x)))
+      << "x=" << x << " bits=" << std::hex << bits(x);
+}
+
+TEST(RoundAway, MatchesStdRoundOnEdgeValues) {
+  constexpr double kTwo52 = 4503599627370496.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double edges[] = {
+      0.0,
+      0.5,
+      1.5,
+      2.5,
+      std::nextafter(0.5, 0.0),
+      std::nextafter(1.5, 0.0),
+      std::nextafter(1.5, 2.0),
+      kTwo52 - 0.5,
+      kTwo52,
+      kTwo52 + 1.0,
+      2.0 * kTwo52,
+      std::numeric_limits<double>::max(),
+      kInf,
+      denorm_min,
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      1.0,
+      0.49999999999999994,
+      -1.0 + 1e-17,
+  };
+  for (const double x : edges) {
+    expect_round_matches(x);
+    expect_round_matches(-x);
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(bits(round_away(nan)), bits(nan));
+  EXPECT_EQ(bits(round_away(-nan)), bits(-nan));
+  EXPECT_TRUE(std::signbit(round_away(-0.3)));
+  EXPECT_TRUE(std::signbit(round_away(-denorm_min)));
+}
+
+TEST(RoundAway, MatchesStdRoundAcrossExponents) {
+  // 10^7 seeded values: a magnitude 2^e * m for every binary exponent e
+  // from -1074 (denormals) to 60, both signs, plus the half-integers and
+  // their neighbours where the ties sit, plus raw bit patterns (NaNs, infs
+  // and every exponent field).
+  util::Rng rng(20260519);
+  for (int i = 0; i < 2'500'000; ++i) {
+    const int e = static_cast<int>(rng.uniform_index(1135)) - 1074;
+    const double m = 1.0 + rng.uniform();
+    const double x = std::ldexp(rng.uniform() < 0.5 ? -m : m, e);
+    expect_round_matches(x);
+    // An integer below 2^52 of random bit length, so k + 0.5 is exact.
+    const auto k = static_cast<double>(rng() >> (12 + rng.uniform_index(52)));
+    const double tie = rng.uniform() < 0.5 ? k + 0.5 : -(k + 0.5);
+    expect_round_matches(tie);
+    expect_round_matches(std::nextafter(tie, 0.0));
+    const std::uint64_t raw = rng();
+    double r = 0;
+    std::memcpy(&r, &raw, sizeof r);
+    if (std::isnan(r))
+      ASSERT_EQ(bits(round_away(r)), raw);  // NaN passes through as is
+    else
+      expect_round_matches(r);
+  }
 }
 
 TEST(Box, WrapIntoPrimaryCell) {

@@ -130,6 +130,30 @@ TEST(Replay, EmptyBatchRecordsOneEmptyAddEvent) {
   }
 }
 
+TEST(Replay, HistoryOffRecordsNothingHistoryOnCopiesIds) {
+  FpsSampler fps(2, 100);
+  BinnedSampler binned({{0.5f}, {0.5f}, {0.5f}}, 0.7, 42);
+  const std::vector<HDPoint> fps_batch{{7, {0, 0}}, {9, {1, 1}}};
+  const std::vector<HDPoint> binned_batch{{7, {0, 0, 0}}, {9, {1, 1, 1}}};
+  for (Sampler* sampler : {static_cast<Sampler*>(&fps),
+                           static_cast<Sampler*>(&binned)}) {
+    const auto& batch = sampler == &fps ? fps_batch : binned_batch;
+    sampler->set_history_enabled(false);
+    sampler->add_candidates(batch);
+    (void)sampler->select(1);
+    EXPECT_TRUE(sampler->history().empty());
+    sampler->set_history_enabled(true);
+    sampler->add_candidates(batch);
+    const auto picked = sampler->select(1);
+    ASSERT_EQ(sampler->history().size(), 2u);
+    EXPECT_EQ(sampler->history()[0].op, 'A');
+    EXPECT_EQ(sampler->history()[0].ids, (std::vector<PointId>{7, 9}));
+    EXPECT_EQ(sampler->history()[1].op, 'S');
+    ASSERT_EQ(picked.size(), 1u);
+    EXPECT_EQ(sampler->history()[1].ids, std::vector<PointId>{picked[0].id});
+  }
+}
+
 TEST(Replay, HistorySerializationRoundTrip) {
   FpsSampler original(3, 1000);
   const Archive archive = run_fps_session(original, 4, 19);

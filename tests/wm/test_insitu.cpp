@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -148,6 +149,42 @@ TEST(InSituProperty, ChunkBoundarySimCounts) {
                 [&](const InSituResult& r) { want.bytes(encode(r)); });
     EXPECT_EQ(seen, payloads) << "n=" << n;
     EXPECT_EQ(std::move(got).take(), std::move(want).take()) << "n=" << n;
+  }
+}
+
+TEST(InSituProperty, TickRdfsEqualAscendingPerSimMerge) {
+  // The plane sums RDFs per block on the workers and merges the block
+  // partials; that must equal merging every sim's RDFs in ascending order on
+  // one thread (and in descending order: the sums are exact), byte for byte,
+  // on every pool size and across the block seams — including a tick that
+  // shrinks after the largest one.
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  std::vector<std::unique_ptr<InSituPlane>> planes;
+  planes.push_back(std::make_unique<InSituPlane>(11));
+  for (const std::size_t nthreads : {1u, 2u, 3u, 4u, 8u}) {
+    pools.push_back(std::make_unique<util::ThreadPool>(nthreads));
+    planes.push_back(std::make_unique<InSituPlane>(11, pools.back().get()));
+  }
+  for (const std::size_t n :
+       {15u, 16u, 17u, 511u, 512u, 513u, 2200u, 17u}) {
+    std::vector<std::uint64_t> payloads(n);
+    for (std::size_t i = 0; i < n; ++i) payloads[i] = 7 * i + 3;
+    for (std::size_t p = 0; p < planes.size(); ++p) {
+      std::vector<coupling::RdfSet> per_sim;
+      planes[p]->tick(payloads, 1000 + n, 1.5, [&](const InSituResult& r) {
+        per_sim.push_back(r.rdfs);
+      });
+      ASSERT_EQ(per_sim.size(), n);
+      coupling::RdfSet ascending = per_sim.front();
+      for (std::size_t i = 1; i < n; ++i) ascending.merge(per_sim[i]);
+      coupling::RdfSet descending = per_sim.back();
+      for (std::size_t i = n - 1; i-- > 0;) descending.merge(per_sim[i]);
+      const util::Bytes got = planes[p]->rdfs().serialize();
+      EXPECT_EQ(got, ascending.serialize()) << "n=" << n << " plane " << p;
+      EXPECT_EQ(got, descending.serialize()) << "n=" << n << " plane " << p;
+      for (const auto& rdf : planes[p]->rdfs().per_species)
+        EXPECT_EQ(rdf.frames(), n);
+    }
   }
 }
 
