@@ -4,8 +4,9 @@
 // `--md-kernels [--small]` switches to the MD force-engine thread sweep
 // instead: it runs the flat CSR kernel at 1/2/4/8 pool workers, checks the
 // bit-identity contract, and writes bench_outputs/md_kernels.json with wall
-// throughput plus a deterministic virtual-speedup model (bench_smoke.sh
-// validates the JSON; wall scaling is host-dependent and informational).
+// throughput and the measured speedup against the 1-thread row
+// (bench_smoke.sh validates the JSON; wall scaling is host-dependent and
+// informational).
 
 #include <benchmark/benchmark.h>
 
@@ -160,7 +161,6 @@ void BM_FpsSelect(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     ml::FpsSampler fps(9, 35000, &pool);
-    fps.set_history_enabled(false);
     std::vector<ml::HDPoint> pts;
     for (int i = 0; i < 5000; ++i) {
       ml::HDPoint p;
@@ -214,38 +214,6 @@ double legacy_force_kernel(const md::TypeMatrixForceField& ff, md::System& s,
   return energy;
 }
 
-/// Deterministic speedup model for the block schedule: per-block costs are
-/// the actual pair counts of the CSR rows in that block (plus the block's
-/// share of the reduction pass), greedily list-scheduled onto T workers in
-/// fixed block order. virtual_speedup = serial cost / makespan. Depends only
-/// on the list and T — same answer on any host.
-double virtual_speedup(const md::NeighborList& list, std::size_t n,
-                       int threads) {
-  // The force engine's block rule (force_field.cpp): 512 / 16.
-  const std::size_t block = util::block_size(n, 512, 16);
-  const std::size_t nblocks = util::block_count(n, block);
-  const auto& row_start = list.row_start();
-  std::vector<double> cost(nblocks, 0.0);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t lo = b * block;
-    const std::size_t hi = std::min(lo + block, n);
-    // Kernel: one pair walk per row; reduction: nblocks buffer adds per
-    // particle of the block, far cheaper per item than a pair interaction.
-    cost[b] = static_cast<double>(row_start[hi] - row_start[lo]) +
-              0.05 * static_cast<double>(nblocks) *
-                  static_cast<double>(hi - lo);
-  }
-  double serial = 0.0;
-  for (const double c : cost) serial += c;
-  std::vector<double> worker(static_cast<std::size_t>(threads), 0.0);
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    auto least = std::min_element(worker.begin(), worker.end());
-    *least += cost[b];
-  }
-  const double makespan = *std::max_element(worker.begin(), worker.end());
-  return makespan > 0 ? serial / makespan : 1.0;
-}
-
 int run_md_kernels(bool small) {
   const int n = small ? 4000 : 20000;
   const int reps = small ? 5 : 20;
@@ -283,13 +251,13 @@ int run_md_kernels(bool small) {
 
   struct Row {
     int threads;
-    double wall_s, wall_pairs_per_s, virt;
+    double wall_s, wall_pairs_per_s, speedup;
     bool identical;
   };
   std::vector<Row> rows;
   double flat_serial_s = 0.0;
-  std::printf("%8s %12s %16s %14s %10s\n", "threads", "wall s/eval",
-              "wall pairs/s", "virt speedup", "identical");
+  std::printf("%8s %12s %16s %10s %10s\n", "threads", "wall s/eval",
+              "wall pairs/s", "speedup", "identical");
   for (const int threads : {1, 2, 4, 8}) {
     util::ThreadPool pool(static_cast<std::size_t>(threads));
     // A 1-worker pool takes the inline path; pass null to make that explicit.
@@ -310,12 +278,12 @@ int run_md_kernels(bool small) {
         e == e_ref && s.force.size() == f_ref.size() &&
         std::memcmp(s.force.data(), f_ref.data(),
                     f_ref.size() * sizeof(md::Vec3)) == 0;
-    const double virt = virtual_speedup(list, ref.size(), threads);
+    const double speedup = rows.empty() ? 1.0 : rows.front().wall_s / per_eval;
     const double pps =
         per_eval > 0 ? static_cast<double>(pairs) / per_eval : 0.0;
-    std::printf("%8d %12.6f %16.0f %14.2f %10s\n", threads, per_eval, pps,
-                virt, identical ? "yes" : "NO");
-    rows.push_back({threads, per_eval, pps, virt, identical});
+    std::printf("%8d %12.6f %16.0f %9.2fx %10s\n", threads, per_eval, pps,
+                speedup, identical ? "yes" : "NO");
+    rows.push_back({threads, per_eval, pps, speedup, identical});
   }
   std::printf("\nlegacy pair-order kernel: %.6f s/eval (flat serial %.6f, "
               "%.2fx)\n",
@@ -340,9 +308,9 @@ int run_md_kernels(bool small) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"threads\": %d, \"wall_s_per_eval\": %.9f, "
-                 "\"wall_pairs_per_s\": %.1f, \"virtual_speedup\": %.3f, "
+                 "\"wall_pairs_per_s\": %.1f, \"speedup\": %.3f, "
                  "\"identical\": %s}%s\n",
-                 r.threads, r.wall_s, r.wall_pairs_per_s, r.virt,
+                 r.threads, r.wall_s, r.wall_pairs_per_s, r.speedup,
                  r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }

@@ -31,13 +31,9 @@ echo "=== tier 1: every src/ header is reached by a program ==="
 # src/ holds only what a program runs. A header counts as reached when a file
 # in src/ (other than its own .cpp), bench/, perfbench/ or examples/ includes
 # it; code reached only from tests/ belongs in tests/.
-# The one exception: ml/replay.hpp re-drives a sampler from its history, the
-# base of the planned incremental selector checkpoints (ROADMAP item 2).
-allowed_unreached=(ml/replay.hpp)
 unreached=()
 while IFS= read -r header; do
   rel=${header#src/}
-  [[ " ${allowed_unreached[*]} " == *" $rel "* ]] && continue
   # No `grep -q` here: it would close the pipe early, and pipefail would
   # turn the first grep's SIGPIPE into a false "unreached".
   users=$(grep -rl --include='*.cpp' --include='*.hpp' -F "\"$rel\"" \
@@ -85,7 +81,7 @@ echo "=== tier 1: -march=native build, floating-point contract tests ==="
 cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native >/dev/null
 cmake --build build-native -j "$jobs" --target mummi_tests
 ./build-native/tests/mummi_tests \
-  --gtest_filter='GoldenFingerprintContract.*:EnginePins.*:*LegacyKernelsMatchEngineExactly*:*NanFieldsFreezeProteinsInsideBox*:*FpsEquivalence*:*InSitu*:RoundAway.*:Rdf.*'
+  --gtest_filter='GoldenFingerprintContract.*:EnginePins.*:*EngineFrameMatchesPin*:*NanFieldsFreezeProteinsInsideBox*:*FpsEquivalence*:*InSitu*:RoundAway.*:Rdf.*'
 
 if [[ "$no_sanitize" == 1 ]]; then
   echo "=== tier 1: PASS (sanitizer stage skipped) ==="

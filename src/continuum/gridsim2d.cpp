@@ -84,7 +84,8 @@ double GridSim2D::protein_lipid_coupling(ProteinState state,
   return coupling_[static_cast<std::size_t>(state) * n_species() + species];
 }
 
-void GridSim2D::build_footprints(util::ThreadPool* pool) {
+void GridSim2D::build_footprints() {
+  util::ThreadPool* pool = config_.pool;
   const int n = config_.grid;
   const auto cells = static_cast<std::size_t>(n) * n;
   const double sigma_g = config_.protein_radius / h_;  // in cells
@@ -140,18 +141,18 @@ void GridSim2D::step_lipids() {
   const double kappa = config_.kappa;
   const double coeff = config_.mobility * config_.dt;
 
-  build_footprints(config_.pool);
+  build_footprints();
   // Row blocks: ~16 for large grids, never below 8 rows. Each row is
   // computed whole by one block, so the seams never touch a sum.
   const std::size_t rows_per_block =
       util::block_size(static_cast<std::size_t>(n), 8, 16);
 
   // Excess chemical potential, fused over row blocks: the chi contraction,
-  // gradient penalty and protein coupling land on each mu cell in the same
-  // order as the per-cell reference (chi terms t-ascending with t = 0
-  // assigning, then -kappa lap, then coupling st-ascending), so the sweep is
-  // bit-identical to the legacy kernel. Interior columns use direct +-1
-  // offsets; only j = 0 and j = n-1 pay the periodic wrap.
+  // gradient penalty and protein coupling land on each mu cell in one fixed
+  // order (chi terms t-ascending with t = 0 assigning, then -kappa lap, then
+  // coupling st-ascending), the order the pinned frames were taken in.
+  // Interior columns use direct +-1 offsets; only j = 0 and j = n-1 pay the
+  // periodic wrap.
   util::for_blocks(
       config_.pool, static_cast<std::size_t>(n), rows_per_block,
       [&](std::size_t rlo, std::size_t rhi) {
@@ -204,7 +205,8 @@ void GridSim2D::step_lipids() {
 
   // Conservative update: drho/dt = M [lap rho + div(rho grad mu)], written
   // into the persistent next_ grids and swapped in — no per-step allocation.
-  // Face fluxes and their combination order match the legacy kernel exactly.
+  // Face fluxes and their combination order are fixed: the pinned frames
+  // hold them.
   util::for_blocks(
       config_.pool, static_cast<std::size_t>(n), rows_per_block,
       [&](std::size_t rlo, std::size_t rhi) {
@@ -318,7 +320,7 @@ void GridSim2D::step_proteins() {
       if (rep_range > 0) {
         // Soft pairwise repulsion keeps complexes from stacking. Candidates
         // come back sorted ascending, so the in-range accumulation order is
-        // the same as the legacy all-pairs loop — bit-identical forces.
+        // the same as an all-pairs loop — bit-identical forces.
         cand.clear();
         bins_.gather_candidates(a, cand);
         for (const std::size_t b : cand) {
@@ -347,111 +349,12 @@ void GridSim2D::step_proteins() {
   h_pairs_->observe(static_cast<double>(pairs) / static_cast<double>(np));
 }
 
-// --- legacy reference kernels (test-only) ---------------------------------
-//
-// The pre-refactor loop structure, kept executable so tests and the
-// bench_continuum baseline can assert the block-parallel engine reproduces
-// it bit for bit: serial per-species stencils through atp()'s periodic
-// accessor, a fresh Grid2d per species per step, and O(P^2) all-pairs
-// repulsion. Shared pieces (footprint stamps, per-protein streams, the
-// Jacobi position snapshot) follow the engine's definitions — those are the
-// semantics under test, not incidental structure.
-
-void GridSim2D::step_lipids_legacy() {
-  const int n = config_.grid;
-  const int ns = n_species();
-
-  build_footprints(nullptr);
-
-  for (int s = 0; s < ns; ++s) {
-    Grid2d& mu = mu_[s];
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < n; ++j) {
-        double v = chi_[static_cast<std::size_t>(s) * ns] * fields_[0].at(i, j);
-        for (int t = 1; t < ns; ++t)
-          v += chi_[static_cast<std::size_t>(s) * ns + t] * fields_[t].at(i, j);
-        v -= config_.kappa * fields_[s].laplacian(i, j, h_);
-        for (int st = 0; st < kNumProteinStates; ++st) {
-          const double w = coupling_[static_cast<std::size_t>(st) * ns + s];
-          if (w != 0)
-            v += w * footprint_[(static_cast<std::size_t>(st) * n + i) * n + j];
-        }
-        mu.at(i, j) = v;
-      }
-  }
-
-  const double coeff = config_.mobility * config_.dt;
-  for (int s = 0; s < ns; ++s) {
-    const Grid2d& rho = fields_[s];
-    const Grid2d& mu = mu_[s];
-    Grid2d next(n);
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < n; ++j) {
-        // Face-centered fluxes of rho grad mu.
-        auto face = [&](int i2, int j2, int i3, int j3) {
-          const double rho_face = 0.5 * (rho.atp(i2, j2) + rho.atp(i3, j3));
-          return rho_face * (mu.atp(i3, j3) - mu.atp(i2, j2)) / h_;
-        };
-        const double div =
-            (face(i, j, i + 1, j) - face(i - 1, j, i, j) +
-             face(i, j, i, j + 1) - face(i, j - 1, i, j)) /
-            h_;
-        next.at(i, j) = rho.at(i, j) +
-                        coeff * (rho.laplacian(i, j, h_) + div);
-        if (next.at(i, j) < 0) next.at(i, j) = 0;  // density floor
-      }
-    fields_[s] = std::move(next);
-  }
-}
-
-void GridSim2D::step_proteins_legacy() {
-  const std::size_t np = proteins_.size();
-  if (np == 0) return;
-  const double l = config_.extent;
-  const double rep_range = 2 * config_.protein_radius;
-
-  // Pre-step position snapshot (Jacobi update, like the engine).
-  std::vector<double> px(np), py(np);
-  for (std::size_t i = 0; i < np; ++i) {
-    px[i] = proteins_[i].x;
-    py[i] = proteins_[i].y;
-  }
-
-  std::uint64_t pairs = 0;
-  for (std::size_t a = 0; a < np; ++a) {
-    double fx = -coupling_field_gradient(proteins_[a], 0);
-    double fy = -coupling_field_gradient(proteins_[a], 1);
-    for (std::size_t b = 0; b < np; ++b) {
-      if (a == b) continue;
-      double dx = px[a] - px[b];
-      double dy = py[a] - py[b];
-      dx -= l * std::round(dx / l);
-      dy -= l * std::round(dy / l);
-      const double r2 = dx * dx + dy * dy;
-      if (r2 > rep_range * rep_range || r2 == 0) continue;
-      const double r = std::sqrt(r2);
-      const double mag = 2.0 * (1.0 - r / rep_range) / rep_range;
-      fx += mag * dx / r;
-      fy += mag * dy / r;
-      ++pairs;
-    }
-    advance_protein(a, fx, fy);
-  }
-  c_pairs_->inc(pairs);
-  h_pairs_->observe(static_cast<double>(pairs) / static_cast<double>(np));
-}
-
 void GridSim2D::step(int n) {
   const auto cells_per_step = static_cast<std::uint64_t>(config_.grid) *
                               config_.grid * n_species();
   for (int k = 0; k < n; ++k) {
-    if (config_.legacy_kernels) {
-      step_lipids_legacy();
-      step_proteins_legacy();
-    } else {
-      step_lipids();
-      step_proteins();
-    }
+    step_lipids();
+    step_proteins();
     ++step_count_;
     time_us_ += config_.dt;
     c_steps_->inc();

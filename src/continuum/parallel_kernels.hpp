@@ -40,7 +40,7 @@ inline std::uint64_t protein_stream_seed(std::uint64_t seed, std::uint64_t idx,
 /// view (Jacobi update — protein a's force never sees protein b's position
 /// from the same step, whichever block updates first). gather_candidates
 /// returns candidates sorted ascending, so accumulating in-range pairs in
-/// that order reproduces the legacy all-pairs loop bit for bit.
+/// that order reproduces an all-pairs loop bit for bit.
 class ProteinCellBins {
  public:
   /// Bins positions into an ncell x ncell periodic grid with cell edge
