@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   util::ThreadPool pool;  // one worker per hardware thread runs the refresh
   for (int n : fps_sizes) {
     ml::FpsSampler fps(9, static_cast<std::size_t>(fps_capacity), &pool);
-    fps.set_history_enabled(false);
     // Prior selections so rank updates have a real selected set to query.
     fps.add_candidates(random_patches(fps_prior, 9, rng, 1));
     (void)fps.select(static_cast<std::size_t>(fps_prior));
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
                               {45, 90, 135, 180, 225, 270, 315},
                               {0.5, 1.0, 1.5, 2.0, 2.5}},
                              0.8, 3);
-    binned.set_history_enabled(false);
     util::Stopwatch watch;
     const int kBatch = std::min(n, 100000);
     for (int done = 0; done < n; done += kBatch) {

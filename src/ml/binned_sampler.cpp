@@ -43,7 +43,6 @@ void BinnedSampler::add_candidates(const PointStore& points) {
     bins_[bin_of(c)].add(points.id(i), c);
     ++total_;
   }
-  record('A', points.ids());
 }
 
 void BinnedSampler::update_ranks() {
@@ -62,7 +61,6 @@ HDPoint BinnedSampler::take_from_bin(std::size_t bin, std::size_t which) {
 
 std::vector<HDPoint> BinnedSampler::select(std::size_t k) {
   std::vector<HDPoint> out;
-  std::vector<PointId> ids;
   while (out.size() < k && total_ > 0) {
     if (rng_.uniform() < importance_) {
       // Novelty: the non-empty bin least represented among selections.
@@ -86,9 +84,7 @@ std::vector<HDPoint> BinnedSampler::select(std::size_t k) {
         target -= bins_[b].size();
       }
     }
-    ids.push_back(out.back().id);
   }
-  record('S', ids);
   return out;
 }
 

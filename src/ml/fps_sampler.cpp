@@ -92,7 +92,6 @@ void FpsSampler::add_candidates(const PointStore& points) {
     else if (pool_.size() == 2 * capacity_)
       compact();
   }
-  record('A', points.ids());
 }
 
 FpsSampler::Key FpsSampler::worst_key() const {
@@ -175,7 +174,6 @@ void FpsSampler::add_selected(PointId id, std::span<const float> coords) {
 std::vector<HDPoint> FpsSampler::select(std::size_t k) {
   compact();
   std::vector<HDPoint> out;
-  std::vector<PointId> ids;
   if (k > 0 && !pool_.empty()) {
     std::size_t best = fold_argmax({});
     while (out.size() < k && !pool_.empty()) {
@@ -183,13 +181,11 @@ std::vector<HDPoint> FpsSampler::select(std::size_t k) {
       rank2_[best] = rank2_.back();
       rank2_.pop_back();
       add_selected(chosen.id, chosen.coords);
-      ids.push_back(chosen.id);
       if (!pool_.empty()) best = fold_argmax(chosen.coords);
       out.push_back(std::move(chosen));
     }
     cut_ = Key{};  // below capacity: every arrival is admitted until it fills
   }
-  record('S', ids);
   return out;
 }
 

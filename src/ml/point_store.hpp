@@ -54,7 +54,6 @@ class PointStore {
     return {coords_.data() + slot * static_cast<std::size_t>(dim_),
             static_cast<std::size_t>(dim_)};
   }
-  [[nodiscard]] const std::vector<PointId>& ids() const { return ids_; }
   /// The whole coordinate block, size() * dim() floats.
   [[nodiscard]] std::span<const float> flat() const { return coords_; }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "ml/point.hpp"
@@ -23,18 +22,11 @@ namespace mummi::ml {
 
 class Sampler {
  public:
-  /// Replayable history event: 'A' = candidates added, 'S' = selected.
-  struct Event {
-    char op;
-    std::vector<PointId> ids;
-  };
-
   virtual ~Sampler() = default;
 
   /// Ingests candidates; a capped sampler may rank them and drop those
   /// that cannot survive to the next select. The batch is all-or-nothing: a
-  /// dimension mismatch throws before anything is added or recorded in
-  /// history().
+  /// dimension mismatch throws before anything is added.
   virtual void add_candidates(const PointStore& points) = 0;
 
   /// Owning-point convenience over the flat path: the whole batch is
@@ -59,26 +51,10 @@ class Sampler {
   [[nodiscard]] virtual std::size_t candidate_count() const = 0;
   [[nodiscard]] virtual std::size_t selected_count() const = 0;
 
-  /// Checkpoint serialization, appended to `w`.
+  /// Checkpoint serialization, appended to `w`. A sampler is a pure
+  /// function of its seed and its add/select calls, so a campaign replays
+  /// exactly (paper Sec. 4.4) from its seed and its last checkpoint.
   virtual void serialize(util::ByteWriter& w) const = 0;
-
-  /// Exact-replay history ("elaborate history files that may be replayed
-  /// exactly", paper Sec. 4.4).
-  [[nodiscard]] const std::vector<Event>& history() const { return history_; }
-  /// History recording is on by default; campaign-scale runs disable it to
-  /// bound memory (the paper streams history to files instead).
-  void set_history_enabled(bool enabled) { history_enabled_ = enabled; }
-
- protected:
-  /// Copies `ids` only when history is on.
-  void record(char op, std::span<const PointId> ids) {
-    if (history_enabled_)
-      history_.push_back(Event{op, {ids.begin(), ids.end()}});
-  }
-
- private:
-  std::vector<Event> history_;
-  bool history_enabled_ = true;
 };
 
 }  // namespace mummi::ml

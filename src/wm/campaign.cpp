@@ -986,11 +986,6 @@ CampaignResult Campaign::run() {
     insitu_ = std::make_unique<InSituPlane>(
         config_.seed ^ 0xa5a5a5a5a5a5a5a5ULL, config_.insitu_pool);
   }
-  // Campaign-scale candidate volumes: stream history to /dev/null instead of
-  // holding tens of millions of event ids in memory.
-  patch_selector_->set_history_enabled(false);
-  frame_selector_->set_history_enabled(false);
-
   // Crash recovery: a checkpoint left by an interrupted campaign with this
   // config resumes the interrupted run with its remaining walltime.
   const std::optional<std::uint64_t> resume_run = try_load_checkpoint(result);

@@ -108,16 +108,6 @@ void PatchSelector::restore(util::ByteReader& r) {
   }
 }
 
-void PatchSelector::set_history_enabled(bool enabled) {
-  std::lock_guard lock(mutex_);
-  for (auto& q : queues_) q->set_history_enabled(enabled);
-}
-
-void FrameSelector::set_history_enabled(bool enabled) {
-  std::lock_guard lock(mutex_);
-  sampler_->set_history_enabled(enabled);
-}
-
 std::vector<std::vector<float>> FrameSelector::default_edges() {
   // tilt: 0-90 deg in 6 bins; rotation: 0-360 in 8 bins; separation: 0-3 nm
   // in 6 bins.

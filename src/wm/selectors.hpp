@@ -59,9 +59,6 @@ class PatchSelector {
   void serialize(util::ByteWriter& w) const;
   void restore(util::ByteReader& r);
 
-  /// Disables event-history recording (campaign-scale memory relief).
-  void set_history_enabled(bool enabled);
-
  private:
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<ml::FpsSampler>> queues_;
@@ -86,9 +83,6 @@ class FrameSelector {
   /// Appends the sampler's state to `w`; restore() replaces it from `r`.
   void serialize(util::ByteWriter& w) const;
   void restore(util::ByteReader& r);
-
-  /// Disables event-history recording (campaign-scale memory relief).
-  void set_history_enabled(bool enabled);
 
  private:
   static std::vector<std::vector<float>> default_edges();

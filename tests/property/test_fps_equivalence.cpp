@@ -48,7 +48,6 @@ TEST_P(FpsEquivalence, MatchesNaiveReferenceSelectionSequence) {
   // Small capacity so eviction paths are exercised too.
   const std::size_t capacity = 60 + rng.uniform_index(80);
   ml::FpsSampler fast(dim, capacity);
-  fast.set_history_enabled(false);
   ml::FpsReference naive(dim, capacity);
 
   ml::PointId next = 1;
@@ -105,7 +104,6 @@ TEST(FpsEquivalence, RoundTripMidStreamKeepsSequence) {
   fast.serialize(state);
   util::ByteReader r(state.data());
   ml::FpsSampler restored = ml::FpsSampler::deserialize(r);
-  restored.set_history_enabled(false);
   const auto second = random_batch(80, 4, rng, next);
   restored.add_candidates(second);
   naive.add_candidates(second);
