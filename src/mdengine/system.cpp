@@ -1,5 +1,9 @@
 #include "mdengine/system.hpp"
 
+#include <cmath>
+
+#include "util/error.hpp"
+
 namespace mummi::md {
 
 void System::zero_momentum() {
@@ -44,7 +48,25 @@ System System::deserialize(const util::Bytes& data) {
   s.molecule = r.vec<int>();
   s.bonds = r.vec<Bond>();
   s.angles = r.vec<Angle>();
-  s.force.assign(s.pos.size(), Vec3{});
+  // Checkpoint bytes are untrusted: the force loops index every per-particle
+  // array by particle and bond/angle index, and wrap by the box lengths.
+  const std::size_t n = s.pos.size();
+  if (s.vel.size() != n || s.mass.size() != n || s.charge.size() != n ||
+      s.type.size() != n || s.molecule.size() != n)
+    throw util::FormatError("system per-particle array lengths differ");
+  for (const real l : {s.box.length.x, s.box.length.y, s.box.length.z})
+    if (!(std::isfinite(l) && l > 0))
+      throw util::FormatError("system box length not finite and positive");
+  const auto in_range = [n](int i) {
+    return i >= 0 && static_cast<std::size_t>(i) < n;
+  };
+  for (const Bond& b : s.bonds)
+    if (!in_range(b.i) || !in_range(b.j))
+      throw util::FormatError("system bond index out of range");
+  for (const Angle& a : s.angles)
+    if (!in_range(a.i) || !in_range(a.j) || !in_range(a.k))
+      throw util::FormatError("system angle index out of range");
+  s.force.assign(n, Vec3{});
   return s;
 }
 

@@ -70,7 +70,10 @@ struct System {
   /// Removes net center-of-mass momentum.
   void zero_momentum();
 
-  /// Serialization for checkpoints and trajectory frames.
+  /// Serialization for checkpoints and trajectory frames. deserialize()
+  /// throws util::FormatError on per-particle arrays of unequal length, a
+  /// bond or angle index outside [0, size()), or a non-finite or
+  /// non-positive box length.
   [[nodiscard]] util::Bytes serialize() const;
   static System deserialize(const util::Bytes& data);
 };

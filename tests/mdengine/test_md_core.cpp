@@ -3,12 +3,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <set>
 
 #include "mdengine/cell_list.hpp"
 #include "mdengine/force_field.hpp"
 #include "mdengine/system.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::md {
@@ -185,6 +187,72 @@ TEST(System, SerializeRoundTrip) {
   EXPECT_DOUBLE_EQ(t.bonds[0].r0, 0.47);
   ASSERT_EQ(t.angles.size(), 1u);
   EXPECT_EQ(t.force.size(), 2u);
+}
+
+/// Three bonded particles; serialize() writes whatever the fields hold, so
+/// editing them forges checkpoint bytes.
+System forgeable_system() {
+  System s;
+  s.box.length = {3, 3, 3};
+  for (int i = 0; i < 3; ++i) s.add_particle({0.5 + i, 1, 1}, 0, 72.0);
+  s.bonds.push_back({0, 1, 0.47, 1250});
+  s.bonds.push_back({1, 2, 0.47, 1250});
+  s.angles.push_back({0, 1, 2, 3.14, 25});
+  return s;
+}
+
+void expect_forged_rejected(const System& forged, const char* what) {
+  EXPECT_THROW((void)System::deserialize(forged.serialize()),
+               util::FormatError)
+      << what;
+}
+
+TEST(System, DeserializeRejectsUnequalArrayLengths) {
+  const std::vector<std::pair<const char*, std::function<void(System&)>>>
+      cases = {
+          {"vel", [](System& s) { s.vel.pop_back(); }},
+          {"mass", [](System& s) { s.mass.push_back(1.0); }},
+          {"charge", [](System& s) { s.charge.clear(); }},
+          {"type", [](System& s) { s.type.pop_back(); }},
+          {"molecule", [](System& s) { s.molecule.push_back(-1); }},
+          {"pos", [](System& s) { s.pos.push_back({}); }},
+      };
+  for (const auto& [what, edit] : cases) {
+    System s = forgeable_system();
+    edit(s);
+    expect_forged_rejected(s, what);
+  }
+}
+
+TEST(System, DeserializeRejectsBondIndexOutOfRange) {
+  for (const auto& [i, j] : {std::pair{0, 3}, std::pair{-1, 1},
+                             std::pair{2, 1 << 30}}) {
+    System s = forgeable_system();
+    s.bonds[1].i = i;
+    s.bonds[1].j = j;
+    expect_forged_rejected(s, "bond");
+  }
+}
+
+TEST(System, DeserializeRejectsAngleIndexOutOfRange) {
+  for (int slot = 0; slot < 3; ++slot)
+    for (const int bad : {-1, 3}) {
+      System s = forgeable_system();
+      int* idx[] = {&s.angles[0].i, &s.angles[0].j, &s.angles[0].k};
+      *idx[slot] = bad;
+      expect_forged_rejected(s, "angle");
+    }
+}
+
+TEST(System, DeserializeRejectsNonFiniteOrNonPositiveBox) {
+  for (const real bad : {0.0, -3.0, std::numeric_limits<real>::quiet_NaN(),
+                         std::numeric_limits<real>::infinity()})
+    for (int axis = 0; axis < 3; ++axis) {
+      System s = forgeable_system();
+      real* l[] = {&s.box.length.x, &s.box.length.y, &s.box.length.z};
+      *l[axis] = bad;
+      expect_forged_rejected(s, "box");
+    }
 }
 
 /// Reference: all pairs within cutoff via O(N^2).

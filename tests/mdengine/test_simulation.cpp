@@ -5,6 +5,8 @@
 #include <filesystem>
 
 #include "mdengine/integrator.hpp"
+#include "util/checkpoint.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::md {
@@ -132,6 +134,23 @@ TEST_F(SimulationCheckpoint, ExplicitCheckpointAnytime) {
   auto restored = make_sim(cfg);
   EXPECT_TRUE(restored.restore());
   EXPECT_EQ(restored.step_count(), 7);
+}
+
+TEST_F(SimulationCheckpoint, RestoreRejectsForgedSystemBytes) {
+  // A checkpoint whose system has a bond past the last particle: the force
+  // loops would index out of bounds, so restore throws instead.
+  SimulationConfig cfg;
+  cfg.checkpoint_interval = 1000000;
+  cfg.checkpoint_path = (dir_ / "forged.ckpt").string();
+  System forged = small_fluid(8, 3.0, 1);
+  forged.bonds.push_back({0, 8, 0.47, 1250});
+  util::ByteWriter w;
+  w.i64(5);
+  w.f64(0.0);
+  w.bytes(forged.serialize());
+  util::CheckpointFile(cfg.checkpoint_path).save(w.data());
+  auto sim = make_sim(cfg);
+  EXPECT_THROW(sim.restore(), util::FormatError);
 }
 
 TEST_F(SimulationCheckpoint, MissingPathRejected) {
