@@ -19,7 +19,6 @@
 #include "datastore/taridx.hpp"
 #include "mdengine/integrator.hpp"
 #include "mdengine/simulation.hpp"
-#include "ml/ann_index.hpp"
 #include "ml/fps_sampler.hpp"
 #include "util/clock.hpp"
 #include "util/npy.hpp"
@@ -138,22 +137,6 @@ void BM_TarAppend(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_TarAppend);
-
-void BM_KdTreeKnn(benchmark::State& state) {
-  ml::KdTreeIndex index(9);
-  util::Rng rng(6);
-  for (int i = 0; i < 35000; ++i) {
-    ml::HDPoint p;
-    p.id = static_cast<ml::PointId>(i);
-    p.coords.resize(9);
-    for (auto& c : p.coords) c = static_cast<float>(rng.normal());
-    index.add(p);
-  }
-  std::vector<float> q(9, 0.1f);
-  for (auto _ : state) benchmark::DoNotOptimize(index.knn(q, 10));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KdTreeKnn);
 
 void BM_FpsSelect(benchmark::State& state) {
   util::Rng rng(7);

@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
       }
       binned.add_candidates(batch);
     }
-    binned.update_ranks();
     (void)binned.select(10);
     const double dt = watch.elapsed();
     binned_rate = n / dt;

@@ -1,6 +1,7 @@
 #include "ml/binned_sampler.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -43,12 +44,6 @@ void BinnedSampler::add_candidates(const PointStore& points) {
     bins_[bin_of(c)].add(points.id(i), c);
     ++total_;
   }
-}
-
-void BinnedSampler::update_ranks() {
-  // Ranking is the selected-per-bin histogram, maintained incrementally —
-  // nothing to recompute. (This is why the binned sampler sustains ~165x
-  // more candidates than farthest-point ranking in the same time budget.)
 }
 
 HDPoint BinnedSampler::take_from_bin(std::size_t bin, std::size_t which) {
@@ -111,10 +106,25 @@ BinnedSampler BinnedSampler::deserialize(util::ByteReader& r) {
         std::to_string(kSerialVersion) + ", got byte " +
         std::to_string(version) +
         " (blob predates the flat selection-layer layout)");
+  // Every dimension carries at least a u64 edge count, and every bin at
+  // least an 8-byte selected_per_bin_ word and a 20-byte PointStore: a
+  // shape the remaining bytes cannot hold is forged, and is rejected before
+  // the bins are allocated.
   const auto ndims = r.u32();
+  if (ndims == 0 || ndims > r.remaining() / sizeof(std::uint64_t))
+    throw util::FormatError("corrupt binned-sampler dimension count");
   std::vector<std::vector<float>> edges(ndims);
-  for (auto& e : edges) e = r.vec<float>();
+  std::size_t nbins = 1;
+  for (auto& e : edges) {
+    e = r.vec<float>();
+    if (e.size() + 1 > SIZE_MAX / nbins)
+      throw util::FormatError("binned-sampler bin count overflows");
+    nbins *= e.size() + 1;
+  }
   const double importance = r.f64();
+  constexpr std::size_t kMinBinBytes = sizeof(std::uint64_t) + 20;
+  if (nbins > r.remaining() / kMinBinBytes)
+    throw util::FormatError("binned-sampler bins exceed its bytes");
   BinnedSampler s(std::move(edges), importance, /*seed=*/1);
   util::Rng::State rng_state{};
   for (auto& word : rng_state.s) word = r.u64();
@@ -123,14 +133,12 @@ BinnedSampler BinnedSampler::deserialize(util::ByteReader& r) {
   s.rng_.load_state(rng_state);
   s.n_selected_ = r.u64();
   s.selected_per_bin_ = r.vec<std::uint64_t>();
-  MUMMI_CHECK_MSG(s.selected_per_bin_.size() == s.bins_.size(),
-                  "corrupt binned-sampler stream");
-  const auto nbins = r.u64();
-  MUMMI_CHECK_MSG(nbins == s.bins_.size(), "corrupt binned-sampler stream");
+  if (s.selected_per_bin_.size() != nbins || r.u64() != nbins)
+    throw util::FormatError("corrupt binned-sampler bin count");
   for (auto& b : s.bins_) {
     b = PointStore::deserialize(r);
-    MUMMI_CHECK_MSG(b.dim() == static_cast<int>(s.dim_),
-                    "corrupt binned-sampler stream");
+    if (b.dim() != static_cast<int>(s.dim_))
+      throw util::FormatError("corrupt binned-sampler bin dimension");
     s.total_ += b.size();
   }
   return s;

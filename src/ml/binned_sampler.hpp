@@ -10,17 +10,21 @@
 // Candidates land in bins defined by per-dimension edges. A selection draws,
 // with probability `importance`, from the non-empty bin least represented in
 // the selected-so-far histogram (novelty), otherwise uniformly across all
-// candidates (randomness). Rank updates are O(bins), independent of history.
+// candidates (randomness). The ranking is the selected-per-bin histogram,
+// kept current by every pick, so there is no rank update to run.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "ml/sampler.hpp"
+#include "ml/point.hpp"
+#include "ml/point_store.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::ml {
 
-class BinnedSampler final : public Sampler {
+class BinnedSampler {
  public:
   /// Serialization format version; v2 added the RNG state (restored samplers
   /// continue the exact selection stream) and rejects pre-version blobs.
@@ -31,15 +35,19 @@ class BinnedSampler final : public Sampler {
   BinnedSampler(std::vector<std::vector<float>> edges, double importance,
                 std::uint64_t seed);
 
-  using Sampler::add_candidates;
-  void add_candidates(const PointStore& points) override;
-  std::vector<HDPoint> select(std::size_t k) override;
-  void update_ranks() override;
+  /// Bins the batch. All-or-nothing: a dimension mismatch throws before
+  /// anything is added.
+  void add_candidates(const PointStore& points);
+  void add_candidates(const std::vector<HDPoint>& points) {
+    add_candidates(PointStore::from_points(points, dim()));
+  }
+  /// Draws up to k candidates and removes them from the pool.
+  std::vector<HDPoint> select(std::size_t k);
 
-  [[nodiscard]] int dim() const override { return static_cast<int>(dim_); }
+  [[nodiscard]] int dim() const { return static_cast<int>(dim_); }
 
-  [[nodiscard]] std::size_t candidate_count() const override { return total_; }
-  [[nodiscard]] std::size_t selected_count() const override {
+  [[nodiscard]] std::size_t candidate_count() const { return total_; }
+  [[nodiscard]] std::size_t selected_count() const {
     return n_selected_;
   }
 
@@ -54,7 +62,10 @@ class BinnedSampler final : public Sampler {
     return selected_per_bin_;
   }
 
-  void serialize(util::ByteWriter& w) const override;
+  /// Checkpoint state (RNG included), appended to `w`.
+  void serialize(util::ByteWriter& w) const;
+  /// Throws util::FormatError on a stream that is truncated, has another
+  /// version, or declares more bins than its bytes can hold.
   static BinnedSampler deserialize(util::ByteReader& r);
 
  private:

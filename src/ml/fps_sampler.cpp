@@ -18,10 +18,6 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 // therefore every float produced — is identical on any pool size.
 constexpr std::size_t kRefreshBlock = 1024;
 
-// Selected-set size beyond which a kd-tree nearest query beats the linear
-// fold. Both yield bit-identical ranks; this is purely a cost crossover.
-constexpr std::size_t kKdBacklog = 512;
-
 // Selected points folded side by side, one lane each, in four SSE-width
 // GCC/Clang vectors (element-wise IEEE arithmetic): four accumulators in
 // flight, so the fold is not bound by the latency of one add chain.
@@ -60,28 +56,20 @@ FpsSampler::FpsSampler(int dim, std::size_t capacity,
       capacity_(capacity),
       refresh_pool_(refresh_pool),
       pool_(dim),
-      selected_index_(dim),
       selected_(dim) {
   MUMMI_CHECK_MSG(dim > 0 && capacity > 0, "invalid FPS configuration");
-}
-
-float FpsSampler::rank(std::span<const float> c, float cut) const {
-  if (selected_.size() > kKdBacklog)
-    return std::min(kInf, selected_index_.nearest(c)->dist2);
-  return fold_min(c, selected_t_, cut);
 }
 
 void FpsSampler::add_candidates(const PointStore& points) {
   MUMMI_CHECK_MSG(points.dim() == dim_, "candidate dimension mismatch");
   // Rank against the cut as it stands now: it only rises until the next
   // pick, so an arrival below it is below every later cut too.
-  selected_index_.flush();
   const float cut = cut_.rank2;
   std::vector<float> ranks(points.size());
   util::for_blocks(refresh_pool_, points.size(), kRefreshBlock,
                    [&](std::size_t begin, std::size_t end) {
                      for (std::size_t i = begin; i < end; ++i)
-                       ranks[i] = rank(points.coords(i), cut);
+                       ranks[i] = fold_min(points.coords(i), selected_t_, cut);
                    });
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!better({points.id(i), ranks[i]}, cut_)) continue;
@@ -168,7 +156,6 @@ void FpsSampler::add_selected(PointId id, std::span<const float> coords) {
   float* rows = selected_t_.data() + j / kLanes * dim * kLanes + j % kLanes;
   for (std::size_t d = 0; d < dim; ++d) rows[d * kLanes] = coords[d];
   selected_.add(id, coords);
-  selected_index_.add(id, coords);
 }
 
 std::vector<HDPoint> FpsSampler::select(std::size_t k) {

@@ -1,4 +1,13 @@
-// Farthest-point sampler over L2 — the Patch Selector's core.
+// Farthest-point sampler over L2 — the Patch Selector's core (the DynIm
+// substitute).
+//
+// Paper Task 2: "New candidates ... are ingested by the WM as soon as new
+// data is generated, whereas new selections are made upon request ... Since
+// selection events are orders of magnitude fewer than addition events, we use
+// a caching scheme to postpone expensive computations until the time of a
+// selection, which makes the cost of adding new candidates negligible."
+// This sampler ranks on arrival instead: with the pool capped at admission
+// that is cheaper than storing every arrival (DESIGN.md §4d).
 //
 // Rank(candidate) = distance to the nearest already-selected point; selecting
 // always takes the highest rank ("most novel"). The pool is capped (paper:
@@ -8,10 +17,11 @@
 // parallelism"): every pooled rank is exact, and the pool never stores a
 // candidate that cannot survive to the next select().
 //  - The selected set changes only in select(), so an arrival's rank is
-//    final when it arrives. add_candidates() ranks each arrival (a 16-wide
-//    fold over the selected set held transposed, the kd-tree past a backlog)
-//    and admits it only if its (rank2 desc, id asc) key beats the cut, the
-//    pool's capacity-th key. A rejected arrival is never copied.
+//    final when it arrives. add_candidates() ranks each arrival with an
+//    exact 16-wide fold over the selected set held transposed (the scan a
+//    flat L2 index does) and admits it only if its (rank2 desc, id asc) key
+//    beats the cut, the pool's capacity-th key. A rejected arrival is never
+//    copied.
 //  - Admitted arrivals are appended; a radix select on the ranks trims the
 //    pool to capacity at twice that, at select() and in serialize().
 //  - A pick is the argmax. It is folded into every rank, fused with the next
@@ -23,8 +33,9 @@
 #include <limits>
 #include <vector>
 
-#include "ml/ann_index.hpp"
-#include "ml/sampler.hpp"
+#include "ml/point.hpp"
+#include "ml/point_store.hpp"
+#include "util/bytes.hpp"
 
 namespace mummi::util {
 class ThreadPool;
@@ -32,7 +43,7 @@ class ThreadPool;
 
 namespace mummi::ml {
 
-class FpsSampler final : public Sampler {
+class FpsSampler {
  public:
   /// Serialization format version; bumped when the on-disk layout changes
   /// (v3 = survivors and exact ranks only; older blobs are rejected, not
@@ -44,20 +55,24 @@ class FpsSampler final : public Sampler {
   FpsSampler(int dim, std::size_t capacity,
              util::ThreadPool* refresh_pool = nullptr);
 
-  using Sampler::add_candidates;
-  void add_candidates(const PointStore& points) override;
-  std::vector<HDPoint> select(std::size_t k) override;
+  /// Ranks the batch and admits the arrivals that can survive to the next
+  /// select(). All-or-nothing: a dimension mismatch throws before anything
+  /// is added.
+  void add_candidates(const PointStore& points);
+  void add_candidates(const std::vector<HDPoint>& points) {
+    add_candidates(PointStore::from_points(points, dim_));
+  }
+  /// Returns up to k most novel candidates and removes them from the pool.
+  std::vector<HDPoint> select(std::size_t k);
   /// Ranks are exact on arrival; this only trims the pool to capacity.
-  void update_ranks() override { compact(); }
+  void update_ranks() { compact(); }
 
-  [[nodiscard]] int dim() const override { return dim_; }
+  [[nodiscard]] int dim() const { return dim_; }
 
   /// Stored candidates: at most twice the capacity between selects, at
   /// most the capacity after select() or update_ranks().
-  [[nodiscard]] std::size_t candidate_count() const override {
-    return pool_.size();
-  }
-  [[nodiscard]] std::size_t selected_count() const override {
+  [[nodiscard]] std::size_t candidate_count() const { return pool_.size(); }
+  [[nodiscard]] std::size_t selected_count() const {
     return selected_.size();
   }
 
@@ -66,7 +81,10 @@ class FpsSampler final : public Sampler {
   /// does not hold. For tests/diagnostics.
   [[nodiscard]] float rank_of(PointId id) const;
 
-  void serialize(util::ByteWriter& w) const override;
+  /// Checkpoint state, appended to `w`. A sampler is a pure function of its
+  /// construction arguments and its add/select calls, so a campaign replays
+  /// exactly (paper Sec. 4.4) from its seed and its last checkpoint.
+  void serialize(util::ByteWriter& w) const;
   static FpsSampler deserialize(util::ByteReader& r,
                                 util::ThreadPool* refresh_pool = nullptr);
 
@@ -87,9 +105,6 @@ class FpsSampler final : public Sampler {
   }
   [[nodiscard]] Key worst_key() const;
 
-  /// dist2 from `c` to the nearest selected point; may stop early at any
-  /// value below `cut`.
-  [[nodiscard]] float rank(std::span<const float> c, float cut) const;
   /// Flags the `capacity_` best slots of an over-full pool and sets `cut`
   /// to the worst of them.
   [[nodiscard]] std::vector<char> survivors(Key& cut) const;
@@ -104,7 +119,6 @@ class FpsSampler final : public Sampler {
   PointStore pool_;           // candidates that may survive, SoA
   std::vector<float> rank2_;  // exact min dist2 to the selected set
   Key cut_;                   // capacity-th key; rank2 -inf: pool not full
-  KdTreeIndex selected_index_;
   PointStore selected_;  // selection order; checkpoint state
   // selected_ in groups of 16 points, one row of 16 lanes per dimension;
   // lanes past the last point hold +inf.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/crashpoint.hpp"
+#include "util/error.hpp"
 
 namespace mummi::supervise {
 
@@ -97,6 +98,8 @@ void QuarantineLedger::restore(util::ByteReader& r) {
     e.hangs = r.u32();
     e.node_kills = r.u32();
     const std::uint32_t nn = r.u32();
+    if (nn > r.remaining() / sizeof(std::uint32_t))
+      throw util::FormatError("quarantine ledger: node count exceeds stream");
     e.nodes_killed.reserve(nn);
     for (std::uint32_t j = 0; j < nn; ++j)
       e.nodes_killed.push_back(static_cast<int>(r.u32()));

@@ -100,13 +100,6 @@ TEST(BinnedSampler, SelectFromEmptyReturnsNothing) {
   EXPECT_TRUE(s.select(5).empty());
 }
 
-TEST(BinnedSampler, UpdateRanksIsConstantTimeNoop) {
-  BinnedSampler s(edges_3d(), 0.8, 1);
-  s.add_candidates(corner_points(100));
-  s.update_ranks();  // must not disturb anything
-  EXPECT_EQ(s.candidate_count(), 200u);
-}
-
 TEST(BinnedSampler, DeterministicForSeed) {
   BinnedSampler a(edges_3d(), 0.6, 21), b(edges_3d(), 0.6, 21);
   a.add_candidates(corner_points(20));
@@ -172,6 +165,41 @@ TEST(BinnedSampler, DeserializeRejectsVersionMismatch) {
   bytes[0] = 1;  // masquerade as an older format
   util::ByteReader r(bytes);
   EXPECT_THROW((void)BinnedSampler::deserialize(r), util::FormatError);
+}
+
+/// A well-formed binned-sampler stream that declares `edges` but carries no
+/// bins: a shape claimed without the bytes to back it.
+util::Bytes stream_without_bins(const std::vector<std::vector<float>>& edges) {
+  util::ByteWriter w;
+  w.u8(BinnedSampler::kSerialVersion);
+  w.u32(static_cast<std::uint32_t>(edges.size()));
+  for (const auto& e : edges) w.vec(e);
+  w.f64(0.5);  // importance
+  for (std::uint64_t word = 1; word <= 4; ++word) w.u64(word);
+  w.u8(0);  // no spare normal
+  w.f64(0.0);
+  w.u64(0);  // selected count
+  w.vec(std::vector<std::uint64_t>{});  // selected per bin
+  w.u64(0);  // bin count
+  return std::move(w).take();
+}
+
+TEST(BinnedSampler, DeserializeRejectsForgedShapes) {
+  // 64 dimensions of one edge each: 2^64 bins wraps to 0, and a sampler
+  // without bins would index an empty table on its first add.
+  const auto wrap =
+      stream_without_bins(std::vector<std::vector<float>>(64, {0.5f}));
+  util::ByteReader r_wrap(wrap);
+  EXPECT_THROW((void)BinnedSampler::deserialize(r_wrap), util::FormatError);
+
+  const auto no_dims = stream_without_bins({});
+  util::ByteReader r_no_dims(no_dims);
+  EXPECT_THROW((void)BinnedSampler::deserialize(r_no_dims), util::FormatError);
+
+  // 12 bins declared, none carried.
+  const auto short_bins = stream_without_bins(edges_3d());
+  util::ByteReader r_short(short_bins);
+  EXPECT_THROW((void)BinnedSampler::deserialize(r_short), util::FormatError);
 }
 
 TEST(BinnedSampler, InvalidConstructionRejected) {

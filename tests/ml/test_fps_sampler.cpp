@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
+#include <tuple>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -85,6 +88,54 @@ TEST(FpsSampler, RankIsDistanceToNearestSelected) {
   EXPECT_FLOAT_EQ(fps.rank_of(2), 10.0f);
   EXPECT_FLOAT_EQ(fps.rank_of(3), 3.0f);
 }
+
+// Every rank is bit-equal to a brute-force min of dist2 over the selected
+// set: for arrivals (the lane fold) and for pool survivors (tightened pick by
+// pick). Params: selected points, dimension, picks per select call.
+class FpsRankVsBrute
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(FpsRankVsBrute, AgreesWithBruteForce) {
+  const auto [n, dim, k] = GetParam();
+  util::Rng rng(static_cast<std::uint64_t>(n * dim));
+  PointId next = 1;
+  const auto batch = [&](int count) {
+    std::vector<HDPoint> out(static_cast<std::size_t>(count));
+    for (auto& p : out) {
+      p.id = next++;
+      p.coords.resize(static_cast<std::size_t>(dim));
+      for (auto& c : p.coords) c = static_cast<float>(rng.normal());
+    }
+    return out;
+  };
+  FpsSampler fps(dim, 100000);
+  const auto first = batch(n + 20);
+  fps.add_candidates(first);
+  const auto n_selected = static_cast<std::size_t>(n);
+  std::vector<HDPoint> selected;
+  while (selected.size() < n_selected) {
+    const auto picks = std::min<std::size_t>(k, n_selected - selected.size());
+    for (auto& p : fps.select(picks)) selected.push_back(std::move(p));
+  }
+  const auto arrivals = batch(20);
+  fps.add_candidates(arrivals);
+  std::vector<HDPoint> ranked = arrivals;
+  for (const auto& p : first)
+    if (!std::isnan(fps.rank_of(p.id))) ranked.push_back(p);
+  ASSERT_EQ(ranked.size(), 40u);
+  for (const auto& p : ranked) {
+    float want = std::numeric_limits<float>::infinity();
+    for (const auto& s : selected)
+      want = std::min(want, dist2(p.coords, s.coords));
+    EXPECT_EQ(fps.rank_of(p.id), std::sqrt(want)) << "id " << p.id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, FpsRankVsBrute,
+    ::testing::Values(std::make_tuple(10, 2, 1), std::make_tuple(100, 3, 5),
+                      std::make_tuple(500, 9, 10), std::make_tuple(1000, 9, 1),
+                      std::make_tuple(64, 1, 3), std::make_tuple(200, 16, 4)));
 
 TEST(FpsSampler, LazyAdditionIsCheapRankedAtSelect) {
   FpsSampler fps(2, 100000);

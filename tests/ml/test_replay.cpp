@@ -15,7 +15,7 @@ namespace {
 
 /// Feeds both samplers the same interleaved random batches and picks and
 /// expects the same ids from each pick.
-template <typename MakePoint>
+template <typename Sampler, typename MakePoint>
 void expect_same_picks(Sampler& a, Sampler& b, int rounds, int batch_size,
                        std::size_t picks, MakePoint make_point) {
   PointId next = 1;
@@ -66,6 +66,7 @@ TEST(Replay, BinnedHistoryReplaysExactly) {
 /// A batch holding one point of the wrong dimension must be rejected whole:
 /// a partial add would leave state that replaying the call sequence cannot
 /// reproduce.
+template <typename Sampler>
 void expect_bad_batch_rejected_whole(Sampler& sampler,
                                      const std::vector<HDPoint>& bad) {
   EXPECT_THROW(sampler.add_candidates(bad), util::Error);

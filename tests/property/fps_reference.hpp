@@ -1,7 +1,7 @@
 // Naive farthest-point sampler — the executable specification.
 //
 // Straight-line O(n) argmax scans and eager O(n·dim) rank tightening after
-// every pick, per-point heap-allocated coords, no heap laziness, no kd-tree,
+// every pick, per-point heap-allocated coords, no lane-wise fold,
 // no parallelism. Deliberately retained (not deleted with the seed
 // implementation) so property tests can assert that the optimized
 // FpsSampler reproduces this selection sequence byte-for-byte across

@@ -1,5 +1,5 @@
-// Equivalence property: the optimized FpsSampler (SoA store, lazy max-heap,
-// kd-assisted parallel rank updates) must reproduce the naive FpsReference's
+// Equivalence property: the optimized FpsSampler (SoA store, eager exact
+// ranks, a 16-lane rank fold, blocked parallel pick folds) must reproduce the naive FpsReference's
 // selection sequence byte-for-byte — same ids, in the same order — across
 // randomized seeds, dimensions and batch sizes. This is the determinism
 // contract that keeps campaign output independent of the selection engine's
@@ -118,8 +118,8 @@ TEST(FpsEquivalence, RoundTripMidStreamKeepsSequence) {
 // early one on the id tie-break. `quiet_rounds` rounds pass with no pick:
 // the pool grows far past capacity while every rank is infinite, and the id
 // tie-break alone decides the survivors. `prior` picks from a first batch
-// grow the selected set past the kd-tree crossover before the pressure
-// starts.
+// grow the selected set to hundreds of points, so each rank folds many
+// 16-lane groups, before the pressure starts.
 struct PressureCase {
   int dim;
   std::uint64_t seed;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/error.hpp"
+
 namespace mummi {
 namespace {
 
@@ -113,6 +115,24 @@ TEST(QuarantineLedger, SerializeRestoreRoundTripsEverything) {
   restored.clear();
   EXPECT_EQ(restored.size(), 0u);
   EXPECT_EQ(restored.quarantined_count(), 0u);
+}
+
+TEST(QuarantineLedger, RestoreRejectsForgedNodeCount) {
+  // One entry whose killed-node list claims 2^32 - 1 nodes and carries one:
+  // the count is checked against the stream before anything is reserved.
+  util::ByteWriter w;
+  w.u32(1);  // entries
+  w.str("cg_sim");
+  w.u64(3);  // payload
+  w.u32(0);  // failures
+  w.u32(0);  // hangs
+  w.u32(1);  // node kills
+  w.u32(0xFFFFFFFFu);  // killed-node count
+  w.u32(2);
+  QuarantineLedger ledger(3);
+  util::ByteReader r(w.data());
+  EXPECT_THROW(ledger.restore(r), util::FormatError);
+  EXPECT_EQ(ledger.size(), 0u);
 }
 
 }  // namespace
