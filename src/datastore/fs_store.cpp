@@ -4,9 +4,11 @@
 #include <filesystem>
 
 #include "obs/metrics.hpp"
+#include "util/backoff.hpp"
 #include "util/checkpoint.hpp"
 #include "util/crashpoint.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/string_util.hpp"
 
 namespace fs = std::filesystem;
@@ -35,8 +37,7 @@ void validate(const std::string& ns, const std::string& key) {
 FsStore::FsStore(std::string root, double op_latency, util::IoRetryPolicy retry)
     : root_(std::move(root)),
       op_latency_(op_latency),
-      retry_(std::move(retry)),
-      jitter_rng_(retry_.jitter_seed ^ util::fnv1a(root_)) {
+      retry_(std::move(retry)) {
   util::make_dirs(root_);
 }
 
@@ -55,47 +56,45 @@ std::uint64_t FsStore::io_retries() const {
   return io_retries_;
 }
 
-void FsStore::armored(const char* what,
+void FsStore::armored(const char* what, const std::string& path,
                       const std::function<void()>& io) const {
   static obs::Counter& ops = obs::counter("fs.ops");
   static obs::Counter& retries = obs::counter("fs.retries");
   static obs::Counter& injected_failures = obs::counter("fs.injected_failures");
   static obs::Counter& failures = obs::counter("fs.failures");
   ops.inc();
+  // One jitter stream per call, seeded as util::write_file seeds its own.
+  util::Rng jitter_rng(retry_.jitter_seed ^ util::fnv1a(path));
   const util::SleepFn sleep =
       retry_.sleep ? retry_.sleep : util::wall_sleeper();
   std::string last_error = "unavailable";
-  for (int attempt = 0; attempt < retry_.backoff.max_attempts; ++attempt) {
-    bool injected = false;
-    {
-      std::lock_guard lock(mutex_);
-      if (attempt > 0) ++io_retries_;
-      if (pending_failures_ > 0) {
-        --pending_failures_;
-        injected = true;
-      }
-    }
-    if (attempt > 0) retries.inc();
-    if (injected) {
-      injected_failures.inc();
-      last_error = "injected I/O failure";
-    } else {
-      try {
-        io();
-        return;
-      } catch (const util::UnavailableError& err) {
-        last_error = err.what();
-      }
-    }
-    if (attempt + 1 < retry_.backoff.max_attempts) {
-      double delay = 0.0;
-      {
-        std::lock_guard lock(mutex_);
-        delay = retry_.backoff.delay_s(attempt, jitter_rng_);
-      }
-      sleep(delay);
-    }
-  }
+  int attempt = 0;
+  const bool ok =
+      util::retry_with_backoff(retry_.backoff, jitter_rng, sleep, [&] {
+        bool injected = false;
+        {
+          std::lock_guard lock(mutex_);
+          if (attempt > 0) ++io_retries_;
+          if (pending_failures_ > 0) {
+            --pending_failures_;
+            injected = true;
+          }
+        }
+        if (attempt++ > 0) retries.inc();
+        if (injected) {
+          injected_failures.inc();
+          last_error = "injected I/O failure";
+          return false;
+        }
+        try {
+          io();
+          return true;
+        } catch (const util::UnavailableError& err) {
+          last_error = err.what();
+          return false;
+        }
+      });
+  if (ok) return;
   failures.inc();
   throw util::UnavailableError(std::string("fs store ") + what +
                                " failed after retries: " + last_error);
@@ -143,14 +142,16 @@ void FsStore::put(const std::string& ns, const std::string& key,
   // so a reader (or a restart) sees either the old record or the new one,
   // never a torn prefix — the in-place trunc write this replaces left a
   // partial value that a later get() returned as valid.
-  armored("put", [&] { atomic_put(path_of(ns, key), value); });
+  const std::string path = path_of(ns, key);
+  armored("put", path, [&] { atomic_put(path, value); });
   account();
 }
 
 util::Bytes FsStore::get(const std::string& ns, const std::string& key) const {
   validate(ns, key);
   std::optional<util::Bytes> data;
-  armored("get", [&] { data = util::read_file(path_of(ns, key)); });
+  const std::string path = path_of(ns, key);
+  armored("get", path, [&] { data = util::read_file(path); });
   account();
   // A missing record is a definitive answer, not a transient fault — it is
   // never retried.
@@ -192,9 +193,10 @@ void FsStore::move(const std::string& src_ns, const std::string& key,
   validate(dst_ns, key);
   util::make_dirs(root_ + "/" + dst_ns);
   util::crash_point("fs.move.pre");
-  armored("move", [&] {
+  const std::string src = path_of(src_ns, key);
+  armored("move", src, [&] {
     std::error_code ec;
-    fs::rename(path_of(src_ns, key), path_of(dst_ns, key), ec);
+    fs::rename(src, path_of(dst_ns, key), ec);
     if (ec)
       throw util::StoreError("move failed: " + src_ns + "/" + key + " -> " +
                              dst_ns + ": " + ec.message());
@@ -210,7 +212,8 @@ std::vector<util::Bytes> FsStore::get_many(
   for (const auto& key : keys) {
     validate(ns, key);
     std::optional<util::Bytes> data;
-    armored("get", [&] { data = util::read_file(path_of(ns, key)); });
+    const std::string path = path_of(ns, key);
+    armored("get", path, [&] { data = util::read_file(path); });
     if (!data) throw util::StoreError("missing record: " + ns + "/" + key);
     out.push_back(std::move(*data));
   }
@@ -225,7 +228,8 @@ void FsStore::put_many(
   util::make_dirs(root_ + "/" + ns);
   for (const auto& [key, value] : records) {
     validate(ns, key);
-    armored("put", [&] { atomic_put(path_of(ns, key), value); });
+    const std::string path = path_of(ns, key);
+    armored("put", path, [&] { atomic_put(path, value); });
   }
   account();
 }
@@ -245,9 +249,10 @@ void FsStore::move_many(const std::string& src_ns,
     validate(dst_ns, key);
     util::crash_point("fs.move_many.mid");
     try {
-      armored("move", [&] {
+      const std::string src = path_of(src_ns, key);
+      armored("move", src, [&] {
         std::error_code ec;
-        fs::rename(path_of(src_ns, key), path_of(dst_ns, key), ec);
+        fs::rename(src, path_of(dst_ns, key), ec);
         if (ec)
           throw util::StoreError("move failed: " + src_ns + "/" + key + " -> " +
                                  dst_ns + ": " + ec.message());

@@ -14,7 +14,6 @@
 
 #include "datastore/data_store.hpp"
 #include "util/checkpoint.hpp"
-#include "util/rng.hpp"
 
 namespace mummi::ds {
 
@@ -83,9 +82,12 @@ class FsStore final : public DataStore {
   /// and overwrites.
   void atomic_put(const std::string& path, const util::Bytes& value) const;
   void account() const;
-  /// Runs `io` under the retry policy. Injected failures consume one pending
-  /// count per attempt; exhaustion throws util::UnavailableError.
-  void armored(const char* what, const std::function<void()>& io) const;
+  /// Runs `io` under the retry policy (at least once, whatever
+  /// max_attempts says), jittering its waits from a stream seeded by
+  /// `path`. Injected failures consume one pending count per attempt;
+  /// exhaustion throws util::UnavailableError.
+  void armored(const char* what, const std::string& path,
+               const std::function<void()>& io) const;
 
   std::string root_;
   double op_latency_;
@@ -94,7 +96,6 @@ class FsStore final : public DataStore {
   mutable double latency_total_ = 0.0;
   mutable int pending_failures_ = 0;
   mutable std::uint64_t io_retries_ = 0;
-  mutable util::Rng jitter_rng_;
 };
 
 }  // namespace mummi::ds

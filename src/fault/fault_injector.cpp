@@ -9,13 +9,11 @@ namespace mummi::fault {
 void FaultInjector::arm(event::SimEngine& engine) {
   plan_.validate();
   for (const FaultEvent& ev : plan_.events()) {
-    engine.schedule_after(ev.time, [this, ev, &engine] {
-      apply(ev, engine.now());
-    });
+    engine.schedule_after(ev.time, [this, ev] { apply(ev); });
   }
 }
 
-void FaultInjector::apply(const FaultEvent& ev, double now) {
+void FaultInjector::apply(const FaultEvent& ev) {
   obs::counter("fault.injected").inc();
   obs::counter(std::string("fault.") + to_string(ev.kind)).inc();
   obs::Tracer::instance().instant(std::string("fault.") + to_string(ev.kind),
@@ -38,9 +36,6 @@ void FaultInjector::apply(const FaultEvent& ev, double now) {
         obs::counter("fault.recoveries").inc();
       }
       break;
-    case FaultKind::kLatencySpike:
-      spikes_.push_back({now + ev.duration, ev.magnitude});
-      break;
     case FaultKind::kJobHang:
       if (executor_) {
         executor_->inject_hangs(ev.count);
@@ -56,13 +51,6 @@ void FaultInjector::apply(const FaultEvent& ev, double now) {
       break;
   }
   fired_.push_back(ev);
-}
-
-double FaultInjector::latency_factor(double now) const {
-  double factor = 1.0;
-  for (const Spike& spike : spikes_)
-    if (now < spike.until) factor *= spike.factor;
-  return factor < 1.0 ? 1.0 : factor;
 }
 
 }  // namespace mummi::fault

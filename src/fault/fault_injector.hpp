@@ -4,9 +4,7 @@
 // layers the paper says fail (Sec. 4.4):
 //   - scheduler: node crashes kill the node's running jobs (fail_node) and
 //     later recovery returns it to service;
-//   - executor: silent hangs and stragglers alter the next launches;
-//   - latency spikes stretch job durations while active (the paper's GPFS
-//     and fabric congestion episodes).
+//   - executor: silent hangs and stragglers alter the next launches.
 //
 // arm() schedules every plan event on a SimEngine; apply() is also public so
 // unit tests can fire events directly without an engine.
@@ -35,11 +33,8 @@ class FaultInjector {
   /// injector must outlive the engine run. Validates the plan first.
   void arm(event::SimEngine& engine);
 
-  /// Applies one event immediately at virtual time `now`.
-  void apply(const FaultEvent& ev, double now);
-
-  /// Current job-duration multiplier (>= 1) from active latency spikes.
-  [[nodiscard]] double latency_factor(double now) const;
+  /// Applies one event immediately.
+  void apply(const FaultEvent& ev);
 
   /// Observability: every event applied so far, in application order.
   [[nodiscard]] const std::vector<FaultEvent>& fired() const { return fired_; }
@@ -47,16 +42,10 @@ class FaultInjector {
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
-  struct Spike {
-    double until = 0.0;
-    double factor = 1.0;
-  };
-
   FaultPlan plan_;
   sched::Scheduler* scheduler_ = nullptr;
   sched::SimExecutor* executor_ = nullptr;
   std::vector<FaultEvent> fired_;
-  std::vector<Spike> spikes_;
   std::size_t jobs_killed_ = 0;
 };
 

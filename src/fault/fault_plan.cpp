@@ -1,6 +1,7 @@
 #include "fault/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 
 #include "util/error.hpp"
@@ -12,7 +13,6 @@ const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kNodeCrash:    return "node_crash";
     case FaultKind::kNodeRecover:  return "node_recover";
-    case FaultKind::kLatencySpike: return "latency_spike";
     case FaultKind::kJobHang:      return "job_hang";
     case FaultKind::kStragglerJob: return "straggler_job";
   }
@@ -20,8 +20,8 @@ const char* to_string(FaultKind kind) {
 }
 
 std::string FaultEvent::describe() const {
-  return util::format("t=%.1fs %s target=%d dur=%.1fs x%.1f n=%d", time,
-                      to_string(kind), target, duration, magnitude, count);
+  return util::format("t=%.1fs %s target=%d x%.1f n=%d", time,
+                      to_string(kind), target, magnitude, count);
 }
 
 FaultPlan& FaultPlan::push(FaultEvent ev) {
@@ -54,16 +54,6 @@ FaultPlan& FaultPlan::node_crash(double t, int node, double down_for_s) {
   return *this;
 }
 
-FaultPlan& FaultPlan::latency_spike(double t, double factor,
-                                    double duration_s) {
-  FaultEvent ev;
-  ev.time = t;
-  ev.kind = FaultKind::kLatencySpike;
-  ev.magnitude = factor;
-  ev.duration = duration_s;
-  return push(ev);
-}
-
 FaultPlan& FaultPlan::job_hang(double t, int burst) {
   FaultEvent ev;
   ev.time = t;
@@ -82,19 +72,20 @@ FaultPlan& FaultPlan::straggler(double t, int burst, double factor) {
 }
 
 void FaultSpec::validate() const {
-  auto check_rate = [](double r, const char* name) {
-    MUMMI_CHECK_MSG(r >= 0.0, std::string("negative fault rate: ") + name);
+  auto require = [](bool ok, const char* what) {
+    if (!ok) throw util::ConfigError(std::string("fault spec: ") + what);
   };
-  check_rate(node_crash_rate_per_h, "node_crash_rate_per_h");
-  check_rate(latency_spike_rate_per_h, "latency_spike_rate_per_h");
-  check_rate(job_hang_rate_per_h, "job_hang_rate_per_h");
-  check_rate(straggler_rate_per_h, "straggler_rate_per_h");
-  MUMMI_CHECK_MSG(node_down_mean_s >= 0.0, "negative node_down_mean_s");
-  MUMMI_CHECK_MSG(latency_spike_mean_s >= 0.0, "negative latency_spike_mean_s");
-  MUMMI_CHECK_MSG(hang_burst >= 0, "negative hang_burst");
-  MUMMI_CHECK_MSG(straggler_burst >= 0, "negative straggler_burst");
-  MUMMI_CHECK_MSG(latency_factor >= 1.0, "latency_factor must be >= 1");
-  MUMMI_CHECK_MSG(straggler_factor >= 1.0, "straggler_factor must be >= 1");
+  // Finite and non-negative; NaN fails both comparisons. An infinite rate
+  // would make generate() draw arrivals at t = 0 forever.
+  auto amount = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  require(amount(node_crash_rate_per_h), "bad node_crash_rate_per_h");
+  require(amount(job_hang_rate_per_h), "bad job_hang_rate_per_h");
+  require(amount(straggler_rate_per_h), "bad straggler_rate_per_h");
+  require(amount(node_down_mean_s), "bad node_down_mean_s");
+  require(hang_burst >= 0, "negative hang_burst");
+  require(straggler_burst >= 0, "negative straggler_burst");
+  require(std::isfinite(straggler_factor) && straggler_factor >= 1.0,
+          "straggler_factor must be finite and >= 1");
 }
 
 void FaultPlan::validate() const {
@@ -105,12 +96,9 @@ void FaultPlan::validate() const {
     MUMMI_CHECK_MSG(ev.time >= prev,
                     "fault events not time-sorted at: " + ev.describe());
     prev = ev.time;
-    MUMMI_CHECK_MSG(ev.duration >= 0.0,
-                    "fault event with negative duration: " + ev.describe());
     MUMMI_CHECK_MSG(ev.count >= 0,
                     "fault event with negative count: " + ev.describe());
-    if (ev.kind == FaultKind::kLatencySpike ||
-        ev.kind == FaultKind::kStragglerJob)
+    if (ev.kind == FaultKind::kStragglerJob)
       MUMMI_CHECK_MSG(ev.magnitude >= 1.0,
                       "amplifying fault with magnitude < 1: " + ev.describe());
   }
@@ -144,20 +132,15 @@ FaultPlan FaultPlan::generate(const FaultSpec& spec, double horizon_s,
              plan.node_crash(t, node,
                              stream.exponential(1.0 / spec.node_down_mean_s));
            });
-  // Three retired fault classes split here; keeping their splits keeps every
-  // seed's spike/hang/straggler schedule, and the golden corpus, unchanged.
+  // Four retired fault classes split here; keeping their splits keeps every
+  // seed's hang/straggler schedule, and the golden corpus, unchanged.
   (void)rng.split();
   (void)rng.split();
   (void)rng.split();
-  arrivals(spec.latency_spike_rate_per_h, rng.split(),
-           [&](double t, util::Rng& stream) {
-             plan.latency_spike(
-                 t, spec.latency_factor,
-                 stream.exponential(1.0 / spec.latency_spike_mean_s));
-           });
+  (void)rng.split();
   // The silent-failure classes split AFTER the originals: enabling hangs or
-  // stragglers must not reshuffle the crash/spike schedules a seed
-  // already produced (same independence the streams test pins down).
+  // stragglers must not reshuffle the crash schedule a seed already
+  // produced (same independence the streams test pins down).
   arrivals(spec.job_hang_rate_per_h, rng.split(),
            [&](double t, util::Rng&) { plan.job_hang(t, spec.hang_burst); });
   arrivals(spec.straggler_rate_per_h, rng.split(),

@@ -20,7 +20,6 @@ namespace mummi::fault {
 enum class FaultKind : std::uint8_t {
   kNodeCrash,     // kill running jobs on `target` node; node stays down
   kNodeRecover,   // node `target` serves again
-  kLatencySpike,  // job durations x `magnitude` for `duration` seconds
   kJobHang,       // next `count` launches never invoke their completion
   kStragglerJob,  // next `count` launches run `magnitude` x their duration
 };
@@ -31,8 +30,7 @@ struct FaultEvent {
   double time = 0.0;      // virtual seconds from plan start
   FaultKind kind = FaultKind::kNodeCrash;
   int target = -1;        // node index; unused otherwise
-  double duration = 0.0;  // latency-spike length (seconds)
-  double magnitude = 1.0; // latency-spike slowdown factor
+  double magnitude = 1.0; // straggler slowdown factor
   int count = 0;          // hang/straggler burst size
 
   [[nodiscard]] std::string describe() const;
@@ -44,10 +42,6 @@ struct FaultSpec {
   double node_crash_rate_per_h = 0.0;
   double node_down_mean_s = 600.0;     // time until the node recovers
 
-  double latency_spike_rate_per_h = 0.0;
-  double latency_factor = 3.0;
-  double latency_spike_mean_s = 300.0;
-
   double job_hang_rate_per_h = 0.0;    // silent hangs (Sec. 4.4)
   int hang_burst = 1;                  // launches hung per event
 
@@ -58,12 +52,13 @@ struct FaultSpec {
   std::uint64_t seed = 42;
 
   [[nodiscard]] bool empty() const {
-    return node_crash_rate_per_h <= 0 && latency_spike_rate_per_h <= 0 &&
-           job_hang_rate_per_h <= 0 && straggler_rate_per_h <= 0;
+    return node_crash_rate_per_h <= 0 && job_hang_rate_per_h <= 0 &&
+           straggler_rate_per_h <= 0;
   }
 
-  /// Throws util::Error on nonsense configuration: negative rates, durations,
-  /// bursts, or amplification factors below 1.
+  /// Throws util::ConfigError on nonsense configuration: negative, NaN or
+  /// infinite rates and durations, negative bursts, or amplification factors
+  /// below 1.
   void validate() const;
 };
 
@@ -73,7 +68,6 @@ class FaultPlan {
 
   // --- builder API (fluent; times are absolute virtual seconds) -----------
   FaultPlan& node_crash(double t, int node, double down_for_s = 0.0);
-  FaultPlan& latency_spike(double t, double factor, double duration_s);
   FaultPlan& job_hang(double t, int burst = 1);
   FaultPlan& straggler(double t, int burst = 1, double factor = 4.0);
 
@@ -93,10 +87,10 @@ class FaultPlan {
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
 
-  /// Throws util::Error if any event carries a negative time/duration/count,
-  /// a magnitude below 1 where it amplifies, or if the list is not
-  /// time-sorted (push() maintains sortedness; validate() guards plans built
-  /// or mutated by other means).
+  /// Throws util::Error if any event carries a negative time or count, a
+  /// straggler magnitude below 1, or if the list is not time-sorted (push()
+  /// maintains sortedness; validate() guards plans built or mutated by other
+  /// means).
   void validate() const;
 
  private:

@@ -88,7 +88,10 @@ void QuarantineLedger::serialize(util::ByteWriter& w) const {
 }
 
 void QuarantineLedger::restore(util::ByteReader& r) {
-  clear();
+  // Decode into locals: a stream that ends early throws and leaves the
+  // ledger as it was.
+  std::map<Key, Entry> entries;
+  std::size_t n_quarantined = 0;
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
     std::string type = r.str();
@@ -106,14 +109,11 @@ void QuarantineLedger::restore(util::ByteReader& r) {
     e.quarantined = r.u8() != 0;
     e.first_strike_s = r.f64();
     e.quarantined_at_s = r.f64();
-    if (e.quarantined) ++n_quarantined_;
-    entries_.emplace(Key{std::move(type), payload}, std::move(e));
+    if (e.quarantined) ++n_quarantined;
+    entries.emplace(Key{std::move(type), payload}, std::move(e));
   }
-}
-
-void QuarantineLedger::clear() {
-  entries_.clear();
-  n_quarantined_ = 0;
+  entries_ = std::move(entries);
+  n_quarantined_ = n_quarantined;
 }
 
 }  // namespace mummi::supervise

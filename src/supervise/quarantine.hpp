@@ -73,10 +73,10 @@ class QuarantineLedger {
 
   /// Checkpointable state, appended to `w`; restore() replaces the whole
   /// ledger from `r` (the strike limit is configuration and is not
-  /// serialized).
+  /// serialized). All or nothing: on malformed bytes it throws
+  /// util::FormatError and the ledger is unchanged.
   void serialize(util::ByteWriter& w) const;
   void restore(util::ByteReader& r);
-  void clear();
 
  private:
   using Key = std::pair<std::string, std::uint64_t>;

@@ -10,12 +10,11 @@
 namespace mummi::supervise {
 
 namespace {
-// Deadlines for a job with timing {mean, sigma} and duration hint est:
+// Deadlines for a job with timing {mean, sigma} and duration hint est, as
+// elapsed seconds since its start, fixed when it starts:
 //   base = max(mean, est)
-//   soft = (kSoftFactor * base + kSoftSigmas * sigma) * stretch
-//   hard = (kHardFactor * base + kHardSigmas * sigma) * stretch
-// where `stretch` comes from set_duration_stretch (latency-spike faults
-// slow real jobs down; deadlines must stretch with them).
+//   soft = kSoftFactor * base + kSoftSigmas * sigma
+//   hard = kHardFactor * base + kHardSigmas * sigma
 constexpr double kSoftFactor = 2.0;
 constexpr double kSoftSigmas = 4.0;
 constexpr double kHardFactor = 4.0;
@@ -72,28 +71,6 @@ void Supervisor::set_timing(const std::string& type, JobTiming timing) {
   timings_[type] = timing;
 }
 
-void Supervisor::set_duration_stretch(std::function<double(double)> fn) {
-  stretch_fn_ = std::move(fn);
-}
-
-double Supervisor::stretch(double now) const {
-  return stretch_fn_ ? stretch_fn_(now) : 1.0;
-}
-
-double Supervisor::soft_deadline(const Watch& w, double now) const {
-  const auto& t = timings_.at(w.type);
-  const double base = std::max(t.mean_s, w.est_duration);
-  return (kSoftFactor * base + kSoftSigmas * t.sigma_s) *
-         stretch(now);
-}
-
-double Supervisor::hard_deadline(const Watch& w, double now) const {
-  const auto& t = timings_.at(w.type);
-  const double base = std::max(t.mean_s, w.est_duration);
-  return (kHardFactor * base + kHardSigmas * t.sigma_s) *
-         stretch(now);
-}
-
 void Supervisor::log(double now, const char* fmt, ...) {
   char detail[256];
   va_list args;
@@ -119,9 +96,14 @@ void Supervisor::on_start(const sched::Job& job) {
   w.type = job.spec.type;
   w.payload = job.spec.payload;
   w.start_time = job.start_time;
-  w.est_duration = job.spec.est_duration;
   if (!job.alloc.slots.empty()) w.node = job.alloc.slots.front().node;
-  w.watched = timings_.count(w.type) != 0;
+  if (auto it = timings_.find(w.type); it != timings_.end()) {
+    const JobTiming& t = it->second;
+    const double base = std::max(t.mean_s, job.spec.est_duration);
+    w.soft_s = kSoftFactor * base + kSoftSigmas * t.sigma_s;
+    w.hard_s = kHardFactor * base + kHardSigmas * t.sigma_s;
+    w.watched = true;
+  }
 
   if (auto it = job.spec.attrs.find("canary_node");
       it != job.spec.attrs.end()) {
@@ -146,7 +128,6 @@ void Supervisor::on_start(const sched::Job& job) {
       return;
     }
     twin_by_original_[w.twin_of] = id;
-    original_by_twin_[id] = w.twin_of;
   }
   watches_[id] = std::move(w);
 }
@@ -184,7 +165,6 @@ void Supervisor::handle_canary_finish(const Watch& watch,
 void Supervisor::resolve_twin_finish(sched::JobId id, Watch& watch,
                                      const sched::Job& job) {
   const sched::JobId orig = watch.twin_of;
-  original_by_twin_.erase(id);
   twin_by_original_.erase(orig);
   if (job.state == sched::JobState::kCompleted) {
     // Twin won; cancel the original if it is still in flight. The workload
@@ -223,7 +203,6 @@ void Supervisor::resolve_original_finish(sched::JobId id, Watch& watch,
   }
   if (twin != sched::kInvalidJob) {
     twin_by_original_.erase(id);
-    original_by_twin_.erase(twin);
     if (job.state == sched::JobState::kCompleted) {
       ++stats_.spec_losses;
       tm_.spec_losses->inc();
@@ -288,14 +267,14 @@ void Supervisor::tick(double now) {
   std::vector<sched::JobId> stragglers;
   for (auto& [id, w] : watches_) {
     if (!w.watched || w.canary_node >= 0) continue;
+    // Elapsed against a relative deadline, not now against start + hard_s:
+    // the sum rounds, so the two comparisons can differ by an ulp.
     const double elapsed = now - w.start_time;
-    if (elapsed > hard_deadline(w, now)) {
+    if (elapsed > w.hard_s) {
       hung.push_back(id);
-    } else if (elapsed > soft_deadline(w, now) && cfg_.speculate &&
-               !w.speculative && !w.spec_requested &&
-               speculations_launched_ < kMaxSpeculations &&
-               twin_by_original_.count(id) == 0 &&
-               twin_requested_.count(id) == 0) {
+    } else if (elapsed > w.soft_s && cfg_.speculate && !w.speculative &&
+               !w.spec_requested &&
+               speculations_launched_ < kMaxSpeculations) {
       stragglers.push_back(id);
     }
   }

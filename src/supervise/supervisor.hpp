@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -113,12 +112,9 @@ class Supervisor {
   Supervisor(sched::Scheduler& scheduler, const util::Clock& clock,
              WorkloadControl& control, SuperviseConfig cfg);
 
-  /// Registers duration expectations for a watched job type.
+  /// Registers duration expectations for a watched job type. Jobs take
+  /// their deadlines from the timing registered when they start.
   void set_timing(const std::string& type, JobTiming timing);
-
-  /// Deadline stretch factor as a function of virtual time (e.g. the fault
-  /// injector's latency factor). Default: constant 1.
-  void set_duration_stretch(std::function<double(double)> fn);
 
   /// One supervision pass at virtual time `now`: watchdog deadlines, node
   /// probation, degraded-mode floor. The campaign schedules this every
@@ -150,12 +146,15 @@ class Supervisor {
     std::string type;
     std::uint64_t payload = 0;
     double start_time = 0.0;
-    double est_duration = 0.0;
+    double soft_s = 0.0;    // elapsed seconds before a twin is considered
+    double hard_s = 0.0;    // elapsed seconds before the job counts as hung
     int node = -1;          // first allocated node (attribution)
     int canary_node = -1;   // >= 0: this job is a canary probing that node
     bool speculative = false;
     sched::JobId twin_of = sched::kInvalidJob;  // set on twins
-    bool spec_requested = false;  // original already has a twin
+    // Original whose twin was requested, whether or not it has started:
+    // set before launch_speculative, cleared only if that declines.
+    bool spec_requested = false;
     bool watched = false;         // type has a registered timing
   };
 
@@ -171,21 +170,15 @@ class Supervisor {
   void log(double now, const char* fmt, ...)
       __attribute__((format(printf, 3, 4)));
 
-  [[nodiscard]] double stretch(double now) const;
-  [[nodiscard]] double soft_deadline(const Watch& w, double now) const;
-  [[nodiscard]] double hard_deadline(const Watch& w, double now) const;
-
   sched::Scheduler& scheduler_;
   const util::Clock& clock_;
   WorkloadControl& control_;
   SuperviseConfig cfg_;
 
   std::map<std::string, JobTiming> timings_;
-  std::function<double(double)> stretch_fn_;
 
   std::map<sched::JobId, Watch> watches_;  // ordered ⇒ deterministic sweeps
   std::map<sched::JobId, sched::JobId> twin_by_original_;
-  std::map<sched::JobId, sched::JobId> original_by_twin_;
   /// Originals whose twin was requested but has not started yet.
   std::set<sched::JobId> twin_requested_;
   /// Originals that finished with their twin still unstarted: the twin is

@@ -437,9 +437,6 @@ void CampaignRun::start_supervisor() {
   }
   supervisor_->set_timing(job_type::kCanary,
                           {WmConfig::canary_duration_s, 0.0});
-  // Latency-spike faults stretch real durations; deadlines stretch along.
-  supervisor_->set_duration_stretch(
-      [this](double now) { return injector_.latency_factor(now); });
   wm_->set_resubmit_veto([this](const sched::Job& job) {
     return supervisor_->has_live_twin(job.id);
   });
@@ -535,19 +532,16 @@ void CampaignRun::on_start(const sched::Job& job) {
 
 double CampaignRun::job_duration(const sched::Job& job) {
   const auto& type = job.spec.type;
-  // Active latency spikes (GPFS/fabric congestion) stretch job durations;
-  // 1.0 when no spike is live, so fault-free runs are bit-identical.
-  const double stretch = injector_.latency_factor(engine_.now());
   if (type == job_type::kContinuum)
     return 2.0 * walltime_s_;  // cut at teardown
   if (type == job_type::kCgSetup)
-    return stretch * cfg_.perf.sample_createsim_seconds(c_.rng_);
+    return cfg_.perf.sample_createsim_seconds(c_.rng_);
   if (type == job_type::kAaSetup)
-    return stretch * cfg_.perf.sample_backmap_seconds(c_.rng_);
+    return cfg_.perf.sample_backmap_seconds(c_.rng_);
   if (type == job_type::kCgSim || type == job_type::kAaSim) {
     LogicalSim& ls = c_.logical_sim(job.spec.payload,
                                     type == job_type::kAaSim, degraded_);
-    return std::max(1.0, stretch * (ls.target - ls.progress) / ls.rate_per_s);
+    return std::max(1.0, (ls.target - ls.progress) / ls.rate_per_s);
   }
   return job.spec.est_duration;
 }
@@ -890,6 +884,7 @@ Campaign::Campaign(CampaignConfig config)
   if (config_.checkpoint_interval_s > 0 && config_.checkpoint_path.empty())
     throw util::ConfigError(
         "campaign: checkpoint_interval_s > 0 requires a checkpoint_path");
+  config_.faults.validate();
 }
 
 Campaign::~Campaign() = default;

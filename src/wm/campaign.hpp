@@ -81,7 +81,8 @@ struct CampaignConfig {
   // --- resilience (Sec. 4.4: "everything fails at scale") ------------------
   /// Infrastructure fault rates; empty() disables injection. Each run draws
   /// its own plan from faults.seed mixed with the flat run index, so the
-  /// whole campaign stays deterministic.
+  /// whole campaign stays deterministic. The Campaign constructor throws
+  /// util::ConfigError when FaultSpec::validate() rejects it.
   fault::FaultSpec faults;
 
   /// Campaign supervision plane (watchdogs, speculative twins, poison

@@ -10,14 +10,13 @@ PatchSelector::PatchSelector(int dim, int n_queues, std::size_t capacity,
   MUMMI_CHECK_MSG(n_queues > 0, "need at least one queue");
   queues_.reserve(static_cast<std::size_t>(n_queues));
   for (int q = 0; q < n_queues; ++q)
-    queues_.push_back(
-        std::make_unique<ml::FpsSampler>(dim, capacity, refresh_pool));
+    queues_.emplace_back(dim, capacity, refresh_pool);
 }
 
 void PatchSelector::add(int queue, const ml::PointStore& points) {
   std::lock_guard lock(mutex_);
   MUMMI_CHECK_MSG(queue >= 0 && queue < n_queues(), "queue out of range");
-  queues_[static_cast<std::size_t>(queue)]->add_candidates(points);
+  queues_[static_cast<std::size_t>(queue)].add_candidates(points);
 }
 
 std::vector<PatchSelection> PatchSelector::select(std::size_t k) {
@@ -31,7 +30,7 @@ std::vector<PatchSelection> PatchSelector::select(std::size_t k) {
   // queues, so the interleaved result matches the per-pick loop exactly.
   std::vector<std::size_t> avail(nq), want(nq, 0);
   for (std::size_t q = 0; q < nq; ++q)
-    avail[q] = std::min(queues_[q]->candidate_count(), capacity_);
+    avail[q] = std::min(queues_[q].candidate_count(), capacity_);
   std::vector<int> pick_order;
   pick_order.reserve(k);
   std::size_t empty_streak = 0;
@@ -50,7 +49,7 @@ std::vector<PatchSelection> PatchSelector::select(std::size_t k) {
 
   std::vector<std::vector<ml::HDPoint>> picked(nq);
   for (std::size_t q = 0; q < nq; ++q)
-    if (want[q] > 0) picked[q] = queues_[q]->select(want[q]);
+    if (want[q] > 0) picked[q] = queues_[q].select(want[q]);
 
   std::vector<PatchSelection> out;
   out.reserve(pick_order.size());
@@ -69,8 +68,8 @@ std::size_t PatchSelector::update_ranks() {
   std::lock_guard lock(mutex_);
   std::size_t total = 0;
   for (auto& q : queues_) {
-    q->update_ranks();
-    total += q->candidate_count();
+    q.update_ranks();
+    total += q.candidate_count();
   }
   return total;
 }
@@ -78,14 +77,14 @@ std::size_t PatchSelector::update_ranks() {
 std::size_t PatchSelector::candidate_count() const {
   std::lock_guard lock(mutex_);
   std::size_t total = 0;
-  for (const auto& q : queues_) total += q->candidate_count();
+  for (const auto& q : queues_) total += q.candidate_count();
   return total;
 }
 
 std::size_t PatchSelector::selected_count() const {
   std::lock_guard lock(mutex_);
   std::size_t total = 0;
-  for (const auto& q : queues_) total += q->selected_count();
+  for (const auto& q : queues_) total += q.selected_count();
   return total;
 }
 
@@ -93,19 +92,29 @@ void PatchSelector::serialize(util::ByteWriter& w) const {
   std::lock_guard lock(mutex_);
   w.u32(static_cast<std::uint32_t>(queues_.size()));
   w.u32(static_cast<std::uint32_t>(next_queue_));
-  for (const auto& q : queues_) w.section([&] { q->serialize(w); });
+  for (const auto& q : queues_) w.section([&] { q.serialize(w); });
 }
 
-void PatchSelector::restore(util::ByteReader& r) {
+PatchSelector::Decoded PatchSelector::decode(util::ByteReader& r) const {
   std::lock_guard lock(mutex_);
   const auto nq = r.u32();
   MUMMI_CHECK_MSG(nq == queues_.size(), "queue count mismatch on restore");
-  next_queue_ = static_cast<int>(r.u32());
-  for (auto& q : queues_) {
+  const auto next_queue = r.u32();
+  if (next_queue >= nq)
+    throw util::FormatError("patch selector: next queue out of range");
+  Decoded state{static_cast<int>(next_queue), {}};
+  state.queues.reserve(nq);
+  for (std::uint32_t q = 0; q < nq; ++q) {
     util::ByteReader section = r.section();
-    q = std::make_unique<ml::FpsSampler>(
-        ml::FpsSampler::deserialize(section, refresh_pool_));
+    state.queues.push_back(ml::FpsSampler::deserialize(section, refresh_pool_));
   }
+  return state;
+}
+
+void PatchSelector::commit(Decoded state) {
+  std::lock_guard lock(mutex_);
+  next_queue_ = state.next_queue;
+  queues_ = std::move(state.queues);
 }
 
 std::vector<std::vector<float>> FrameSelector::default_edges() {
@@ -119,43 +128,45 @@ std::vector<std::vector<float>> FrameSelector::default_edges() {
 }
 
 FrameSelector::FrameSelector(double importance, std::uint64_t seed)
-    : sampler_(std::make_unique<ml::BinnedSampler>(default_edges(), importance,
-                                                   seed)) {}
+    : sampler_(default_edges(), importance, seed) {}
 
 void FrameSelector::add(const ml::PointStore& points) {
   std::lock_guard lock(mutex_);
-  sampler_->add_candidates(points);
+  sampler_.add_candidates(points);
 }
 
 int FrameSelector::dim() const {
   std::lock_guard lock(mutex_);  // restore() replaces the sampler
-  return sampler_->dim();
+  return sampler_.dim();
 }
 
 std::vector<ml::HDPoint> FrameSelector::select(std::size_t k) {
   std::lock_guard lock(mutex_);
-  return sampler_->select(k);
+  return sampler_.select(k);
 }
 
 std::size_t FrameSelector::candidate_count() const {
   std::lock_guard lock(mutex_);
-  return sampler_->candidate_count();
+  return sampler_.candidate_count();
 }
 
 std::size_t FrameSelector::selected_count() const {
   std::lock_guard lock(mutex_);
-  return sampler_->selected_count();
+  return sampler_.selected_count();
 }
 
 void FrameSelector::serialize(util::ByteWriter& w) const {
   std::lock_guard lock(mutex_);
-  sampler_->serialize(w);
+  sampler_.serialize(w);
 }
 
-void FrameSelector::restore(util::ByteReader& r) {
+ml::BinnedSampler FrameSelector::decode(util::ByteReader& r) {
+  return ml::BinnedSampler::deserialize(r);
+}
+
+void FrameSelector::commit(ml::BinnedSampler sampler) {
   std::lock_guard lock(mutex_);
-  sampler_ = std::make_unique<ml::BinnedSampler>(
-      ml::BinnedSampler::deserialize(r));
+  sampler_ = std::move(sampler);
 }
 
 }  // namespace mummi::wm

@@ -11,7 +11,6 @@
 // blocking and nonblocking locks").
 #pragma once
 
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -55,13 +54,23 @@ class PatchSelector {
   [[nodiscard]] int n_queues() const { return static_cast<int>(queues_.size()); }
   [[nodiscard]] int dim() const { return dim_; }
 
-  /// Appends the queues' state to `w`; restore() replaces it from `r`.
+  /// Appends the queues' state to `w`; restore() replaces it from `r`, all
+  /// or nothing: on malformed bytes it throws and the selector is unchanged.
   void serialize(util::ByteWriter& w) const;
-  void restore(util::ByteReader& r);
+  void restore(util::ByteReader& r) { commit(decode(r)); }
+
+  /// restore() in two steps, so an owner can decode all its parts before it
+  /// commits any: decode() only reads, commit() does not throw.
+  struct Decoded {
+    int next_queue = 0;
+    std::vector<ml::FpsSampler> queues;
+  };
+  [[nodiscard]] Decoded decode(util::ByteReader& r) const;
+  void commit(Decoded state);
 
  private:
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ml::FpsSampler>> queues_;
+  std::vector<ml::FpsSampler> queues_;
   int next_queue_ = 0;
   int dim_;
   std::size_t capacity_;
@@ -80,15 +89,18 @@ class FrameSelector {
   [[nodiscard]] std::size_t candidate_count() const;
   [[nodiscard]] std::size_t selected_count() const;
 
-  /// Appends the sampler's state to `w`; restore() replaces it from `r`.
+  /// Appends the sampler's state to `w`; restore() replaces it from `r`,
+  /// all or nothing, in the two steps PatchSelector describes.
   void serialize(util::ByteWriter& w) const;
-  void restore(util::ByteReader& r);
+  void restore(util::ByteReader& r) { commit(decode(r)); }
+  [[nodiscard]] static ml::BinnedSampler decode(util::ByteReader& r);
+  void commit(ml::BinnedSampler sampler);
 
  private:
   static std::vector<std::vector<float>> default_edges();
 
   mutable std::mutex mutex_;
-  std::unique_ptr<ml::BinnedSampler> sampler_;
+  ml::BinnedSampler sampler_;
 };
 
 }  // namespace mummi::wm

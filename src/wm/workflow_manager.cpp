@@ -414,22 +414,34 @@ void WorkflowManager::serialize(util::ByteWriter& w) const {
 }
 
 void WorkflowManager::restore(util::ByteReader& r) {
-  ready_cg_ = read_deque(r);
-  ready_aa_ = read_deque(r);
-  requeued_cg_setup_ = read_deque(r);
-  requeued_aa_setup_ = read_deque(r);
-  restarts_.clear();
+  // Decode every part before committing any, so malformed bytes throw and
+  // leave the manager, its selectors and its ledger as they were.
+  auto ready_cg = read_deque(r);
+  auto ready_aa = read_deque(r);
+  auto requeued_cg_setup = read_deque(r);
+  auto requeued_aa_setup = read_deque(r);
+  std::unordered_map<std::uint64_t, int> restarts;
   const auto n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto payload = r.u64();
-    restarts_[payload] = static_cast<int>(r.u32());
+    restarts[payload] = static_cast<int>(r.u32());
   }
   util::ByteReader patch_state = r.section();
-  patch_selector_.restore(patch_state);
+  auto patches = patch_selector_.decode(patch_state);
   util::ByteReader frame_state = r.section();
-  frame_selector_.restore(frame_state);
+  auto frames = FrameSelector::decode(frame_state);
   util::ByteReader quarantine_state = r.section();
-  quarantine_.restore(quarantine_state);
+  supervise::QuarantineLedger quarantine = quarantine_;
+  quarantine.restore(quarantine_state);
+
+  ready_cg_ = std::move(ready_cg);
+  ready_aa_ = std::move(ready_aa);
+  requeued_cg_setup_ = std::move(requeued_cg_setup);
+  requeued_aa_setup_ = std::move(requeued_aa_setup);
+  restarts_ = std::move(restarts);
+  patch_selector_.commit(std::move(patches));
+  frame_selector_.commit(std::move(frames));
+  quarantine_ = std::move(quarantine);
 }
 
 WorkflowManager::CarryOver WorkflowManager::carry_over() const {

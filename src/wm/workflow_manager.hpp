@@ -148,7 +148,8 @@ class WorkflowManager : public supervise::WorkloadControl {
   /// Full WM state to/from bytes: buffers, requeues, restart counts, both
   /// selectors and the quarantine ledger — everything needed to "be restored
   /// completely after any such crash" (Sec. 4.4). serialize() appends to
-  /// `w`; restore() reads from `r`. Pair with util::CheckpointFile for
+  /// `w`; restore() reads from `r`, all or nothing: on malformed bytes it
+  /// throws and changes nothing. Pair with util::CheckpointFile for
   /// armored disk I/O.
   void serialize(util::ByteWriter& w) const;
   void restore(util::ByteReader& r);

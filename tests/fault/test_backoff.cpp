@@ -196,6 +196,15 @@ TEST_F(FsStoreFaultTest, GetAndMoveAreArmoredToo) {
   EXPECT_GE(store.io_retries(), 3u);
 }
 
+TEST_F(FsStoreFaultTest, ZeroMaxAttemptsStillRunsTheOperationOnce) {
+  // max_attempts <= 1 means "no retries", never "skip the operation".
+  ds::FsStore store(dir_, 0.0, recorded_policy(0));
+  store.put("ns", "key", util::to_bytes("value"));
+  EXPECT_EQ(util::to_string(store.get("ns", "key")), "value");
+  EXPECT_EQ(store.io_retries(), 0u);
+  EXPECT_TRUE(slept_.empty());
+}
+
 TEST_F(FsStoreFaultTest, MissingRecordIsNotRetried) {
   ds::FsStore store(dir_, 0.0, recorded_policy(4));
   EXPECT_THROW(store.get("ns", "absent"), util::StoreError);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 
@@ -14,8 +17,8 @@ bool same_events(const std::vector<fault::FaultEvent>& a,
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].time != b[i].time || a[i].kind != b[i].kind ||
-        a[i].target != b[i].target || a[i].duration != b[i].duration ||
-        a[i].magnitude != b[i].magnitude || a[i].count != b[i].count)
+        a[i].target != b[i].target || a[i].magnitude != b[i].magnitude ||
+        a[i].count != b[i].count)
       return false;
   }
   return true;
@@ -23,7 +26,7 @@ bool same_events(const std::vector<fault::FaultEvent>& a,
 
 TEST(FaultPlan, BuilderKeepsEventsSortedByTime) {
   fault::FaultPlan plan;
-  plan.latency_spike(500.0, 3.0, 60.0)
+  plan.straggler(500.0, 1, 3.0)
       .node_crash(100.0, 2, 250.0)
       .job_hang(10.0, 2);
   const auto& ev = plan.events();
@@ -32,14 +35,14 @@ TEST(FaultPlan, BuilderKeepsEventsSortedByTime) {
   EXPECT_EQ(ev[1].kind, fault::FaultKind::kNodeCrash);
   EXPECT_EQ(ev[2].kind, fault::FaultKind::kNodeRecover);
   EXPECT_DOUBLE_EQ(ev[2].time, 350.0);  // crash + down_for
-  EXPECT_EQ(ev[3].kind, fault::FaultKind::kLatencySpike);
+  EXPECT_EQ(ev[3].kind, fault::FaultKind::kStragglerJob);
 }
 
 TEST(FaultPlan, GenerateIsDeterministic) {
   fault::FaultSpec spec;
   spec.node_crash_rate_per_h = 5.0;
   spec.straggler_rate_per_h = 3.0;
-  spec.latency_spike_rate_per_h = 2.0;
+  spec.job_hang_rate_per_h = 2.0;
   spec.seed = 99;
   const auto a = fault::FaultPlan::generate(spec, 7200.0, 16);
   const auto b = fault::FaultPlan::generate(spec, 7200.0, 16);
@@ -57,8 +60,8 @@ TEST(FaultPlan, FaultClassesDrawIndependentStreams) {
   fault::FaultSpec crashes_only;
   crashes_only.node_crash_rate_per_h = 4.0;
   crashes_only.seed = 7;
-  fault::FaultSpec with_spikes = crashes_only;
-  with_spikes.latency_spike_rate_per_h = 6.0;
+  fault::FaultSpec with_stragglers = crashes_only;
+  with_stragglers.straggler_rate_per_h = 6.0;
 
   auto crash_events = [](const fault::FaultPlan& plan) {
     std::vector<fault::FaultEvent> out;
@@ -69,7 +72,7 @@ TEST(FaultPlan, FaultClassesDrawIndependentStreams) {
     return out;
   };
   const auto a = fault::FaultPlan::generate(crashes_only, 3600.0, 8);
-  const auto b = fault::FaultPlan::generate(with_spikes, 3600.0, 8);
+  const auto b = fault::FaultPlan::generate(with_stragglers, 3600.0, 8);
   EXPECT_FALSE(a.empty());
   EXPECT_GT(b.size(), a.size());
   EXPECT_TRUE(same_events(crash_events(a), crash_events(b)));
@@ -142,7 +145,21 @@ TEST(FaultSpec, ValidateRejectsNegativeRatesAndBadFactors) {
 
   bad = ok;
   bad.node_down_mean_s = -10.0;
-  EXPECT_THROW(bad.validate(), util::Error);
+  EXPECT_THROW(bad.validate(), util::ConfigError);
+
+  // NaN fails every comparison, so unchecked it silently disables a class;
+  // an infinite rate would draw arrivals at t = 0 forever.
+  bad = ok;
+  bad.straggler_rate_per_h = std::nan("");
+  EXPECT_THROW(bad.validate(), util::ConfigError);
+
+  bad = ok;
+  bad.job_hang_rate_per_h = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(bad.validate(), util::ConfigError);
+
+  bad = ok;
+  bad.straggler_factor = std::nan("");
+  EXPECT_THROW(bad.validate(), util::ConfigError);
 }
 
 TEST(FaultPlan, ValidateGuardsHandAssembledPlans) {
@@ -168,13 +185,7 @@ TEST(FaultPlan, ValidateGuardsHandAssembledPlans) {
   bad_burst.add(ev);
   EXPECT_THROW(bad_burst.validate(), util::Error);
 
-  fault::FaultPlan bad_duration;
   ev.count = 1;
-  ev.duration = -5.0;
-  bad_duration.add(ev);
-  EXPECT_THROW(bad_duration.validate(), util::Error);
-
-  ev.duration = 5.0;
   fault::FaultPlan good;
   good.add(ev);
   good.validate();
@@ -216,15 +227,12 @@ TEST(FaultPlan, HangAndStragglerStreamsAreIndependent) {
 
 TEST(FaultPlan, StreamPositionsArePinned) {
   // Every class draws from its own rng.split(), taken in a fixed order. This
-  // pins the resulting schedule for one seed with all four classes on, so a
-  // change that adds, drops or reorders a split fails here, not only in the
-  // golden corpus (which has no latency spikes).
+  // pins the resulting schedule for one seed with all three classes on, so a
+  // change that adds, drops or reorders a split fails here, naming the moved
+  // events, not only as a changed golden-corpus fingerprint.
   fault::FaultSpec spec;
   spec.node_crash_rate_per_h = 3.0;
   spec.node_down_mean_s = 400.0;
-  spec.latency_spike_rate_per_h = 2.0;
-  spec.latency_factor = 2.5;
-  spec.latency_spike_mean_s = 200.0;
   spec.job_hang_rate_per_h = 4.0;
   spec.hang_burst = 2;
   spec.straggler_rate_per_h = 3.0;
@@ -234,8 +242,8 @@ TEST(FaultPlan, StreamPositionsArePinned) {
   const auto plan = fault::FaultPlan::generate(spec, 7200.0, 16);
   std::string lines;
   for (const auto& ev : plan.events()) lines += ev.describe() + "\n";
-  EXPECT_EQ(plan.size(), 32u) << lines;
-  EXPECT_EQ(util::fnv1a(lines), 8370830917757365922ULL) << lines;
+  EXPECT_EQ(plan.size(), 29u) << lines;
+  EXPECT_EQ(util::fnv1a(lines), 18322665954364184109ULL) << lines;
 }
 
 }  // namespace

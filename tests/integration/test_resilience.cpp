@@ -145,8 +145,6 @@ wm::CampaignConfig small_faulted_config() {
   cfg.seed = 11;
   cfg.faults.node_crash_rate_per_h = 8.0;
   cfg.faults.node_down_mean_s = 300.0;
-  cfg.faults.latency_spike_rate_per_h = 3.0;
-  cfg.faults.latency_spike_mean_s = 200.0;
   cfg.faults.seed = 5;
   return cfg;
 }
@@ -170,11 +168,21 @@ TEST(Resilience, FaultedCampaignIsDeterministic) {
   EXPECT_EQ(a.continuum_total_us, b.continuum_total_us);
 }
 
+TEST(Resilience, CampaignRejectsInvalidFaultSpec) {
+  // A negative mean downtime drops every node recovery; a NaN rate silently
+  // disables its class. The constructor refuses both before any run.
+  auto cfg = small_faulted_config();
+  cfg.faults.node_down_mean_s = -300.0;
+  EXPECT_THROW(wm::Campaign{cfg}, util::ConfigError);
+  cfg = small_faulted_config();
+  cfg.faults.job_hang_rate_per_h = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(wm::Campaign{cfg}, util::ConfigError);
+}
+
 TEST(Resilience, CampaignAbsorbsNodeCrashes) {
   // Acceptance (d), campaign level: node crashes kill running jobs; the
   // trackers resubmit them and the campaign keeps producing science.
   auto cfg = small_faulted_config();
-  cfg.faults.latency_spike_rate_per_h = 0.0;
   cfg.faults.node_crash_rate_per_h = 12.0;
   const auto result = wm::Campaign(cfg).run();
   EXPECT_GT(result.faults_injected, 0u);

@@ -111,10 +111,6 @@ TEST(QuarantineLedger, SerializeRestoreRoundTripsEverything) {
   // still below the distinct-node limit; two more quarantine it.
   EXPECT_FALSE(restored.strike("cg_sim", 3, StrikeKind::kNodeKill, 40.0, 5));
   EXPECT_TRUE(restored.strike("cg_sim", 3, StrikeKind::kNodeKill, 50.0, 6));
-
-  restored.clear();
-  EXPECT_EQ(restored.size(), 0u);
-  EXPECT_EQ(restored.quarantined_count(), 0u);
 }
 
 TEST(QuarantineLedger, RestoreRejectsForgedNodeCount) {
@@ -133,6 +129,25 @@ TEST(QuarantineLedger, RestoreRejectsForgedNodeCount) {
   util::ByteReader r(w.data());
   EXPECT_THROW(ledger.restore(r), util::FormatError);
   EXPECT_EQ(ledger.size(), 0u);
+}
+
+TEST(QuarantineLedger, TruncatedRestoreLeavesTheLedgerUnchanged) {
+  QuarantineLedger source(3);
+  source.strike("cg_setup", 7, StrikeKind::kFailure, 10.0);
+  source.strike("cg_sim", 3, StrikeKind::kNodeKill, 5.0, 2);
+  util::ByteWriter state;
+  source.serialize(state);
+  const util::Bytes cut(state.data().begin(), state.data().end() - 4);
+
+  QuarantineLedger ledger(3);
+  ledger.strike("aa_setup", 11, StrikeKind::kHang, 1.0);
+  util::ByteWriter before;
+  ledger.serialize(before);
+  util::ByteReader r(cut);
+  EXPECT_THROW(ledger.restore(r), util::FormatError);
+  util::ByteWriter after;
+  ledger.serialize(after);
+  EXPECT_EQ(after.data(), before.data());
 }
 
 }  // namespace

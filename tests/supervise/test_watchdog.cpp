@@ -142,16 +142,15 @@ TEST_F(WatchdogTest, UnwatchedTypesNeverTripTheWatchdog) {
   EXPECT_EQ(supervisor_.stats().hangs_detected, 0u);
 }
 
-TEST_F(WatchdogTest, LatencyStretchDefersDeadlines) {
-  supervisor_.set_duration_stretch([](double) { return 3.0; });
+TEST_F(WatchdogTest, DeadlinesAreFixedWhenTheJobStarts) {
   const JobId id = start_sim(5);
   control_.allow_speculation = false;
-  clock_.advance(500.0);  // past the unstretched hard deadline (460)
+  // A later timing applies to later starts only: this job keeps hard 460.
+  supervisor_.set_timing("cg_sim", {1000.0, 10.0});
+  clock_.advance(500.0);
   supervisor_.tick(clock_.now());
-  EXPECT_EQ(scheduler_.state(id), JobState::kRunning);  // 500 < 3 * 460
-  clock_.advance(1000.0);
-  supervisor_.tick(clock_.now());  // 1500 > 1380
   EXPECT_EQ(scheduler_.state(id), JobState::kCancelled);
+  EXPECT_EQ(supervisor_.stats().hangs_detected, 1u);
 }
 
 TEST_F(WatchdogTest, StragglerGetsOneTwinAndFirstFinisherWins) {

@@ -151,5 +151,36 @@ TEST(FrameSelector, DescriptorRangesLandInDistinctBins) {
   EXPECT_EQ(picks.size(), 2u);
 }
 
+TEST(PatchSelector, TruncatedRestoreLeavesTheSelectorUnchanged) {
+  PatchSelector source(9, 3, 100);
+  for (int q = 0; q < 3; ++q) source.add(q, points9d(8, q * 50u, q * 1.0f));
+  (void)source.select(4);
+  util::ByteWriter state;
+  source.serialize(state);
+  const util::Bytes cut(state.data().begin(), state.data().end() - 4);
+
+  PatchSelector sel(9, 3, 100);
+  sel.add(2, points9d(5, 500u, 7.0f));
+  (void)sel.select(2);
+  util::ByteWriter before;
+  sel.serialize(before);
+  util::ByteReader r(cut);
+  EXPECT_THROW(sel.restore(r), util::FormatError);
+  util::ByteWriter after;
+  sel.serialize(after);
+  EXPECT_EQ(after.data(), before.data());
+}
+
+TEST(PatchSelector, RestoreRejectsNextQueueOutOfRange) {
+  PatchSelector source(9, 3, 100);
+  util::ByteWriter state;
+  source.serialize(state);
+  util::Bytes forged = state.data();
+  forged[4] = 3;  // next_queue, a u32 after the queue count
+  PatchSelector sel(9, 3, 100);
+  util::ByteReader r(forged);
+  EXPECT_THROW(sel.restore(r), util::FormatError);
+}
+
 }  // namespace
 }  // namespace mummi::wm

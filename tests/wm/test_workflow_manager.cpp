@@ -429,5 +429,37 @@ TEST_F(WorkflowManagerTest, FullStateSerializeRestore) {
   EXPECT_GT(restored.maintain(100), 0);
 }
 
+TEST_F(WorkflowManagerTest, TruncatedRestoreLeavesTheManagerUnchanged) {
+  ingest_patches(20);
+  ingest_frames(10);
+  wm_->maintain(100);
+  complete_all("cg_setup");
+  wm_->requeue_setup("aa_setup", 555);
+  wm_->quarantine().strike("cg_setup", 9, supervise::StrikeKind::kFailure,
+                           1.0);
+  util::ByteWriter state;
+  wm_->serialize(state);
+  const util::Bytes cut(state.data().begin(), state.data().end() - 4);
+
+  // A second manager that holds other state.
+  sched::Scheduler other_sched(sched::ClusterSpec::summit(2),
+                               sched::MatchPolicy::kFirstMatch, clock_);
+  DirectBackend other_maestro(other_sched);
+  PatchSelector other_patches(9, 5, 1000);
+  FrameSelector other_frames(0.8, 3);
+  WorkflowManager other(WmConfig{}, other_maestro, trackers_, other_patches,
+                        other_frames);
+  other.requeue_setup("cg_setup", 77);
+  other.ingest_frames(
+      std::vector<ml::HDPoint>{{900, {10.0f, 50.0f, 2.0f}}});
+  util::ByteWriter before;
+  other.serialize(before);
+  util::ByteReader r(cut);
+  EXPECT_THROW(other.restore(r), util::FormatError);
+  util::ByteWriter after;
+  other.serialize(after);
+  EXPECT_EQ(after.data(), before.data());
+}
+
 }  // namespace
 }  // namespace mummi::wm
