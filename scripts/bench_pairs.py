@@ -9,10 +9,11 @@ Run from the root of the source tree. Exports <rev> with `git archive` into
 it), then runs `perfbench/run.py` on the parent copy and on the working tree,
 one after the other, for N pairs. The side that runs first alternates from
 pair to pair, so drift on a shared host does not favour either side. Prints
-each run's wall time and, per metric, the median and quartiles of each side
-plus in how many pairs the working tree read lower on --claim (default
-wall_s). With --out, writes every run's
-result and meta lines as JSON.
+each run's --claim metric (default wall_s) and, per metric, the median and
+quartiles of each side plus in how many pairs the working tree read better on
+--claim, in the direction BENCHMARK.json declares for it. A run that does not
+report --claim (traced runs report no wall_s) stops the series at once. With
+--out, writes every run's result and meta lines as JSON.
 """
 import argparse
 import json
@@ -45,6 +46,16 @@ def export_parent(rev):
     return tree, sha
 
 
+def better_direction(name):
+    """`better` ("lower" or "higher") for a metric declared in BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for metric in spec["end_to_end"] + spec["per_layer"]:
+        if metric["name"] == name:
+            return metric["better"]
+    raise SystemExit(f"bench_pairs: --claim {name} is not a metric declared "
+                     "in BENCHMARK.json")
+
+
 def value(result, name):
     """A metric's value from a perfbench result line, or None if absent."""
     metric = result["metrics"].get(name)
@@ -73,6 +84,8 @@ def run_once(tree, args):
 
 
 def quartiles(values):
+    if not values:
+        return None, None
     if len(values) < 2:
         return values[0], values[0]
     q = statistics.quantiles(values, n=4, method="inclusive")
@@ -91,6 +104,7 @@ def main():
                     help="metric whose pair wins are counted")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
+    better = better_direction(args.claim)
 
     parent_tree, parent_sha = export_parent(args.parent)
     sides = {"parent": parent_tree, "change": ROOT}
@@ -101,8 +115,13 @@ def main():
             result, meta = run_once(sides[side], args)
             runs[side].append({"pair": i, "first": side == order[0],
                                "result": result, "meta": meta})
-            print(f"pair {i} {side:6s} {args.claim}="
-                  f"{value(result, args.claim)} correct={result['correct']} failed={result['failed']}",
+            claimed = value(result, args.claim)
+            if claimed is None:
+                raise SystemExit(
+                    f"bench_pairs: the {side} run reports no {args.claim}; "
+                    "it reports " + ", ".join(sorted(result["metrics"])))
+            print(f"pair {i} {side:6s} {args.claim}={claimed} "
+                  f"correct={result['correct']} failed={result['failed']}",
                   flush=True)
 
     metrics = sorted(set().union(*(r["result"]["metrics"]
@@ -116,23 +135,26 @@ def main():
             values = [value(r["result"], name) for r in runs[side]
                       if name in r["result"]["metrics"]]
             q1, q3 = quartiles(values)
-            row[side] = {"median": statistics.median(values), "q1": q1,
-                         "q3": q3}
+            row[side] = {"median": statistics.median(values) if values
+                         else None, "q1": q1, "q3": q3}
         summary[name] = row
+        # A metric only one side reports reads "-" on the other.
         cells = [f"{row[s]['median']:.6g} [{row[s]['q1']:.6g}, "
-                 f"{row[s]['q3']:.6g}]" for s in ("parent", "change")]
+                 f"{row[s]['q3']:.6g}]" if row[s]["median"] is not None
+                 else "-" for s in ("parent", "change")]
         print(f"{name:28s} {cells[0]:>32s} {cells[1]:>32s}")
     claim = args.claim
     pairs = [(value(p["result"], claim), value(c["result"], claim))
              for p, c in zip(runs["parent"], runs["change"])]
-    wins = sum(1 for p, c in pairs if c < p)
-    print(f"\n{claim}: change lower in {wins} of {len(pairs)} pairs")
+    wins = sum(1 for p, c in pairs if (c < p if better == "lower" else c > p))
+    print(f"\n{claim}: change {better} in {wins} of {len(pairs)} pairs")
 
     if args.out:
         args.out.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed,
             "seconds": args.seconds, "trace": args.trace,
-            "parent": parent_sha, "claim": claim, "wins": wins,
+            "parent": parent_sha, "claim": claim, "better": better,
+            "wins": wins,
             "pairs": len(pairs), "summary": summary, "runs": runs,
         }, indent=1) + "\n")
     return 0

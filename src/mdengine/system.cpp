@@ -1,6 +1,7 @@
 #include "mdengine/system.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -30,7 +31,15 @@ util::Bytes System::serialize() const {
   w.vec(type);
   w.vec(molecule);
   w.vec(bonds);
-  w.vec(angles);
+  // Field by field: a memcpy of Angle would copy its four padding bytes.
+  w.u64(angles.size());
+  for (const Angle& a : angles) {
+    w.u32(static_cast<std::uint32_t>(a.i));
+    w.u32(static_cast<std::uint32_t>(a.j));
+    w.u32(static_cast<std::uint32_t>(a.k));
+    w.f64(a.theta0);
+    w.f64(a.ktheta);
+  }
   return std::move(w).take();
 }
 
@@ -47,7 +56,18 @@ System System::deserialize(const util::Bytes& data) {
   s.type = r.vec<int>();
   s.molecule = r.vec<int>();
   s.bonds = r.vec<Bond>();
-  s.angles = r.vec<Angle>();
+  constexpr std::size_t kAngleBytes = 3 * 4 + 2 * 8;  // i, j, k, theta0, ktheta
+  const std::uint64_t n_angles = r.u64();
+  if (n_angles > r.remaining() / kAngleBytes)
+    throw util::FormatError("system angle count exceeds stream");
+  s.angles.resize(static_cast<std::size_t>(n_angles));
+  for (Angle& a : s.angles) {
+    a.i = static_cast<int>(r.u32());
+    a.j = static_cast<int>(r.u32());
+    a.k = static_cast<int>(r.u32());
+    a.theta0 = r.f64();
+    a.ktheta = r.f64();
+  }
   // Checkpoint bytes are untrusted: the force loops index every per-particle
   // array by particle and bond/angle index, and wrap by the box lengths.
   const std::size_t n = s.pos.size();

@@ -21,11 +21,6 @@ constexpr double kHardFactor = 4.0;
 constexpr double kHardSigmas = 6.0;
 
 constexpr int kMaxSpeculations = 64;  // per supervisor (one allocation)
-
-// Healthy-capacity floors for degraded mode (fraction of nodes undrained).
-constexpr double kDegradedFloorFrac = 0.70;  // below: level 1 (aa)
-constexpr double kCriticalFloorFrac = 0.40;  // below: level 2 (aa + new cg)
-constexpr double kRecoverHysteresisFrac = 0.05;
 }  // namespace
 
 void SupervisionStats::merge(const SupervisionStats& o) {
@@ -37,8 +32,6 @@ void SupervisionStats::merge(const SupervisionStats& o) {
   node_probations += o.node_probations;
   canaries_ok += o.canaries_ok;
   canaries_failed += o.canaries_failed;
-  shed_transitions += o.shed_transitions;
-  degraded_time_s += o.degraded_time_s;
   if (o.first_quarantine_s >= 0.0 &&
       (first_quarantine_s < 0.0 || o.first_quarantine_s < first_quarantine_s))
     first_quarantine_s = o.first_quarantine_s;
@@ -59,9 +52,6 @@ Supervisor::Supervisor(sched::Scheduler& scheduler, const util::Clock& clock,
   tm_.probations = &obs::counter("supervise.node_probations");
   tm_.canaries_ok = &obs::counter("supervise.canaries_ok");
   tm_.canaries_failed = &obs::counter("supervise.canaries_failed");
-  tm_.shed_transitions = &obs::counter("supervise.shed_transitions");
-  tm_.shed_level = &obs::gauge("supervise.shed_level");
-  tm_.degraded_time_s = &obs::gauge("supervise.degraded_time_s");
 
   scheduler_.on_start([this](const sched::Job& job) { on_start(job); });
   scheduler_.on_finish([this](const sched::Job& job) { on_finish(job); });
@@ -181,7 +171,7 @@ void Supervisor::resolve_twin_finish(sched::JobId id, Watch& watch,
   // cancelled it as the loser or at teardown.
 }
 
-void Supervisor::resolve_original_finish(sched::JobId id, Watch& watch,
+void Supervisor::resolve_original_finish(sched::JobId id,
                                          const sched::Job& job) {
   const bool requested_unstarted = twin_requested_.erase(id) > 0;
   auto it = twin_by_original_.find(id);
@@ -212,7 +202,6 @@ void Supervisor::resolve_original_finish(sched::JobId id, Watch& watch,
     }
     scheduler_.cancel(twin);
   }
-  (void)watch;
 }
 
 void Supervisor::on_finish(const sched::Job& job) {
@@ -248,7 +237,7 @@ void Supervisor::on_finish(const sched::Job& job) {
   if (watch.speculative)
     resolve_twin_finish(job.id, watch, job);
   else
-    resolve_original_finish(job.id, watch, job);
+    resolve_original_finish(job.id, job);
 }
 
 bool Supervisor::has_live_twin(sched::JobId id) const {
@@ -326,52 +315,6 @@ void Supervisor::tick(double now) {
     ++stats_.node_probations;
     tm_.probations->inc();
     log(now, "probe node=%d canary submitted", node);
-  }
-
-  apply_shed_policy(now);
-}
-
-void Supervisor::apply_shed_policy(double now) {
-  const auto& graph = scheduler_.graph();
-  const int n = graph.n_nodes();
-  int drained = 0;
-  for (int i = 0; i < n; ++i)
-    if (graph.drained(i)) ++drained;
-  const double healthy = n > 0 ? static_cast<double>(n - drained) / n : 1.0;
-
-  int level = shed_level_;
-  if (healthy < kCriticalFloorFrac) {
-    level = 2;
-  } else if (healthy < kDegradedFloorFrac) {
-    // Entering level 1, or recovering from level 2.
-    if (shed_level_ < 1 ||
-        healthy >= kCriticalFloorFrac + kRecoverHysteresisFrac)
-      level = 1;
-  } else if (healthy >= kDegradedFloorFrac + kRecoverHysteresisFrac ||
-             shed_level_ == 0) {
-    level = 0;
-  }
-
-  if (level == shed_level_) return;
-  log(now, "shed_level %d -> %d healthy=%.3f", shed_level_, level, healthy);
-  if (shed_level_ == 0 && level > 0) degraded_since_ = now;
-  if (shed_level_ > 0 && level == 0 && degraded_since_ >= 0.0) {
-    stats_.degraded_time_s += now - degraded_since_;
-    degraded_since_ = -1.0;
-  }
-  shed_level_ = level;
-  ++stats_.shed_transitions;
-  tm_.shed_transitions->inc();
-  tm_.shed_level->set(level);
-  tm_.degraded_time_s->set(stats_.degraded_time_s);
-  control_.set_shed_level(level, now);
-}
-
-void Supervisor::finalize(double now) {
-  if (shed_level_ > 0 && degraded_since_ >= 0.0) {
-    stats_.degraded_time_s += now - degraded_since_;
-    degraded_since_ = now;
-    tm_.degraded_time_s->set(stats_.degraded_time_s);
   }
 }
 

@@ -1,5 +1,5 @@
 // Campaign supervision plane (paper Sec. 4.4; Workflows Community Roadmap
-// "anomaly detection"; Mini-MuMMI experience report "graceful degradation").
+// "anomaly detection").
 //
 // The fault layer retries crisp failures; this layer covers the silent ones:
 //   - watchdog: jobs past a hard deadline derived from their tracker's
@@ -12,9 +12,7 @@
 //     WorkflowManager checkpoint); K strikes and the payload is never
 //     resubmitted;
 //   - node probation: nodes whose failure rate trips the NodeHealthTracker
-//     are drained, probed with a pinned canary job, and undrained on success;
-//   - degraded mode: when healthy capacity drops below a floor, the workload
-//     sheds low-priority job types (aa before cg) and restores on recovery.
+//     are drained, probed with a pinned canary job, and undrained on success.
 //
 // Determinism: the supervisor holds no RNG. Every decision is a pure function
 // of virtual time (tick schedule + scheduler callbacks, both fired in
@@ -36,7 +34,6 @@
 
 namespace mummi::obs {
 class Counter;
-class Gauge;
 }  // namespace mummi::obs
 
 namespace mummi::supervise {
@@ -62,13 +59,8 @@ class WorkloadControl {
 
   /// Submits a speculative duplicate of a straggling job. The twin's spec
   /// must carry attrs["speculative"]="1" and attrs["twin_of"]=<original id>.
-  /// Returns false when the workload declines (unknown type, shed, ...).
+  /// Returns false when the workload declines (unknown type, ...).
   virtual bool launch_speculative(const sched::Job& job) = 0;
-
-  /// Degraded mode: 0 = full workload, 1 = shed aa work, 2 = also stop new
-  /// cg setups. Implementations cancel pending shed work and must requeue
-  /// the payloads for when the level drops.
-  virtual void set_shed_level(int level, double now) = 0;
 
   /// Submits a canary probe pinned to `node`; returns false if unavailable.
   virtual bool submit_canary(int node) = 0;
@@ -97,8 +89,6 @@ struct SupervisionStats {
   std::uint64_t node_probations = 0;
   std::uint64_t canaries_ok = 0;
   std::uint64_t canaries_failed = 0;
-  std::uint64_t shed_transitions = 0;
-  double degraded_time_s = 0.0;
   double first_quarantine_s = -1.0;
 
   void merge(const SupervisionStats& o);
@@ -116,18 +106,12 @@ class Supervisor {
   /// their deadlines from the timing registered when they start.
   void set_timing(const std::string& type, JobTiming timing);
 
-  /// One supervision pass at virtual time `now`: watchdog deadlines, node
-  /// probation, degraded-mode floor. The campaign schedules this every
-  /// kTickIntervalS.
+  /// One supervision pass at virtual time `now`: watchdog deadlines and
+  /// node probation. The campaign schedules this every kTickIntervalS.
   void tick(double now);
 
-  /// Closes open degraded-mode intervals at end of allocation.
-  void finalize(double now);
-
   [[nodiscard]] const SupervisionStats& stats() const { return stats_; }
-  [[nodiscard]] int shed_level() const { return shed_level_; }
   [[nodiscard]] const NodeHealthTracker& node_health() const { return health_; }
-  [[nodiscard]] const SuperviseConfig& config() const { return cfg_; }
 
   /// Decision log: one line per supervision action, in decision order.
   /// Byte-identical across runs with the same seed + spec.
@@ -163,10 +147,8 @@ class Supervisor {
   void handle_canary_finish(const Watch& watch, const sched::Job& job);
   void resolve_twin_finish(sched::JobId id, Watch& watch,
                            const sched::Job& job);
-  void resolve_original_finish(sched::JobId id, Watch& watch,
-                               const sched::Job& job);
+  void resolve_original_finish(sched::JobId id, const sched::Job& job);
   void strike(const Watch& watch, StrikeKind kind, int node);
-  void apply_shed_policy(double now);
   void log(double now, const char* fmt, ...)
       __attribute__((format(printf, 3, 4)));
 
@@ -186,8 +168,6 @@ class Supervisor {
   std::set<sched::JobId> orphaned_originals_;
 
   NodeHealthTracker health_;
-  int shed_level_ = 0;
-  double degraded_since_ = -1.0;
   int speculations_launched_ = 0;
 
   SupervisionStats stats_;
@@ -202,9 +182,6 @@ class Supervisor {
     obs::Counter* probations = nullptr;
     obs::Counter* canaries_ok = nullptr;
     obs::Counter* canaries_failed = nullptr;
-    obs::Counter* shed_transitions = nullptr;
-    obs::Gauge* shed_level = nullptr;
-    obs::Gauge* degraded_time_s = nullptr;
   };
   Telemetry tm_;
 };

@@ -37,9 +37,14 @@ constexpr std::uint32_t kCheckpointVersion = 4;
 
 template <typename Io, typename Stats>
 void supervision_fields(Io& io, Stats& s) {
+  // Two retired words (the deleted degraded mode's transition count and
+  // time) keep the fingerprint and v4 checkpoint layout: written as zeros,
+  // read and dropped.
+  std::uint64_t retired_count = 0;
+  double retired_time_s = 0.0;
   io(s.hangs_detected, s.speculations, s.spec_wins, s.spec_losses,
      s.quarantined, s.node_probations, s.canaries_ok, s.canaries_failed,
-     s.shed_transitions, s.degraded_time_s, s.first_quarantine_s);
+     retired_count, retired_time_s, s.first_quarantine_s);
 }
 
 /// Fault and supervision totals: CampaignResult's over the finished runs, or
@@ -871,7 +876,6 @@ WorkflowManager::CarryOver CampaignRun::teardown() {
       (RateModel::backmap_local_bytes + RateModel::backmap_gpfs_bytes);
   result_.ledger.files_total += static_cast<std::uint64_t>(backmaps) * 4;
 
-  if (supervisor_) supervisor_->finalize(engine_.now());
   tally().fold_into(result_);
   // The ledger carries across allocations; the last run's view is cumulative.
   result_.quarantined = wm_->quarantine_ledger().quarantined_keys();

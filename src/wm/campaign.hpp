@@ -86,8 +86,8 @@ struct CampaignConfig {
   fault::FaultSpec faults;
 
   /// Campaign supervision plane (watchdogs, speculative twins, poison
-  /// quarantine, node probation, degraded mode). Disabled by default so
-  /// figure runs are bit-identical with and without this subsystem built in.
+  /// quarantine, node probation). Disabled by default so figure runs are
+  /// bit-identical with and without this subsystem built in.
   supervise::SuperviseConfig supervise;
 
   /// Poison-work model: payloads whose id is a nonzero multiple of this

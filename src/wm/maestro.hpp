@@ -31,9 +31,6 @@ class Maestro {
   /// Hands a job to the underlying scheduler.
   virtual void submit(sched::JobSpec spec) = 0;
 
-  /// Cancels a job if still cancellable.
-  virtual bool cancel(sched::JobId id) = 0;
-
   /// Gives the backend a chance to place queued work (no-op for event-driven
   /// backends, which self-schedule).
   virtual void poll() = 0;
@@ -54,7 +51,6 @@ class DirectBackend final : public Maestro {
     scheduler_.submit(std::move(spec));
     scheduler_.pump();
   }
-  bool cancel(sched::JobId id) override { return scheduler_.cancel(id); }
   void poll() override { scheduler_.pump(); }
   [[nodiscard]] sched::Scheduler& scheduler() override { return scheduler_; }
 
@@ -69,7 +65,6 @@ class QueuedBackend final : public Maestro {
       : scheduler_(scheduler), queue_(queue) {}
 
   void submit(sched::JobSpec spec) override { queue_.submit(std::move(spec)); }
-  bool cancel(sched::JobId id) override { return scheduler_.cancel(id); }
   void poll() override { queue_.kick(); }
   [[nodiscard]] sched::Scheduler& scheduler() override { return scheduler_; }
 

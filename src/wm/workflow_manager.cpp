@@ -1,6 +1,7 @@
 #include "wm/workflow_manager.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 
@@ -127,11 +128,8 @@ int WorkflowManager::maintain(int submit_budget) {
       submitted += submit_via_tracker(sim_type, payload);
     }
   };
-  // Degraded mode (paper priority ordering: aa sheds before cg): level >= 1
-  // stops all aa work, level >= 2 additionally stops new cg setups while cg
-  // sims keep the ML-feedback loop alive.
   fill_sims(job_type::kCgSim, ready_cg_, cg_capacity());
-  if (shed_level_ < 1) fill_sims(job_type::kAaSim, ready_aa_, aa_capacity());
+  fill_sims(job_type::kAaSim, ready_aa_, aa_capacity());
 
   // Setups: keep the prepared buffers near target without oversubscribing
   // CPUs ("a full buffer prevents new setup jobs"; CPU jobs run "only when
@@ -189,8 +187,7 @@ int WorkflowManager::maintain(int submit_budget) {
         submitted += submit_via_tracker(setup_type, payload);
       }
   };
-  if (shed_level_ < 2)
-    fill_setups(job_type::kCgSetup, job_type::kCgSim, ready_cg_,
+  fill_setups(job_type::kCgSetup, job_type::kCgSim, ready_cg_,
               requeued_cg_setup_, config_.cg_ready_target, cg_capacity(),
               [this](std::size_t m) {
                 obs::Span select_span("wm.select.patch", "wm");
@@ -202,8 +199,7 @@ int WorkflowManager::maintain(int submit_budget) {
                 obs::counter("wm.selector.cg_picks").inc(payloads.size());
                 return payloads;
               });
-  if (shed_level_ < 1)
-    fill_setups(job_type::kAaSetup, job_type::kAaSim, ready_aa_,
+  fill_setups(job_type::kAaSetup, job_type::kAaSim, ready_aa_,
               requeued_aa_setup_, config_.aa_ready_target, aa_capacity(),
               [this](std::size_t m) {
                 obs::Span select_span("wm.select.frame", "wm");
@@ -305,11 +301,6 @@ void WorkflowManager::resubmit_hung(const sched::Job& job) {
 bool WorkflowManager::launch_speculative(const sched::Job& job) {
   const std::string& type = job.spec.type;
   if (!trackers_.has(type)) return false;
-  // Don't duplicate work the shed policy is rejecting.
-  const bool is_aa = type == job_type::kAaSetup || type == job_type::kAaSim;
-  if (shed_level_ >= 1 && is_aa) return false;
-  if (shed_level_ >= 2 && type == job_type::kCgSetup) return false;
-
   sched::JobSpec spec = job.spec;  // duration hint and attrs match the twin
   spec.attrs["speculative"] = "1";
   spec.attrs["twin_of"] = std::to_string(job.id);
@@ -332,46 +323,6 @@ bool WorkflowManager::submit_canary(int node) {
   maestro_.submit(std::move(spec));
   maestro_.poll();
   return true;
-}
-
-void WorkflowManager::shed_pending(const std::string& type) {
-  auto& scheduler = maestro_.scheduler();
-  auto ids = scheduler.active_jobs();
-  std::sort(ids.begin(), ids.end());  // deterministic cancel order
-  for (const auto id : ids) {
-    const auto& job = scheduler.job(id);
-    if (job.state != sched::JobState::kPending || job.spec.type != type)
-      continue;
-    if (job.spec.attrs.count("speculative") > 0) continue;  // dies with twin
-    const std::uint64_t payload = job.spec.payload;
-    maestro_.cancel(id);  // handle_finish rebalances pending_
-    if (type == job_type::kCgSim)
-      ready_cg_.push_front(payload);
-    else if (type == job_type::kAaSim)
-      ready_aa_.push_front(payload);
-    else if (type == job_type::kCgSetup)
-      requeued_cg_setup_.push_front(payload);
-    else if (type == job_type::kAaSetup)
-      requeued_aa_setup_.push_front(payload);
-  }
-}
-
-void WorkflowManager::set_shed_level(int level, double now) {
-  (void)now;
-  if (level == shed_level_) return;
-  const int prev = shed_level_;
-  shed_level_ = level;
-  obs::counter("wm.shed_changes").inc();
-  util::log_debug("shed level ", prev, " -> ", level);
-  if (level >= 1 && prev < 1) {
-    // aa sheds before cg (the paper's priority ordering): pending aa work is
-    // withdrawn; payloads return to the front of their queues for recovery.
-    shed_pending(job_type::kAaSim);
-    shed_pending(job_type::kAaSetup);
-  }
-  if (level >= 2 && prev < 2) shed_pending(job_type::kCgSetup);
-  // Dropping the level needs no action here: the next maintain() pass
-  // resumes submission from the preserved queues.
 }
 
 void WorkflowManager::requeue_setup(const std::string& type,
@@ -424,7 +375,11 @@ void WorkflowManager::restore(util::ByteReader& r) {
   const auto n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto payload = r.u64();
-    restarts[payload] = static_cast<int>(r.u32());
+    const std::uint32_t tries = r.u32();
+    // A count past INT_MAX would wrap negative and grant ~2^31 retries.
+    if (tries > static_cast<std::uint32_t>(std::numeric_limits<int>::max()))
+      throw util::FormatError("workflow manager: restart count out of range");
+    restarts[payload] = static_cast<int>(tries);
   }
   util::ByteReader patch_state = r.section();
   auto patches = patch_selector_.decode(patch_state);
@@ -445,10 +400,8 @@ void WorkflowManager::restore(util::ByteReader& r) {
 }
 
 WorkflowManager::CarryOver WorkflowManager::carry_over() const {
-  util::ByteWriter ledger;
-  quarantine_.serialize(ledger);
   return CarryOver{ready_cg_, ready_aa_, requeued_cg_setup_,
-                   requeued_aa_setup_, std::move(ledger).take()};
+                   requeued_aa_setup_, quarantine_};
 }
 
 void WorkflowManager::restore_carry_over(const CarryOver& state) {
@@ -456,10 +409,7 @@ void WorkflowManager::restore_carry_over(const CarryOver& state) {
   ready_aa_ = state.ready_aa;
   requeued_cg_setup_ = state.requeued_cg_setup;
   requeued_aa_setup_ = state.requeued_aa_setup;
-  if (!state.quarantine.empty()) {
-    util::ByteReader ledger(state.quarantine);
-    quarantine_.restore(ledger);
-  }
+  quarantine_ = state.quarantine;
 }
 
 }  // namespace mummi::wm

@@ -96,8 +96,6 @@ class WorkflowManager : public supervise::WorkloadControl {
   [[nodiscard]] int pending(const std::string& type) const;
   [[nodiscard]] std::size_t cg_ready() const { return ready_cg_.size(); }
   [[nodiscard]] std::size_t aa_ready() const { return ready_aa_.size(); }
-  [[nodiscard]] PatchSelector& patch_selector() { return patch_selector_; }
-  [[nodiscard]] FrameSelector& frame_selector() { return frame_selector_; }
 
   /// GPU capacity split for the current machine.
   [[nodiscard]] int cg_capacity() const;
@@ -113,10 +111,6 @@ class WorkflowManager : public supervise::WorkloadControl {
   void resubmit_hung(const sched::Job& job) override;
   /// Submits a speculative twin of a straggling job (attrs mark the pairing).
   bool launch_speculative(const sched::Job& job) override;
-  /// Degraded mode: 0 = full workload, 1 = shed aa, 2 = also stop new cg
-  /// setups. Raising the level cancels pending shed-type jobs and requeues
-  /// their payloads; maintain() honors the level until it drops.
-  void set_shed_level(int level, double now) override;
   /// Canary probe pinned to `node` (job_type::kCanary).
   bool submit_canary(int node) override;
   [[nodiscard]] supervise::QuarantineLedger& quarantine() override {
@@ -125,7 +119,6 @@ class WorkflowManager : public supervise::WorkloadControl {
   [[nodiscard]] const supervise::QuarantineLedger& quarantine_ledger() const {
     return quarantine_;
   }
-  [[nodiscard]] int shed_level() const { return shed_level_; }
   /// Supervisor hook: when set and true for a failed job, handle_finish skips
   /// resubmission (a live speculative twin is already the retry).
   void set_resubmit_veto(std::function<bool(const sched::Job&)> fn) {
@@ -140,7 +133,8 @@ class WorkflowManager : public supervise::WorkloadControl {
     std::deque<std::uint64_t> ready_aa;
     std::deque<std::uint64_t> requeued_cg_setup;
     std::deque<std::uint64_t> requeued_aa_setup;
-    util::Bytes quarantine;  // poison ledger survives allocations
+    // The poison ledger survives allocations.
+    supervise::QuarantineLedger quarantine{WmConfig::quarantine_strikes};
   };
   [[nodiscard]] CarryOver carry_over() const;
   void restore_carry_over(const CarryOver& state);
@@ -158,8 +152,6 @@ class WorkflowManager : public supervise::WorkloadControl {
   void bump(std::unordered_map<std::string, int>& map, const std::string& key,
             int delta);
   int submit_via_tracker(const std::string& type, std::uint64_t payload);
-  /// Cancels pending jobs of `type` (ascending JobId) and requeues payloads.
-  void shed_pending(const std::string& type);
 
   WmConfig config_;
   Maestro& maestro_;
@@ -179,7 +171,6 @@ class WorkflowManager : public supervise::WorkloadControl {
   std::unordered_map<std::uint64_t, int> restarts_;
 
   supervise::QuarantineLedger quarantine_;
-  int shed_level_ = 0;
   std::function<bool(const sched::Job&)> resubmit_veto_;
 };
 

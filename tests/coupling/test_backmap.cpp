@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "coupling/patch.hpp"
-#include "system_bytes.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -123,16 +122,15 @@ TEST(MakeAaForcefield, ShorterRangeThanCg) {
 }
 
 TEST(EnginePins, BackmapperSystemBytes) {
-  // The backmapped, minimized and restrained AA system for one fixed CG
-  // system and seed, hashed without Angle padding (see system_bytes.hpp):
-  // template spread, restraint stiffness and thermostat temperature all feed
-  // these bytes.
+  // The serialized backmapped, minimized and restrained AA system for one
+  // fixed CG system and seed: template spread, restraint stiffness and
+  // thermostat temperature all feed these bytes.
   util::Rng rng(3);
   const auto cg = small_cg(rng);
   const util::Bytes bytes =
-      system_bytes(Backmapper(fast_aa()).build(cg, rng).system);
-  EXPECT_EQ(bytes.size(), 21912u);
-  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 3811538182269239195ULL);
+      Backmapper(fast_aa()).build(cg, rng).system.serialize();
+  EXPECT_EQ(bytes.size(), 21904u);
+  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 15441202776142635665ULL);
 }
 
 }  // namespace

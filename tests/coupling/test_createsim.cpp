@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "coupling/patch.hpp"
-#include "system_bytes.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -170,16 +169,16 @@ TEST(CreateSim, TooFewSpeciesRejected) {
 }
 
 TEST(EnginePins, CreateSimSystemBytes) {
-  // The built, minimized and relaxed CG system for one fixed RAS-RAF patch
-  // and seed, hashed without Angle padding (see system_bytes.hpp): box
-  // height, bead counts, thermostat temperature and the relaxation all feed
-  // these bytes.
+  // The serialized built, minimized and relaxed CG system for one fixed
+  // RAS-RAF patch and seed: box height, bead counts, thermostat temperature
+  // and the relaxation all feed these bytes.
   CreateSim createsim(fast_config());
   util::Rng rng(7);
-  const util::Bytes bytes = system_bytes(
-      createsim.build(test_patch(cont::ProteinState::kRasRafA), rng).system);
-  EXPECT_EQ(bytes.size(), 12792u);
-  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 16741340171382459207ULL);
+  const util::Bytes bytes =
+      createsim.build(test_patch(cont::ProteinState::kRasRafA), rng)
+          .system.serialize();
+  EXPECT_EQ(bytes.size(), 12784u);
+  EXPECT_EQ(util::fnv1a(bytes.data(), bytes.size()), 15035253331224022835ULL);
 }
 
 }  // namespace

@@ -79,9 +79,7 @@ TEST(CrashSweep, EveryPersistenceBoundaryRecoversWithinItsDurabilityGroup) {
 
   // Coverage: the sweep must not silently skip an instrumented boundary.
   // Each checkpoint-path point fires once per tick, so one nth selects the
-  // same tick across all of them. supervise.ledger.serialize alone also
-  // fires at run teardown (the in-memory CarryOver snapshot) — after every
-  // tick, so its first `ticks` hits still line up.
+  // same tick across all of them.
   const std::uint64_t ticks = observed.count("wm.checkpoint.pre")
                                   ? observed.at("wm.checkpoint.pre")
                                   : 0;
@@ -89,10 +87,7 @@ TEST(CrashSweep, EveryPersistenceBoundaryRecoversWithinItsDurabilityGroup) {
   for (const auto& group : {kPreGroup, kPostGroup})
     for (const auto& point : group) {
       ASSERT_TRUE(observed.count(point)) << "never observed: " << point;
-      if (point == "supervise.ledger.serialize")
-        EXPECT_GE(observed.at(point), ticks) << point;
-      else
-        EXPECT_EQ(observed.at(point), ticks) << point;
+      EXPECT_EQ(observed.at(point), ticks) << point;
     }
 
   // ...and every registered name must be a known one (catches typos between

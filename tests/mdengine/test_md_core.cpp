@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -186,6 +187,9 @@ TEST(System, SerializeRoundTrip) {
   ASSERT_EQ(t.bonds.size(), 1u);
   EXPECT_DOUBLE_EQ(t.bonds[0].r0, 0.47);
   ASSERT_EQ(t.angles.size(), 1u);
+  EXPECT_EQ(t.angles[0].j, 1);
+  EXPECT_DOUBLE_EQ(t.angles[0].theta0, 3.14);
+  EXPECT_DOUBLE_EQ(t.angles[0].ktheta, 25);
   EXPECT_EQ(t.force.size(), 2u);
 }
 
@@ -242,6 +246,30 @@ TEST(System, DeserializeRejectsAngleIndexOutOfRange) {
       *idx[slot] = bad;
       expect_forged_rejected(s, "angle");
     }
+}
+
+TEST(System, AnglePaddingDoesNotReachTheBytes) {
+  // Angle holds four padding bytes between k and theta0; two systems that
+  // differ only there are the same system and must serialize equal.
+  constexpr std::size_t kPadAt = offsetof(Angle, k) + sizeof(int);
+  constexpr std::size_t kPad = offsetof(Angle, theta0) - kPadAt;
+  static_assert(kPad > 0);
+  System a = forgeable_system();
+  System b = forgeable_system();
+  std::memset(reinterpret_cast<unsigned char*>(&a.angles[0]) + kPadAt, 0x00,
+              kPad);
+  std::memset(reinterpret_cast<unsigned char*>(&b.angles[0]) + kPadAt, 0xa5,
+              kPad);
+  EXPECT_EQ(a.serialize(), b.serialize());
+}
+
+TEST(System, DeserializeRejectsAngleCountPastStream) {
+  // The angle list ends the stream: its count word sits 28 bytes (one
+  // angle) before the end. A count the remaining bytes cannot hold is forged.
+  util::Bytes bytes = forgeable_system().serialize();
+  const std::uint64_t forged = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + bytes.size() - 28 - 8, &forged, sizeof forged);
+  EXPECT_THROW((void)System::deserialize(bytes), util::FormatError);
 }
 
 TEST(System, DeserializeRejectsNonFiniteOrNonPositiveBox) {

@@ -53,7 +53,6 @@ TEST(SupervisedCampaign, FaultedSupervisedCampaignIsDeterministic) {
   EXPECT_EQ(a.supervision.spec_losses, b.supervision.spec_losses);
   EXPECT_EQ(a.supervision.quarantined, b.supervision.quarantined);
   EXPECT_EQ(a.supervision.node_probations, b.supervision.node_probations);
-  EXPECT_EQ(a.supervision.shed_transitions, b.supervision.shed_transitions);
   EXPECT_EQ(a.quarantined, b.quarantined);
 
   // ...and bit-identical science, the same bar the unsupervised
@@ -165,8 +164,6 @@ TEST(SupervisedCampaign, IdleSupervisorChangesNothing) {
   EXPECT_EQ(supervised.supervision.speculations, 0u);
   EXPECT_EQ(supervised.supervision.quarantined, 0u);
   EXPECT_EQ(supervised.supervision.node_probations, 0u);
-  EXPECT_EQ(supervised.supervision.shed_transitions, 0u);
-  EXPECT_DOUBLE_EQ(supervised.supervision.degraded_time_s, 0.0);
   EXPECT_TRUE(supervised.supervision_log.empty());
   EXPECT_TRUE(supervised.quarantined.empty());
 

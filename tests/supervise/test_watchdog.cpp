@@ -1,6 +1,6 @@
 // Supervisor decision logic against a real scheduler and a scripted workload
-// control: hang watchdog, speculative twins, node probation and degraded-mode
-// shedding — plus the byte-identical decision log two identical runs produce.
+// control: hang watchdog, speculative twins and node probation — plus the
+// byte-identical decision log two identical runs produce.
 #include "supervise/supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -39,10 +39,6 @@ class FakeControl : public supervise::WorkloadControl {
     return true;
   }
 
-  void set_shed_level(int level, double) override {
-    shed_levels.push_back(level);
-  }
-
   bool submit_canary(int node) override {
     if (!allow_canaries) return false;
     JobSpec spec;
@@ -62,7 +58,6 @@ class FakeControl : public supervise::WorkloadControl {
   bool allow_speculation = true;
   bool allow_canaries = true;
   std::vector<std::uint64_t> hung_payloads;
-  std::vector<int> shed_levels;
   JobId last_twin = sched::kInvalidJob;
   JobId last_canary = sched::kInvalidJob;
 
@@ -82,8 +77,8 @@ supervise::SuperviseConfig test_cfg() {
 
 class WatchdogTest : public ::testing::Test {
  protected:
-  explicit WatchdogTest(int nodes = 2)
-      : scheduler_(sched::ClusterSpec::summit(nodes),
+  WatchdogTest()
+      : scheduler_(sched::ClusterSpec::summit(2),
                    sched::MatchPolicy::kFirstMatch, clock_),
         control_(&scheduler_),
         supervisor_(scheduler_, clock_, control_, test_cfg()) {
@@ -259,48 +254,6 @@ TEST_F(WatchdogTest, FailedCanaryBacksOffInsteadOfUndraining) {
   EXPECT_EQ(supervisor_.stats().node_probations, 2u);
 }
 
-class ShedTest : public WatchdogTest {
- protected:
-  ShedTest() : WatchdogTest(10) {}
-};
-
-TEST_F(ShedTest, CapacityFloorsDriveShedLevelsWithHysteresis) {
-  // 4/10 drained: healthy 0.6 < 0.7 -> level 1 (shed aa).
-  for (int n = 0; n < 4; ++n) scheduler_.drain_node(n);
-  supervisor_.tick(clock_.now());
-  EXPECT_EQ(supervisor_.shed_level(), 1);
-  EXPECT_EQ(control_.shed_levels, (std::vector<int>{1}));
-
-  // 7/10 drained: healthy 0.3 < 0.4 -> level 2 (stop new cg setups too).
-  for (int n = 4; n < 7; ++n) scheduler_.drain_node(n);
-  clock_.advance(30.0);
-  supervisor_.tick(clock_.now());
-  EXPECT_EQ(supervisor_.shed_level(), 2);
-
-  // Recovery to 0.6 healthy clears the critical band (0.40 + 0.05): level 1.
-  for (int n = 4; n < 7; ++n) scheduler_.undrain_node(n);
-  clock_.advance(30.0);
-  supervisor_.tick(clock_.now());
-  EXPECT_EQ(supervisor_.shed_level(), 1);
-
-  // 0.7 healthy sits inside the hysteresis band [0.70, 0.75): level 1 holds.
-  scheduler_.undrain_node(0);
-  clock_.advance(30.0);
-  supervisor_.tick(clock_.now());
-  EXPECT_EQ(supervisor_.shed_level(), 1);
-
-  // Clearing the band restores the full workload.
-  for (int n = 1; n < 4; ++n) scheduler_.undrain_node(n);
-  clock_.advance(30.0);
-  supervisor_.tick(clock_.now());
-  EXPECT_EQ(supervisor_.shed_level(), 0);
-  EXPECT_EQ(control_.shed_levels, (std::vector<int>{1, 2, 1, 0}));
-  EXPECT_EQ(supervisor_.stats().shed_transitions, 4u);
-  // Degraded from the first transition to the last: 120 s of virtual time.
-  supervisor_.finalize(clock_.now());
-  EXPECT_DOUBLE_EQ(supervisor_.stats().degraded_time_s, 120.0);
-}
-
 TEST(WatchdogDeterminism, SameScriptSameDecisionLog) {
   auto run_script = [] {
     util::ManualClock clock;
@@ -325,7 +278,6 @@ TEST(WatchdogDeterminism, SameScriptSameDecisionLog) {
     supervisor.tick(clock.now());  // stragglers speculate
     clock.advance(200.0);
     supervisor.tick(clock.now());  // survivors hang-cancel
-    supervisor.finalize(clock.now());
     return supervisor.log_text();
   };
   const std::string a = run_script();

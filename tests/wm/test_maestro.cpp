@@ -28,17 +28,6 @@ TEST(DirectBackend, MonitoringCallbacksThroughMaestro) {
   EXPECT_EQ(events, (std::vector<std::string>{"start:a", "end:a"}));
 }
 
-TEST(DirectBackend, CancelForwards) {
-  util::ManualClock clock;
-  sched::Scheduler scheduler(sched::ClusterSpec::laptop(),
-                             sched::MatchPolicy::kFirstMatch, clock);
-  DirectBackend maestro(scheduler);
-  maestro.submit(sched::JobSpec::gpu_sim("a", "cg_sim", 1));
-  const auto id = scheduler.active_jobs()[0];
-  EXPECT_TRUE(maestro.cancel(id));
-  EXPECT_EQ(scheduler.running_count(), 0u);
-}
-
 TEST(DirectBackend, PollPlacesBacklog) {
   util::ManualClock clock;
   sched::Scheduler scheduler(sched::ClusterSpec::laptop(),

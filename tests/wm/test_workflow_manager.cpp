@@ -305,59 +305,6 @@ TEST(JobTrackerBoundary, ExactlyMaxRestartsResubmissionsThenTerminal) {
   EXPECT_EQ(terminal_failures, 1);
 }
 
-TEST_F(WorkflowManagerTest, ShedLevelWithdrawsPendingAaAndRecovers) {
-  // Build a ready-AA buffer, then occupy almost every core with blockers so
-  // one of the submitted aa_sims is left pending.
-  ingest_frames(20);
-  wm_->maintain(100);
-  ASSERT_GT(complete_all("aa_setup"), 0);
-  const std::size_t ready_before = wm_->aa_ready();
-  ASSERT_GE(ready_before, 3u);
-  for (int n = 0; n < 2; ++n) {
-    sched::JobSpec blocker;
-    blocker.name = "blocker";
-    blocker.type = "blocker";  // no tracker: the WM ignores its lifecycle
-    blocker.request.slot = sched::Slot{40, 0};
-    scheduler_.submit(std::move(blocker));
-  }
-  scheduler_.pump();
-
-  wm_->maintain(100);  // 3 aa_sims submitted: one per node starts, one waits
-  EXPECT_EQ(wm_->running("aa_sim"), 2);
-  ASSERT_EQ(wm_->pending("aa_sim"), 1);
-
-  // Level 1 withdraws the pending sim; its payload returns to the front of
-  // the ready queue. Running work is never killed by shedding.
-  wm_->set_shed_level(1, 0.0);
-  EXPECT_EQ(wm_->pending("aa_sim"), 0);
-  EXPECT_EQ(wm_->running("aa_sim"), 2);
-  EXPECT_EQ(wm_->aa_ready(), ready_before - 3 + 1);
-
-  // While shed, maintain submits no AA work at all.
-  wm_->maintain(100);
-  EXPECT_EQ(wm_->pending("aa_sim"), 0);
-  EXPECT_EQ(wm_->aa_ready(), ready_before - 3 + 1);
-
-  // Recovery: the preserved queue resumes submission.
-  wm_->set_shed_level(0, 0.0);
-  wm_->maintain(100);
-  EXPECT_EQ(wm_->running("aa_sim") + wm_->pending("aa_sim"), 3);
-}
-
-TEST_F(WorkflowManagerTest, ShedLevelTwoStopsNewCgSetupsButSimsStillLaunch) {
-  ingest_patches(20);
-  wm_->maintain(100);
-  ASSERT_GT(complete_all("cg_setup"), 0);
-  ASSERT_GT(wm_->cg_ready(), 0u);
-
-  wm_->set_shed_level(2, 0.0);
-  wm_->maintain(100);
-  // Prepared sims still launch (finish what is ready)...
-  EXPECT_GT(wm_->running("cg_sim"), 0);
-  // ...but no new setups are started at level 2.
-  EXPECT_EQ(wm_->running("cg_setup") + wm_->pending("cg_setup"), 0);
-}
-
 TEST_F(WorkflowManagerTest, QuarantinedPayloadsAreNeverSubmitted) {
   // 777 is quarantined; 778 is clean. Only 778 reaches the scheduler.
   for (int i = 0; i < 3; ++i)
@@ -458,6 +405,31 @@ TEST_F(WorkflowManagerTest, TruncatedRestoreLeavesTheManagerUnchanged) {
   EXPECT_THROW(other.restore(r), util::FormatError);
   util::ByteWriter after;
   other.serialize(after);
+  EXPECT_EQ(after.data(), before.data());
+}
+
+TEST_F(WorkflowManagerTest, RestoreRejectsRestartCountPastIntMax) {
+  // A forged restart count of 0xFFFFFFFF would restore as -1 and grant the
+  // payload about 2^31 more retries under `tries < max_restarts`.
+  util::ByteWriter genuine;
+  wm_->serialize(genuine);
+  const util::Bytes& g = genuine.data();
+  // Four empty queues, then the restart map: one entry instead of none.
+  constexpr std::size_t kRestartsAt = 4 * 8;
+  util::ByteWriter forged;
+  forged.raw(g.data(), kRestartsAt);
+  forged.u64(1);
+  forged.u64(42);
+  forged.u32(0xFFFFFFFFu);
+  forged.raw(g.data() + kRestartsAt + 8, g.size() - kRestartsAt - 8);
+
+  wm_->requeue_setup("cg_setup", 77);
+  util::ByteWriter before;
+  wm_->serialize(before);
+  util::ByteReader r(forged.data());
+  EXPECT_THROW(wm_->restore(r), util::FormatError);
+  util::ByteWriter after;
+  wm_->serialize(after);
   EXPECT_EQ(after.data(), before.data());
 }
 
