@@ -43,8 +43,9 @@ std::vector<float> encode_receptor_state(util::Rng& rng) {
 class DockingTracker final : public wm::JobTracker {
  public:
   using JobTracker::JobTracker;
-  [[nodiscard]] bool should_resubmit(const sched::Job& job) const override {
-    return job.state == sched::JobState::kFailed && job.restarts < 5;
+  [[nodiscard]] bool should_resubmit(const sched::Job& job,
+                                     int restarts) const override {
+    return job.state == sched::JobState::kFailed && restarts < 5;
   }
 };
 
@@ -133,10 +134,9 @@ int main() {
   std::map<std::uint64_t, int> restarts;
   scheduler.on_finish([&](const sched::Job& job) {
     if (job.state != sched::JobState::kFailed) return;
-    sched::Job logical = job;
-    logical.restarts = restarts[job.spec.payload];
-    if (trackers.tracker(job.spec.type).should_resubmit(logical)) {
-      ++restarts[job.spec.payload];
+    int& tries = restarts[job.spec.payload];
+    if (trackers.tracker(job.spec.type).should_resubmit(job, tries)) {
+      ++tries;
       maestro.submit(job.spec);
       ++resubmitted;
     }

@@ -404,6 +404,10 @@ Snapshot Snapshot::deserialize(const util::Bytes& bytes) {
   if (snap.grid <= 0) throw util::FormatError("snapshot grid must be positive");
   snap.extent = r.f64();
   const auto nf = r.u32();
+  // Check each count against the bytes left before reserving: a field
+  // carries at least its 8-byte length word, a protein 20 bytes.
+  if (nf > r.remaining() / 8)
+    throw util::FormatError("snapshot field count exceeds stream");
   const auto cells =
       static_cast<std::size_t>(snap.grid) * static_cast<std::size_t>(snap.grid);
   snap.fields.reserve(nf);
@@ -418,6 +422,8 @@ Snapshot Snapshot::deserialize(const util::Bytes& bytes) {
     snap.fields.push_back(std::move(g));
   }
   const auto np = r.u32();
+  if (np > r.remaining() / 20)
+    throw util::FormatError("snapshot protein count exceeds stream");
   snap.proteins.reserve(np);
   for (std::uint32_t i = 0; i < np; ++i) {
     Protein p;

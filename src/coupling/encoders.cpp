@@ -47,11 +47,6 @@ std::vector<float> PatchEncoder::encode(const Patch& patch) const {
   return mlp_.forward(features(patch));
 }
 
-void PatchEncoder::encode_into(const Patch& patch, ml::PointId id,
-                               ml::PointStore& out) const {
-  out.add(id, mlp_.forward(features(patch)));
-}
-
 util::Bytes CgFrameInfo::serialize() const {
   util::ByteWriter w;
   w.u64(sim_id);

@@ -24,11 +24,6 @@ class PatchEncoder {
 
   [[nodiscard]] std::vector<float> encode(const Patch& patch) const;
 
-  /// Encodes straight into a flat store (the campaign bulk path): one row
-  /// appended under `id`, no intermediate HDPoint allocation.
-  void encode_into(const Patch& patch, ml::PointId id,
-                   ml::PointStore& out) const;
-
   [[nodiscard]] int out_dim() const { return mlp_.output_dim(); }
 
  private:

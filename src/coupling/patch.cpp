@@ -6,54 +6,6 @@
 
 namespace mummi::coupling {
 
-util::NpyArray Patch::density_npy() const {
-  return util::NpyArray::from_f32(
-      {static_cast<std::size_t>(n_species), static_cast<std::size_t>(grid),
-       static_cast<std::size_t>(grid)},
-      density);
-}
-
-util::Bytes Patch::serialize() const {
-  util::ByteWriter w;
-  w.u64(id);
-  w.f64(time_us);
-  w.u32(static_cast<std::uint32_t>(grid));
-  w.f64(extent);
-  w.u32(static_cast<std::uint32_t>(n_species));
-  w.vec(density);
-  w.u32(static_cast<std::uint32_t>(proteins.size()));
-  for (const auto& p : proteins) {
-    w.f64(p.x);
-    w.f64(p.y);
-    w.u32(static_cast<std::uint32_t>(p.state));
-  }
-  return std::move(w).take();
-}
-
-Patch Patch::deserialize(const util::Bytes& bytes) {
-  util::ByteReader r(bytes);
-  Patch patch;
-  patch.id = r.u64();
-  patch.time_us = r.f64();
-  patch.grid = static_cast<int>(r.u32());
-  patch.extent = r.f64();
-  patch.n_species = static_cast<int>(r.u32());
-  patch.density = r.vec<float>();
-  MUMMI_CHECK_MSG(patch.density.size() ==
-                      static_cast<std::size_t>(patch.n_species) * patch.grid *
-                          patch.grid,
-                  "patch density size mismatch");
-  const auto np = r.u32();
-  for (std::uint32_t i = 0; i < np; ++i) {
-    PatchProtein p;
-    p.x = r.f64();
-    p.y = r.f64();
-    p.state = static_cast<cont::ProteinState>(r.u32());
-    patch.proteins.push_back(p);
-  }
-  return patch;
-}
-
 PatchCreator::PatchCreator(int patch_grid, double patch_extent)
     : patch_grid_(patch_grid), patch_extent_(patch_extent) {
   MUMMI_CHECK_MSG(patch_grid > 1 && patch_extent > 0, "invalid patch shape");

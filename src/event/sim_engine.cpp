@@ -1,58 +1,37 @@
 #include "event/sim_engine.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace mummi::event {
 
-EventId SimEngine::schedule_at(double t, EventFn fn) {
+void SimEngine::schedule_at(double t, EventFn fn) {
   MUMMI_CHECK_MSG(t >= clock_.now(), "cannot schedule events in the past");
-  const EventId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id});
-  pending_fns_.emplace(id, std::move(fn));
-  ++size_;
-  return id;
+  heap_.push_back(Entry{t, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), later);
 }
 
-EventId SimEngine::schedule_after(double dt, EventFn fn) {
+void SimEngine::schedule_after(double dt, EventFn fn) {
   MUMMI_CHECK_MSG(dt >= 0.0, "negative delay");
-  return schedule_at(clock_.now() + dt, std::move(fn));
-}
-
-bool SimEngine::cancel(EventId id) {
-  // The queue entry stays behind as a tombstone; it is skipped when popped.
-  const bool erased = pending_fns_.erase(id) > 0;
-  if (erased) --size_;
-  return erased;
+  schedule_at(clock_.now() + dt, std::move(fn));
 }
 
 bool SimEngine::step() {
-  while (!queue_.empty()) {
-    const Entry top = queue_.top();
-    auto it = pending_fns_.find(top.id);
-    if (it == pending_fns_.end()) {
-      queue_.pop();  // cancelled tombstone
-      continue;
-    }
-    queue_.pop();
-    clock_.set(top.time);
-    EventFn fn = std::move(it->second);
-    pending_fns_.erase(it);
-    --size_;
-    fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), later);
+  // Move the callback out first: it may schedule events and so reallocate
+  // the heap while it runs.
+  EventFn fn = std::move(heap_.back().fn);
+  clock_.set(heap_.back().time);
+  heap_.pop_back();
+  fn();
+  return true;
 }
 
 std::size_t SimEngine::run_until(double horizon) {
   std::size_t executed = 0;
-  while (!queue_.empty()) {
-    const Entry top = queue_.top();
-    if (pending_fns_.find(top.id) == pending_fns_.end()) {
-      queue_.pop();
-      continue;
-    }
-    if (top.time > horizon) break;
+  while (!heap_.empty() && heap_.front().time <= horizon) {
     step();
     ++executed;
   }

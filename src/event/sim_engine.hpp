@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/clock.hpp"
@@ -19,7 +17,6 @@
 namespace mummi::event {
 
 using EventFn = std::function<void()>;
-using EventId = std::uint64_t;
 
 class SimEngine {
  public:
@@ -30,19 +27,15 @@ class SimEngine {
   [[nodiscard]] double now() const { return clock_.now(); }
 
   /// Schedules `fn` at absolute virtual time `t` (must be >= now()).
-  /// Events at equal times fire in scheduling order. Returns an id usable
-  /// with cancel().
-  EventId schedule_at(double t, EventFn fn);
+  /// Events at equal times fire in scheduling order.
+  void schedule_at(double t, EventFn fn);
 
   /// Schedules `fn` after a delay (>= 0) from now().
-  EventId schedule_after(double dt, EventFn fn);
-
-  /// Cancels a pending event. Returns false if it already fired or is gone.
-  bool cancel(EventId id);
+  void schedule_after(double dt, EventFn fn);
 
   /// Runs events until the queue drains or virtual time would pass
   /// `horizon`. Returns the number of events executed. Events scheduled past
-  /// the horizon stay queued; the clock is left at min(last event, horizon).
+  /// the horizon stay queued; the clock is left at max(now(), horizon).
   std::size_t run_until(double horizon);
 
   /// Runs until the queue drains completely.
@@ -51,25 +44,23 @@ class SimEngine {
   /// Executes only the next pending event (if any); returns whether one ran.
   bool step();
 
-  [[nodiscard]] std::size_t pending() const { return size_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Entry {
     double time;
     std::uint64_t seq;  // tie-break: FIFO within equal timestamps
-    EventId id;
-    // `fn` lives in the map so cancel() can drop it without heap surgery.
-    bool operator>(const Entry& other) const {
-      return time != other.time ? time > other.time : seq > other.seq;
-    }
+    EventFn fn;
   };
+  // Max-heap order for std::push_heap/pop_heap, so the front is the entry
+  // with the smallest (time, seq).
+  static bool later(const Entry& a, const Entry& b) {
+    return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  }
 
   util::ManualClock clock_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_map<EventId, EventFn> pending_fns_;
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  std::size_t size_ = 0;
 };
 
 }  // namespace mummi::event

@@ -78,10 +78,14 @@ bool Simulation::restore() {
   MUMMI_CHECK_MSG(!config_.checkpoint_path.empty(), "no checkpoint path");
   auto payload = util::CheckpointFile(config_.checkpoint_path).load();
   if (!payload) return false;
+  // Decode everything before committing, so a bad payload changes nothing.
   util::ByteReader r(*payload);
-  step_ = r.i64();
-  last_pe_ = r.f64();
-  system_ = System::deserialize(r.bytes());
+  const std::int64_t step = r.i64();
+  const double last_pe = r.f64();
+  System system = System::deserialize(r.bytes());
+  step_ = step;
+  last_pe_ = last_pe;
+  system_ = std::move(system);
   return true;
 }
 

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "resgraph/matcher.hpp"
@@ -32,8 +31,10 @@ struct JobSpec {
   double est_duration = 0.0;
   /// Opaque application handle (patch id, frame id, ...).
   std::uint64_t payload = 0;
-  /// Free-form attributes for trackers.
-  std::map<std::string, std::string> attrs;
+  /// A speculative twin names the job it duplicates (Supervisor pairing).
+  JobId twin_of = kInvalidJob;
+  /// >= 0: a supervision canary probing that node.
+  int canary_node = -1;
 
   /// Convenience: an unbundled simulation job (1 GPU + `cores` CPU cores),
   /// the paper's Sec. 4.3 placement for CG/AA simulation+analysis.
@@ -65,7 +66,6 @@ struct Job {
   double start_time = 0.0;
   double end_time = 0.0;
   Allocation alloc;
-  int restarts = 0;  // times a tracker resubmitted this logical job
   /// True when the job failed because its node died (Scheduler::fail_node),
   /// not because the payload itself misbehaved. Retry policies use this to
   /// attribute the death: node-caused kills do not consume restart budget.

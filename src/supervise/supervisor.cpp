@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/metrics.hpp"
 
@@ -94,19 +93,11 @@ void Supervisor::on_start(const sched::Job& job) {
     w.hard_s = kHardFactor * base + kHardSigmas * t.sigma_s;
     w.watched = true;
   }
-
-  if (auto it = job.spec.attrs.find("canary_node");
-      it != job.spec.attrs.end()) {
-    w.canary_node = std::atoi(it->second.c_str());
-  }
-  if (auto it = job.spec.attrs.find("twin_of"); it != job.spec.attrs.end()) {
-    w.speculative = true;
-    w.twin_of = static_cast<sched::JobId>(std::strtoull(
-        it->second.c_str(), nullptr, 10));
-  }
+  w.canary_node = job.spec.canary_node;
+  w.twin_of = job.spec.twin_of;
 
   const sched::JobId id = job.id;
-  if (w.speculative) {
+  if (w.is_twin()) {
     twin_requested_.erase(w.twin_of);
     if (orphaned_originals_.erase(w.twin_of) > 0) {
       // The original finished while this twin sat in the queue: cancel it
@@ -234,7 +225,7 @@ void Supervisor::on_finish(const sched::Job& job) {
     }
   }
 
-  if (watch.speculative)
+  if (watch.is_twin())
     resolve_twin_finish(job.id, watch, job);
   else
     resolve_original_finish(job.id, job);
@@ -261,7 +252,7 @@ void Supervisor::tick(double now) {
     const double elapsed = now - w.start_time;
     if (elapsed > w.hard_s) {
       hung.push_back(id);
-    } else if (elapsed > w.soft_s && cfg_.speculate && !w.speculative &&
+    } else if (elapsed > w.soft_s && cfg_.speculate && !w.is_twin() &&
                !w.spec_requested &&
                speculations_launched_ < kMaxSpeculations) {
       stragglers.push_back(id);
@@ -278,7 +269,7 @@ void Supervisor::tick(double now) {
         static_cast<unsigned long long>(watch.payload), watch.node);
     strike(watch, StrikeKind::kHang, watch.node);
     scheduler_.cancel(id);  // on_finish drops the watch, resolves any twin
-    if (!watch.speculative) control_.resubmit_hung(job);
+    if (!watch.is_twin()) control_.resubmit_hung(job);
   }
 
   for (sched::JobId id : stragglers) {

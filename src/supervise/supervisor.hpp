@@ -58,7 +58,7 @@ class WorkloadControl {
   virtual void resubmit_hung(const sched::Job& job) = 0;
 
   /// Submits a speculative duplicate of a straggling job. The twin's spec
-  /// must carry attrs["speculative"]="1" and attrs["twin_of"]=<original id>.
+  /// must set `twin_of` to the original's id.
   /// Returns false when the workload declines (unknown type, ...).
   virtual bool launch_speculative(const sched::Job& job) = 0;
 
@@ -134,12 +134,13 @@ class Supervisor {
     double hard_s = 0.0;    // elapsed seconds before the job counts as hung
     int node = -1;          // first allocated node (attribution)
     int canary_node = -1;   // >= 0: this job is a canary probing that node
-    bool speculative = false;
     sched::JobId twin_of = sched::kInvalidJob;  // set on twins
     // Original whose twin was requested, whether or not it has started:
     // set before launch_speculative, cleared only if that declines.
     bool spec_requested = false;
     bool watched = false;         // type has a registered timing
+
+    [[nodiscard]] bool is_twin() const { return twin_of != sched::kInvalidJob; }
   };
 
   void on_start(const sched::Job& job);

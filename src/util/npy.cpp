@@ -101,6 +101,7 @@ Bytes npy_encode(const NpyArray& array) {
 
 namespace {
 // Extracts the quoted/paren value following "'key':" in the header dict.
+// An empty value or an unterminated quote or paren is a FormatError.
 std::string header_field(const std::string& header, const std::string& key) {
   const auto at = header.find("'" + key + "'");
   if (at == std::string::npos) throw FormatError("npy header missing " + key);
@@ -108,17 +109,21 @@ std::string header_field(const std::string& header, const std::string& key) {
   if (pos == std::string::npos) throw FormatError("npy header malformed");
   ++pos;
   while (pos < header.size() && header[pos] == ' ') ++pos;
-  if (header[pos] == '\'') {
-    const auto end = header.find('\'', pos + 1);
-    return header.substr(pos + 1, end - pos - 1);
+  std::string value;
+  if (header[pos] == '\'' || header[pos] == '(') {
+    const bool quoted = header[pos] == '\'';
+    const auto end = header.find(quoted ? '\'' : ')', pos + 1);
+    if (end == std::string::npos)
+      throw FormatError("npy header value unterminated: " + key);
+    value = quoted ? header.substr(pos + 1, end - pos - 1)
+                   : header.substr(pos, end - pos + 1);
+  } else {
+    // bare token (True/False)
+    const auto end = header.find_first_of(",}", pos);
+    value = trim(header.substr(pos, end - pos));
   }
-  if (header[pos] == '(') {
-    const auto end = header.find(')', pos);
-    return header.substr(pos, end - pos + 1);
-  }
-  // bare token (True/False)
-  auto end = header.find_first_of(",}", pos);
-  return trim(header.substr(pos, end - pos));
+  if (value.empty()) throw FormatError("npy header value empty: " + key);
+  return value;
 }
 }  // namespace
 
@@ -145,6 +150,8 @@ NpyArray npy_decode(const Bytes& bytes) {
   // byte size must fit in size_t: a forged shape must not wrap to an array
   // that claims 2^64 elements and holds none.
   const std::string shape_str = header_field(header, "shape");
+  if (shape_str.front() != '(')
+    throw FormatError("npy shape is not a tuple: " + shape_str);
   std::vector<std::size_t> shape;
   std::size_t count = 1;
   for (const auto& tok : split(shape_str.substr(1, shape_str.size() - 2), ',')) {

@@ -16,13 +16,13 @@ sched::JobSpec JobTracker::make_spec(std::uint64_t payload) const {
   return spec;
 }
 
-bool JobTracker::should_resubmit(const sched::Job& job) const {
+bool JobTracker::should_resubmit(const sched::Job& job, int restarts) const {
   if (job.state != sched::JobState::kFailed) return false;
   // Restart-budget attribution: a job its node killed did nothing wrong —
   // always relocate it, without charging the payload's max_restarts budget.
   // Only genuine payload failures spend retries.
   if (job.killed_by_node) return true;
-  return job.restarts < config_.max_restarts;
+  return restarts < config_.max_restarts;
 }
 
 JobTypeConfig JobTracker::config_from(const util::Config& cfg,

@@ -49,10 +49,13 @@ class JobTracker {
   /// Builds a submittable spec for a logical work item.
   [[nodiscard]] virtual sched::JobSpec make_spec(std::uint64_t payload) const;
 
-  /// Policy hook: should a finished job be resubmitted? Default: failed jobs
-  /// retry up to max_restarts; node-crash kills (job.killed_by_node) always
-  /// retry without consuming that budget.
-  [[nodiscard]] virtual bool should_resubmit(const sched::Job& job) const;
+  /// The retry policy: should a finished job be resubmitted, given how many
+  /// times its payload was already restarted? The WorkflowManager asks this
+  /// for every failure it may retry. Default: failed jobs retry up to
+  /// max_restarts; node-crash kills (job.killed_by_node) always retry, and
+  /// the WM does not count them in `restarts`.
+  [[nodiscard]] virtual bool should_resubmit(const sched::Job& job,
+                                             int restarts) const;
 
   /// Counters the WM maintains through notify(). `failed` counts genuine
   /// payload failures; `killed_by_fault` counts node-caused deaths (the two

@@ -249,7 +249,7 @@ void WorkflowManager::handle_finish(const sched::Job& job) {
 
     // Speculative twins never resubmit themselves — the original (or its own
     // retry) owns the payload's lifecycle.
-    if (job.spec.attrs.count("speculative") > 0) return;
+    if (job.spec.twin_of != sched::kInvalidJob) return;
 
     if (quarantine_.quarantined(type, job.spec.payload)) {
       obs::counter("wm.quarantine_skips").inc();
@@ -259,23 +259,23 @@ void WorkflowManager::handle_finish(const sched::Job& job) {
     // A live speculative twin is already this payload's retry.
     if (resubmit_veto_ && resubmit_veto_(job)) return;
 
+    // The tracker decides. A node kill reads the payload's count without
+    // creating it and never spends it (restart-budget attribution).
+    bool retry;
     if (job.killed_by_node) {
-      // Restart-budget attribution: the node died under the job, the payload
-      // did nothing wrong — retry without consuming its max_restarts budget.
-      tracker.note_restarted();
-      submit_via_tracker(type, job.spec.payload);
-      util::log_debug("resubmitted node-killed ", type, " payload ",
-                      job.spec.payload, " (budget untouched)");
-      return;
+      const auto it = restarts_.find(job.spec.payload);
+      retry = tracker.should_resubmit(job,
+                                      it == restarts_.end() ? 0 : it->second);
+    } else {
+      int& tries = restarts_[job.spec.payload];
+      retry = tracker.should_resubmit(job, tries);
+      if (retry) ++tries;
     }
-
-    int& tries = restarts_[job.spec.payload];
-    if (tries < tracker.config().max_restarts) {
-      ++tries;
+    if (retry) {
       tracker.note_restarted();
       submit_via_tracker(type, job.spec.payload);
       util::log_debug("resubmitted failed ", type, " payload ",
-                      job.spec.payload, " (attempt ", tries, ")");
+                      job.spec.payload);
     } else if (is_sim && sim_finished_) {
       sim_finished_(job);  // give the application the terminal failure
     }
@@ -301,9 +301,8 @@ void WorkflowManager::resubmit_hung(const sched::Job& job) {
 bool WorkflowManager::launch_speculative(const sched::Job& job) {
   const std::string& type = job.spec.type;
   if (!trackers_.has(type)) return false;
-  sched::JobSpec spec = job.spec;  // duration hint and attrs match the twin
-  spec.attrs["speculative"] = "1";
-  spec.attrs["twin_of"] = std::to_string(job.id);
+  sched::JobSpec spec = job.spec;  // the twin keeps the duration hint
+  spec.twin_of = job.id;
   trackers_.tracker(type).note_submitted();
   bump(pending_, type, +1);
   maestro_.submit(std::move(spec));
@@ -318,7 +317,7 @@ bool WorkflowManager::submit_canary(int node) {
   spec.request.slot = sched::Slot{1, 0};
   spec.request.pin_node = node;
   spec.est_duration = WmConfig::canary_duration_s;
-  spec.attrs["canary_node"] = std::to_string(node);
+  spec.canary_node = node;
   bump(pending_, job_type::kCanary, +1);
   maestro_.submit(std::move(spec));
   maestro_.poll();

@@ -109,7 +109,7 @@ class WorkflowManager : public supervise::WorkloadControl {
   /// Resubmits a watchdog-cancelled hung payload. Hang retries do not consume
   /// max_restarts — the quarantine ledger bounds repeat offenders instead.
   void resubmit_hung(const sched::Job& job) override;
-  /// Submits a speculative twin of a straggling job (attrs mark the pairing).
+  /// Submits a speculative twin of a straggling job (`twin_of` names it).
   bool launch_speculative(const sched::Job& job) override;
   /// Canary probe pinned to `node` (job_type::kCanary).
   bool submit_canary(int node) override;

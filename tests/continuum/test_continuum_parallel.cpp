@@ -217,6 +217,32 @@ TEST(ParallelContinuum, SnapshotRejectsMalformedBytes) {
   EXPECT_THROW(Snapshot::deserialize(util::Bytes{}), util::FormatError);
   EXPECT_THROW(GridSim2D(small_config(16, 2, 5)).restore(util::Bytes(8, 0xFF)),
                util::Error);
+
+  // A forged field or protein count of 0xFFFFFFFF is rejected before any
+  // allocation is sized from it. Layout: time f64, grid u32, extent f64,
+  // field count u32, then per field a u64 length and its doubles, then the
+  // protein count u32.
+  const Snapshot snap = sim.snapshot();
+  const std::size_t field_count_at = 20;
+  const std::size_t protein_count_at =
+      24 + snap.fields.size() * (8 + 8 * snap.fields.front().data().size());
+  auto forge_count = [&](std::size_t offset, std::uint32_t expected) {
+    util::Bytes bad = good;
+    std::uint32_t old = 0;
+    std::memcpy(&old, bad.data() + offset, 4);
+    EXPECT_EQ(old, expected) << offset;
+    const std::uint32_t huge = 0xFFFFFFFFu;
+    std::memcpy(bad.data() + offset, &huge, 4);
+    return bad;
+  };
+  EXPECT_THROW(Snapshot::deserialize(forge_count(
+                   field_count_at, static_cast<std::uint32_t>(
+                                       snap.fields.size()))),
+               util::FormatError);
+  EXPECT_THROW(Snapshot::deserialize(forge_count(
+                   protein_count_at, static_cast<std::uint32_t>(
+                                         snap.proteins.size()))),
+               util::FormatError);
 }
 
 TEST(ParallelContinuum, ZeroProteinRadiusLeavesFieldsFinite) {

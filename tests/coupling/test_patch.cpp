@@ -94,34 +94,6 @@ TEST(PatchCreator, PeriodicWrapAtBoundary) {
   for (float v : patches[0].density) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(Patch, SerializeRoundTrip) {
-  PatchCreator creator(37, 30.0);
-  std::uint64_t next_id = 5;
-  const auto patches = creator.create(make_snapshot(), next_id);
-  const Patch& p = patches[1];
-  const Patch q = Patch::deserialize(p.serialize());
-  EXPECT_EQ(q.id, p.id);
-  EXPECT_DOUBLE_EQ(q.time_us, p.time_us);
-  EXPECT_EQ(q.grid, p.grid);
-  EXPECT_EQ(q.n_species, p.n_species);
-  EXPECT_EQ(q.density, p.density);
-  ASSERT_EQ(q.proteins.size(), p.proteins.size());
-  EXPECT_EQ(q.proteins[1].state, p.proteins[1].state);
-}
-
-TEST(Patch, NpyExportShapeAndData) {
-  PatchCreator creator(37, 30.0);
-  std::uint64_t next_id = 0;
-  const auto patches = creator.create(make_snapshot(), next_id);
-  const auto npy = patches[0].density_npy();
-  EXPECT_EQ(npy.shape, (std::vector<std::size_t>{4, 37, 37}));
-  EXPECT_EQ(npy.f32, patches[0].density);
-  // Encodes to a valid .npy stream (~70 KB per patch in the paper; ours
-  // scales with species count).
-  const auto bytes = util::npy_encode(npy);
-  EXPECT_GT(bytes.size(), 4u * 37u * 37u * 4u);
-}
-
 TEST(PatchCreator, EmptySnapshotYieldsNoPatches) {
   PatchCreator creator;
   std::uint64_t next_id = 0;

@@ -151,6 +151,7 @@ TEST_F(SimulationCheckpoint, RestoreRejectsForgedSystemBytes) {
   util::CheckpointFile(cfg.checkpoint_path).save(w.data());
   auto sim = make_sim(cfg);
   EXPECT_THROW(sim.restore(), util::FormatError);
+  EXPECT_EQ(sim.step_count(), 0);  // nothing committed from the bad payload
 }
 
 TEST_F(SimulationCheckpoint, MissingPathRejected) {

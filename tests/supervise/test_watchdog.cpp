@@ -32,8 +32,7 @@ class FakeControl : public supervise::WorkloadControl {
   bool launch_speculative(const sched::Job& job) override {
     if (!allow_speculation) return false;
     JobSpec spec = job.spec;
-    spec.attrs["speculative"] = "1";
-    spec.attrs["twin_of"] = std::to_string(job.id);
+    spec.twin_of = job.id;
     last_twin = scheduler_->submit(std::move(spec));
     scheduler_->pump();
     return true;
@@ -47,7 +46,7 @@ class FakeControl : public supervise::WorkloadControl {
     spec.request.slot = sched::Slot{1, 0};
     spec.request.pin_node = node;
     spec.est_duration = 60.0;
-    spec.attrs["canary_node"] = std::to_string(node);
+    spec.canary_node = node;
     last_canary = scheduler_->submit(std::move(spec));
     scheduler_->pump();
     return true;

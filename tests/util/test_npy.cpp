@@ -110,5 +110,29 @@ TEST(Npy, ForgedShapesRejected) {
         << shape;
 }
 
+TEST(Npy, MalformedHeaderValuesRejected) {
+  // Empty, unterminated-quote and unterminated-paren values are format
+  // errors, never a std::out_of_range from the header parser.
+  EXPECT_THROW(npy_decode(forged_npy("<f4", "", 64)), FormatError);
+  EXPECT_THROW(npy_decode(forged_npy("<f4", "(2, 3", 64)), FormatError);
+  EXPECT_THROW(npy_decode(forged_npy("<f4", "3", 64)), FormatError);
+  auto raw = [](const std::string& header) {
+    std::string s("\x93NUMPY\x01\x00", 8);
+    s.push_back(static_cast<char>(header.size()));
+    s.push_back('\0');
+    return to_bytes(s + header);
+  };
+  EXPECT_THROW(npy_decode(raw("{'descr': '<f4")), FormatError);
+  EXPECT_THROW(npy_decode(raw("{'descr': '<f4', 'fortran_order': False, "
+                              "'shape': (2, 3")),
+               FormatError);
+  EXPECT_THROW(npy_decode(raw("{'descr': '<f4', 'fortran_order': False, "
+                              "'shape':")),
+               FormatError);
+  EXPECT_THROW(npy_decode(raw("{'descr': '', 'fortran_order': False, "
+                              "'shape': (), }")),
+               FormatError);
+}
+
 }  // namespace
 }  // namespace mummi::util

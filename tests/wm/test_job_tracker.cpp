@@ -32,13 +32,10 @@ TEST(JobTracker, ResubmitPolicyHonorsMaxRestarts) {
   sched::Job job;
   job.spec = tracker.make_spec(1);
   job.state = sched::JobState::kFailed;
-  job.restarts = 0;
-  EXPECT_TRUE(tracker.should_resubmit(job));
-  job.restarts = 2;
-  EXPECT_FALSE(tracker.should_resubmit(job));
-  job.restarts = 0;
+  EXPECT_TRUE(tracker.should_resubmit(job, 0));
+  EXPECT_FALSE(tracker.should_resubmit(job, 2));
   job.state = sched::JobState::kCompleted;
-  EXPECT_FALSE(tracker.should_resubmit(job));
+  EXPECT_FALSE(tracker.should_resubmit(job, 0));
 }
 
 TEST(JobTracker, NodeKillsRetryWithoutConsumingTheBudget) {
@@ -49,13 +46,11 @@ TEST(JobTracker, NodeKillsRetryWithoutConsumingTheBudget) {
   job.spec = tracker.make_spec(1);
   job.state = sched::JobState::kFailed;
   job.killed_by_node = true;
-  job.restarts = 0;
-  EXPECT_TRUE(tracker.should_resubmit(job));
-  job.restarts = 99;  // far past the budget
-  EXPECT_TRUE(tracker.should_resubmit(job));
+  EXPECT_TRUE(tracker.should_resubmit(job, 0));
+  EXPECT_TRUE(tracker.should_resubmit(job, 99));  // far past the budget
   // The same restart count with genuine failure attribution is refused.
   job.killed_by_node = false;
-  EXPECT_FALSE(tracker.should_resubmit(job));
+  EXPECT_FALSE(tracker.should_resubmit(job, 99));
 }
 
 TEST(JobTracker, KilledByFaultCountsSeparatelyFromFailed) {
@@ -122,7 +117,7 @@ TEST(JobTracker, ConfigFromOneSlotPerNode) {
 class NoRetryTracker : public JobTracker {
  public:
   using JobTracker::JobTracker;
-  [[nodiscard]] bool should_resubmit(const sched::Job&) const override {
+  [[nodiscard]] bool should_resubmit(const sched::Job&, int) const override {
     return false;
   }
 };
@@ -141,8 +136,8 @@ TEST(TrackerSet, RegistersAndDispatchesPolymorphically) {
 
   sched::Job failed;
   failed.state = sched::JobState::kFailed;
-  EXPECT_TRUE(set.tracker("cg_sim").should_resubmit(failed));
-  EXPECT_FALSE(set.tracker("fragile").should_resubmit(failed));
+  EXPECT_TRUE(set.tracker("cg_sim").should_resubmit(failed, 0));
+  EXPECT_FALSE(set.tracker("fragile").should_resubmit(failed, 0));
 }
 
 TEST(TrackerSet, DuplicateAndMissingRejected) {

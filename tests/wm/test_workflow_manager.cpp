@@ -305,6 +305,61 @@ TEST(JobTrackerBoundary, ExactlyMaxRestartsResubmissionsThenTerminal) {
   EXPECT_EQ(terminal_failures, 1);
 }
 
+/// A tracker whose policy never retries, whatever the budget or the cause.
+class NeverRetryTracker final : public JobTracker {
+ public:
+  using JobTracker::JobTracker;
+  [[nodiscard]] bool should_resubmit(const sched::Job&, int) const override {
+    return false;
+  }
+};
+
+TEST(JobTrackerPolicy, OverrideDecidesWhatTheWorkflowManagerResubmits) {
+  // Paper Sec. 4.3: trackers are customized by inheritance. The override,
+  // not a copy of the default policy, governs the WM: neither a payload
+  // failure (budget 5 unspent) nor a node kill is resubmitted.
+  util::ManualClock clock;
+  sched::Scheduler scheduler(sched::ClusterSpec::summit(2),
+                             sched::MatchPolicy::kFirstMatch, clock);
+  DirectBackend maestro(scheduler);
+  TrackerSet trackers;
+  auto config = [](const std::string& type, int cores, int gpus) {
+    JobTypeConfig cfg;
+    cfg.type = type;
+    cfg.request.slot = sched::Slot{cores, gpus};
+    cfg.max_restarts = 5;
+    return cfg;
+  };
+  trackers.add(std::make_unique<NeverRetryTracker>(config("cg_setup", 20, 0)));
+  trackers.add(std::make_unique<JobTracker>(config("cg_sim", 3, 1)));
+  trackers.add(std::make_unique<JobTracker>(config("aa_setup", 18, 0)));
+  trackers.add(std::make_unique<JobTracker>(config("aa_sim", 3, 1)));
+  PatchSelector patches(9, 5, 1000);
+  FrameSelector frames(0.8, 3);
+  WmConfig cfg;
+  cfg.cg_ready_target = 2;
+  WorkflowManager wm(cfg, maestro, trackers, patches, frames);
+
+  std::vector<ml::HDPoint> pts(2);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    pts[i].id = i + 1;
+    pts[i].coords.assign(9, 0.1f * static_cast<float>(i));
+  }
+  wm.ingest_patches(0, pts);
+  wm.maintain(100);
+  const auto ids = scheduler.active_jobs();
+  ASSERT_EQ(ids.size(), 2u);
+  ASSERT_EQ(wm.running("cg_setup"), 2);
+
+  scheduler.complete(ids[0], false);
+  scheduler.fail_node(scheduler.job(ids[1]).alloc.slots.front().node);
+  EXPECT_EQ(wm.running("cg_setup") + wm.pending("cg_setup"), 0);
+  const auto& counters = trackers.tracker("cg_setup").counters();
+  EXPECT_EQ(counters.restarted, 0u);
+  EXPECT_EQ(counters.failed, 1u);
+  EXPECT_EQ(counters.killed_by_fault, 1u);
+}
+
 TEST_F(WorkflowManagerTest, QuarantinedPayloadsAreNeverSubmitted) {
   // 777 is quarantined; 778 is clean. Only 778 reaches the scheduler.
   for (int i = 0; i < 3; ++i)
