@@ -12,11 +12,19 @@ pair to pair, so drift on a shared host does not favour either side. Prints
 each run's --claim metric (default wall_s) and, per metric, the median and
 quartiles of each side plus in how many pairs the working tree read better on
 --claim, in the direction BENCHMARK.json declares for it. A run that does not
-report --claim (traced runs report no wall_s) stops the series at once. With
---out, writes every run's result and meta lines as JSON.
+report --claim (traced runs report no wall_s) stops the series at once.
+
+Then, for each end_to_end metric of BENCHMARK.json, prints how far the
+change's median moved in the metric's worse direction, relative to the
+parent's median, and labels it against the metric's bound: `ok`, `WORSE`, or
+`unresolved` when the parent's quartile spread (relative to its median) is
+wider than the bound and not every change run beats every parent run. Prints
+each side's share of failed operations. With --out, writes every run's result
+and meta lines as JSON. Exits 1 when any run reports `correct: false`.
 """
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -46,9 +54,8 @@ def export_parent(rev):
     return tree, sha
 
 
-def better_direction(name):
+def better_direction(spec, name):
     """`better` ("lower" or "higher") for a metric declared in BENCHMARK.json."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     for metric in spec["end_to_end"] + spec["per_layer"]:
         if metric["name"] == name:
             return metric["better"]
@@ -83,6 +90,34 @@ def run_once(tree, args):
     return json.loads(lines[-1]), meta
 
 
+def relative(diff, base):
+    """`diff` as a fraction of `base`; a nonzero diff on a zero base is
+    infinite."""
+    if base != 0:
+        return diff / abs(base)
+    return 0.0 if diff == 0 else math.copysign(math.inf, diff)
+
+
+def verdict(metric, parent_values, change_values):
+    """(worse-by fraction, label) of one end-to-end metric against its bound.
+    Worse-by is how far the change's median moved from the parent's in the
+    metric's worse direction (negative: it moved the better way)."""
+    lower = metric["better"] == "lower"
+    parent = statistics.median(parent_values)
+    change = statistics.median(change_values)
+    worse = relative(change - parent if lower else parent - change, parent)
+    q1, q3 = quartiles(parent_values)
+    if lower:
+        dominates = max(change_values) < min(parent_values)
+    else:
+        dominates = min(change_values) > max(parent_values)
+    if dominates:
+        return worse, "ok"
+    if relative(q3 - q1, parent) > metric["bound"]:
+        return worse, "unresolved"
+    return worse, "WORSE" if worse > metric["bound"] else "ok"
+
+
 def quartiles(values):
     if not values:
         return None, None
@@ -104,7 +139,8 @@ def main():
                     help="metric whose pair wins are counted")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
-    better = better_direction(args.claim)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = better_direction(spec, args.claim)
 
     parent_tree, parent_sha = export_parent(args.parent)
     sides = {"parent": parent_tree, "change": ROOT}
@@ -149,14 +185,45 @@ def main():
     wins = sum(1 for p, c in pairs if (c < p if better == "lower" else c > p))
     print(f"\n{claim}: change {better} in {wins} of {len(pairs)} pairs")
 
+    print(f"\n{'end-to-end metric':28s} {'worse by':>10s} {'bound':>7s}  "
+          "verdict")
+    verdicts = {}
+    for metric in spec["end_to_end"]:
+        name = metric["name"]
+        parent_values, change_values = (
+            [value(r["result"], name) for r in runs[side]
+             if name in r["result"]["metrics"]]
+            for side in ("parent", "change"))
+        if not parent_values or not change_values:
+            print(f"{name:28s} {'-':>10s} {metric['bound']:>7.0%}  absent")
+            continue
+        worse, label = verdict(metric, parent_values, change_values)
+        verdicts[name] = {"worse_by": worse, "bound": metric["bound"],
+                          "verdict": label}
+        print(f"{name:28s} {worse:>+10.1%} {metric['bound']:>7.0%}  {label}")
+
+    incorrect = 0
+    for side in ("parent", "change"):
+        failed = sum(r["result"]["failed"] for r in runs[side])
+        attempted = sum(r["result"]["attempted"] for r in runs[side])
+        incorrect += sum(1 for r in runs[side] if not r["result"]["correct"])
+        share = failed / attempted if attempted else 0.0
+        print(f"{side}: {failed} of {attempted} operations failed "
+              f"({share:.1%})")
+
     if args.out:
         args.out.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed,
             "seconds": args.seconds, "trace": args.trace,
             "parent": parent_sha, "claim": claim, "better": better,
             "wins": wins,
-            "pairs": len(pairs), "summary": summary, "runs": runs,
+            "pairs": len(pairs), "summary": summary, "verdicts": verdicts,
+            "runs": runs,
         }, indent=1) + "\n")
+    if incorrect:
+        print(f"bench_pairs: {incorrect} run(s) reported correct: false",
+              file=sys.stderr)
+        return 1
     return 0
 
 

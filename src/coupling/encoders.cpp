@@ -47,36 +47,6 @@ std::vector<float> PatchEncoder::encode(const Patch& patch) const {
   return mlp_.forward(features(patch));
 }
 
-util::Bytes CgFrameInfo::serialize() const {
-  util::ByteWriter w;
-  w.u64(sim_id);
-  w.i64(step);
-  w.f32(tilt);
-  w.f32(rotation);
-  w.f32(separation);
-  // Pad to the paper's ~850 B identifying-information record size so data
-  // volumes in campaign accounting match.
-  static constexpr std::size_t kRecordSize = 850;
-  while (w.size() < kRecordSize) w.u8(0);
-  return std::move(w).take();
-}
-
-CgFrameInfo CgFrameInfo::deserialize(const util::Bytes& bytes) {
-  util::ByteReader r(bytes);  // throws FormatError on truncated streams
-  CgFrameInfo info;
-  info.sim_id = r.u64();
-  info.step = r.i64();
-  info.tilt = r.f32();
-  info.rotation = r.f32();
-  info.separation = r.f32();
-  // The on-disk record is descriptor + zero padding to ~850 B; a non-finite
-  // descriptor can only come from corruption, never from compute_frame_info.
-  if (!std::isfinite(info.tilt) || !std::isfinite(info.rotation) ||
-      !std::isfinite(info.separation))
-    throw util::FormatError("CgFrameInfo descriptor not finite");
-  return info;
-}
-
 CgFrameInfo compute_frame_info(const md::System& system,
                                const std::vector<int>& protein_beads,
                                int ras_beads, std::uint64_t sim_id,

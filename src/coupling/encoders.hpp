@@ -52,8 +52,6 @@ struct CgFrameInfo {
     const float d[3] = {tilt, rotation, separation};
     out.add(id, d);
   }
-  [[nodiscard]] util::Bytes serialize() const;
-  static CgFrameInfo deserialize(const util::Bytes& bytes);
 };
 
 /// Computes the 3-D descriptor from a CG system's protein beads.

@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -60,20 +59,11 @@ class DataStore {
   [[nodiscard]] virtual std::vector<util::Bytes> get_many(
       const std::string& ns, const std::vector<std::string>& keys) const = 0;
 
-  /// Stores several records into one namespace.
-  virtual void put_many(
-      const std::string& ns,
-      const std::vector<std::pair<std::string, util::Bytes>>& records) = 0;
-
   /// Moves several records to another namespace — batched tagging. Throws
   /// util::StoreError when any source is absent.
   virtual void move_many(const std::string& src_ns,
                          const std::vector<std::string>& keys,
                          const std::string& dst_ns) = 0;
-
-  /// Number of records in a namespace. Default lists the namespace;
-  /// index-backed stores answer without touching any record.
-  [[nodiscard]] virtual std::size_t count(const std::string& ns) const;
 
   /// Persists any buffered state (indices, trailers). No-op by default.
   virtual void flush() {}
@@ -88,11 +78,10 @@ class DataStore {
   [[nodiscard]] std::string get_text(const std::string& ns,
                                      const std::string& key) const;
 
-  /// Stores an array as real .npy bytes ("save a Numpy archive into a byte
-  /// stream that can be redirected effortlessly to a file, an archive, or a
-  /// database — all with a single configuration switch").
-  void put_npy(const std::string& ns, const std::string& key,
-               const util::NpyArray& array);
+  /// Reads an array stored as real .npy bytes (util::npy_encode: "save a
+  /// Numpy archive into a byte stream that can be redirected effortlessly to
+  /// a file, an archive, or a database — all with a single configuration
+  /// switch").
   [[nodiscard]] util::NpyArray get_npy(const std::string& ns,
                                        const std::string& key) const;
 };

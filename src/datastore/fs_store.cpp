@@ -34,10 +34,8 @@ void validate(const std::string& ns, const std::string& key) {
 }
 }  // namespace
 
-FsStore::FsStore(std::string root, double op_latency, util::IoRetryPolicy retry)
-    : root_(std::move(root)),
-      op_latency_(op_latency),
-      retry_(std::move(retry)) {
+FsStore::FsStore(std::string root, util::IoRetryPolicy retry)
+    : root_(std::move(root)), retry_(std::move(retry)) {
   util::make_dirs(root_);
 }
 
@@ -105,16 +103,6 @@ std::string FsStore::path_of(const std::string& ns,
   return root_ + "/" + ns + "/" + key;
 }
 
-void FsStore::account() const {
-  std::lock_guard lock(mutex_);
-  latency_total_ += op_latency_;
-}
-
-double FsStore::latency_accounted() const {
-  std::lock_guard lock(mutex_);
-  return latency_total_;
-}
-
 void FsStore::atomic_put(const std::string& path,
                          const util::Bytes& value) const {
   static obs::Counter& torn_prevented =
@@ -144,7 +132,6 @@ void FsStore::put(const std::string& ns, const std::string& key,
   // partial value that a later get() returned as valid.
   const std::string path = path_of(ns, key);
   armored("put", path, [&] { atomic_put(path, value); });
-  account();
 }
 
 util::Bytes FsStore::get(const std::string& ns, const std::string& key) const {
@@ -152,7 +139,6 @@ util::Bytes FsStore::get(const std::string& ns, const std::string& key) const {
   std::optional<util::Bytes> data;
   const std::string path = path_of(ns, key);
   armored("get", path, [&] { data = util::read_file(path); });
-  account();
   // A missing record is a definitive answer, not a transient fault — it is
   // never retried.
   if (!data) throw util::StoreError("missing record: " + ns + "/" + key);
@@ -176,13 +162,11 @@ std::vector<std::string> FsStore::keys(const std::string& ns,
     if (is_tmp_name(name)) continue;
     if (util::glob_match(pattern, name)) out.push_back(name);
   }
-  account();
   return out;
 }
 
 bool FsStore::erase(const std::string& ns, const std::string& key) {
   validate(ns, key);
-  account();
   util::crash_point("fs.del.pre");
   return util::remove_file(path_of(ns, key));
 }
@@ -202,7 +186,6 @@ void FsStore::move(const std::string& src_ns, const std::string& key,
                              dst_ns + ": " + ec.message());
   });
   util::crash_point("fs.move.post");
-  account();
 }
 
 std::vector<util::Bytes> FsStore::get_many(
@@ -217,21 +200,7 @@ std::vector<util::Bytes> FsStore::get_many(
     if (!data) throw util::StoreError("missing record: " + ns + "/" + key);
     out.push_back(std::move(*data));
   }
-  if (!keys.empty()) account();
   return out;
-}
-
-void FsStore::put_many(
-    const std::string& ns,
-    const std::vector<std::pair<std::string, util::Bytes>>& records) {
-  if (records.empty()) return;
-  util::make_dirs(root_ + "/" + ns);
-  for (const auto& [key, value] : records) {
-    validate(ns, key);
-    const std::string path = path_of(ns, key);
-    armored("put", path, [&] { atomic_put(path, value); });
-  }
-  account();
 }
 
 void FsStore::move_many(const std::string& src_ns,
@@ -272,7 +241,6 @@ void FsStore::move_many(const std::string& src_ns,
     }
     moved.push_back(key);
   }
-  account();
 }
 
 std::size_t FsStore::inode_count() const {

@@ -300,55 +300,6 @@ std::vector<std::optional<util::Bytes>> KvCluster::mget(
   return out;
 }
 
-void KvCluster::mset(
-    const std::vector<std::pair<std::string, util::Bytes>>& kvs) {
-  if (kvs.empty()) return;
-  const auto groups = group_by_shard(
-      kvs.size(), shards_.size(),
-      [&](std::size_t i) { return server_of(kvs[i].first); });
-  note_batch("kv.ops.mset", kvs.size());
-
-  for (const std::size_t s : groups.touched) {
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mutex);
-    double dt = Cost::per_query;
-    for (const std::uint32_t idx : groups.by_shard[s]) {
-      const auto& [key, value] = kvs[idx];
-      dt += Cost::batch_per_key +
-            Cost::per_byte * static_cast<double>(value.size());
-      auto [it, inserted] = shard.data.insert_or_assign(key, value);
-      if (inserted) index_add(shard, it->first);
-    }
-    shard_ops_[s]->inc();
-    add_time(t_writes_, dt);
-  }
-}
-
-std::size_t KvCluster::mdel(const std::vector<std::string>& keys) {
-  if (keys.empty()) return 0;
-  const auto groups = group_by_shard(
-      keys.size(), shards_.size(),
-      [&](std::size_t i) { return server_of(keys[i]); });
-  note_batch("kv.ops.mdel", keys.size());
-
-  std::size_t deleted = 0;
-  for (const std::size_t s : groups.touched) {
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mutex);
-    double dt = Cost::per_query;
-    for (const std::uint32_t idx : groups.by_shard[s]) {
-      dt += Cost::batch_per_key;
-      if (shard.data.erase(keys[idx]) > 0) {
-        index_remove(shard, keys[idx]);
-        ++deleted;
-      }
-    }
-    shard_ops_[s]->inc();
-    add_time(t_dels_, dt);
-  }
-  return deleted;
-}
-
 std::size_t KvCluster::mrename(
     const std::vector<std::pair<std::string, std::string>>& pairs,
     std::vector<char>* renamed) {

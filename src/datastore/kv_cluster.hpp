@@ -6,8 +6,8 @@
 // time per feedback loop."
 //
 // KvCluster implements the query surface the feedback loop uses — SET / GET /
-// KEYS(pattern) / DEL / RENAME plus the pipelined batch forms MGET / MSET /
-// MDEL / MRENAME — over N shards guarded by shared mutexes (shared for
+// KEYS(pattern) / DEL / RENAME plus the pipelined batch forms MGET and
+// MRENAME — over N shards guarded by shared mutexes (shared for
 // reads, exclusive for mutations). Each shard keeps a secondary
 // namespace index ("<ns>:" key prefix -> key set) so namespace-confined
 // listing and counting are O(keys-in-namespace), not O(total keys) — the
@@ -95,11 +95,6 @@ class KvCluster {
 
   [[nodiscard]] std::vector<std::optional<util::Bytes>> mget(
       const std::vector<std::string>& keys) const;
-
-  void mset(const std::vector<std::pair<std::string, util::Bytes>>& kvs);
-
-  /// Returns the number of keys that existed and were deleted.
-  std::size_t mdel(const std::vector<std::string>& keys);
 
   /// Batched tagging: renames each (from, to) pair. Returns the number of
   /// pairs whose source existed; `renamed`, when given, is resized to the

@@ -62,16 +62,6 @@ std::vector<util::Bytes> RedStore::get_many(
   return out;
 }
 
-void RedStore::put_many(
-    const std::string& ns,
-    const std::vector<std::pair<std::string, util::Bytes>>& records) {
-  std::vector<std::pair<std::string, util::Bytes>> kvs;
-  kvs.reserve(records.size());
-  for (const auto& [key, value] : records)
-    kvs.emplace_back(full_key(ns, key), value);
-  cluster_->mset(kvs);
-}
-
 void RedStore::move_many(const std::string& src_ns,
                          const std::vector<std::string>& keys,
                          const std::string& dst_ns) {
@@ -84,10 +74,6 @@ void RedStore::move_many(const std::string& src_ns,
   for (std::size_t i = 0; i < keys.size(); ++i)
     if (!renamed[i])
       throw util::StoreError("missing record: " + src_ns + "/" + keys[i]);
-}
-
-std::size_t RedStore::count(const std::string& ns) const {
-  return cluster_->count(ns);
 }
 
 bool RedStore::erase(const std::string& ns, const std::string& key) {

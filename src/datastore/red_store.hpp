@@ -32,19 +32,14 @@ class RedStore final : public DataStore {
   bool erase(const std::string& ns, const std::string& key) override;
   void move(const std::string& src_ns, const std::string& key,
             const std::string& dst_ns) override;
-  // Batched forms map onto cluster pipelines (MGET / MSET / MRENAME): one
-  // round trip per shard touched instead of one per record. count() answers
-  // from the shard namespace indices without scanning a single key.
+  // Batched forms map onto cluster pipelines (MGET / MRENAME): one round
+  // trip per shard touched instead of one per record.
   [[nodiscard]] std::vector<util::Bytes> get_many(
       const std::string& ns,
       const std::vector<std::string>& keys) const override;
-  void put_many(const std::string& ns,
-                const std::vector<std::pair<std::string, util::Bytes>>&
-                    records) override;
   void move_many(const std::string& src_ns,
                  const std::vector<std::string>& keys,
                  const std::string& dst_ns) override;
-  [[nodiscard]] std::size_t count(const std::string& ns) const override;
   [[nodiscard]] std::string backend() const override { return "redis"; }
 
   [[nodiscard]] KvCluster& cluster() { return *cluster_; }

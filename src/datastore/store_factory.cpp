@@ -10,9 +10,7 @@ namespace mummi::ds {
 DataStorePtr make_store(const util::Config& config) {
   const std::string backend = config.get_string("datastore.backend");
   if (backend == "filesystem") {
-    return std::make_shared<FsStore>(
-        config.get_string("datastore.root"),
-        config.get_double("datastore.latency", 0.0));
+    return std::make_shared<FsStore>(config.get_string("datastore.root"));
   }
   if (backend == "taridx") {
     return std::make_shared<TarStore>(config.get_string("datastore.root"));

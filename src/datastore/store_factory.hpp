@@ -4,7 +4,6 @@
 // Recognized keys (section "datastore"):
 //   datastore.backend   = filesystem | taridx | redis   (required)
 //   datastore.root      = <dir>          (filesystem/taridx; required)
-//   datastore.latency   = <seconds>      (filesystem; default 0)
 //   datastore.servers   = <n>            (redis; default 20, as on Summit)
 #pragma once
 

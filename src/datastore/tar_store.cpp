@@ -72,13 +72,6 @@ std::vector<util::Bytes> TarStore::get_many(
   return out;
 }
 
-void TarStore::put_many(
-    const std::string& ns,
-    const std::vector<std::pair<std::string, util::Bytes>>& records) {
-  TarIdx& tar = archive(ns);
-  for (const auto& [key, value] : records) tar.append(key, value);
-}
-
 void TarStore::move_many(const std::string& src_ns,
                          const std::vector<std::string>& keys,
                          const std::string& dst_ns) {

@@ -35,9 +35,6 @@ class TarStore final : public DataStore {
   [[nodiscard]] std::vector<util::Bytes> get_many(
       const std::string& ns,
       const std::vector<std::string>& keys) const override;
-  void put_many(const std::string& ns,
-                const std::vector<std::pair<std::string, util::Bytes>>&
-                    records) override;
   void move_many(const std::string& src_ns,
                  const std::vector<std::string>& keys,
                  const std::string& dst_ns) override;

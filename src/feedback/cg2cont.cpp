@@ -1,5 +1,7 @@
 #include "feedback/cg2cont.hpp"
 
+#include <optional>
+
 #include "util/error.hpp"
 
 namespace mummi::fb {
@@ -68,9 +70,16 @@ IterationStats CgToContinuumFeedback::iterate() {
         config_.costs.read_batch_per_record * static_cast<double>(keys.size());
   }
 
-  // Aggregate per protein state.
+  // Aggregate per protein state. The weights below are indexed by species up
+  // to n_species_, so every record must carry the model's species count: the
+  // continuum's when one is attached, else the count seen first.
   std::vector<coupling::RdfSet> agg(cont::kNumProteinStates);
   std::vector<bool> seen(cont::kNumProteinStates, false);
+  std::optional<std::size_t> species;
+  if (target_ != nullptr)
+    species = static_cast<std::size_t>(target_->n_species());
+  else if (n_species_ > 0)
+    species = static_cast<std::size_t>(n_species_);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     FeedbackRecord record;
     if (config_.batched) {
@@ -80,6 +89,9 @@ IterationStats CgToContinuumFeedback::iterate() {
           FeedbackRecord::deserialize(store_->get(config_.pending_ns, keys[i]));
       stats.collect_virtual += config_.costs.read_per_record;
     }
+    if (!species) species = record.rdfs.per_species.size();
+    if (record.rdfs.per_species.size() != *species)
+      throw util::FormatError("FeedbackRecord species count mismatch");
     const auto s = static_cast<std::size_t>(record.state);
     if (!seen[s]) {
       agg[s] = record.rdfs;

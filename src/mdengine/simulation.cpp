@@ -14,9 +14,6 @@ Simulation::Simulation(System system, std::shared_ptr<const ForceField> ff,
       config_(config),
       neighbors_(ff_->cutoff(), config.skin) {
   MUMMI_CHECK(ff_ != nullptr && integrator_ != nullptr);
-  if (config_.checkpoint_interval > 0)
-    MUMMI_CHECK_MSG(!config_.checkpoint_path.empty(),
-                    "checkpointing enabled without a path");
 }
 
 void Simulation::set_restraints(Restraints restraints) {
@@ -54,39 +51,12 @@ void Simulation::run(long nsteps) {
     if (config_.frame_interval > 0 && step_ % config_.frame_interval == 0 &&
         frame_fn_)
       frame_fn_(system_, step_, last_pe_);
-    if (config_.checkpoint_interval > 0 &&
-        step_ % config_.checkpoint_interval == 0)
-      checkpoint();
   }
 }
 
 real Simulation::minimize_energy(int max_steps, real f_tol) {
   last_pe_ = minimize(system_, force_fn(), max_steps, 0.01, f_tol);
   return last_pe_;
-}
-
-void Simulation::checkpoint() const {
-  MUMMI_CHECK_MSG(!config_.checkpoint_path.empty(), "no checkpoint path");
-  util::ByteWriter w;
-  w.i64(step_);
-  w.f64(last_pe_);
-  w.bytes(system_.serialize());
-  util::CheckpointFile(config_.checkpoint_path).save(w.data());
-}
-
-bool Simulation::restore() {
-  MUMMI_CHECK_MSG(!config_.checkpoint_path.empty(), "no checkpoint path");
-  auto payload = util::CheckpointFile(config_.checkpoint_path).load();
-  if (!payload) return false;
-  // Decode everything before committing, so a bad payload changes nothing.
-  util::ByteReader r(*payload);
-  const std::int64_t step = r.i64();
-  const double last_pe = r.f64();
-  System system = System::deserialize(r.bytes());
-  step_ = step;
-  last_pe_ = last_pe;
-  system_ = std::move(system);
-  return true;
 }
 
 }  // namespace mummi::md

@@ -1,8 +1,7 @@
 // Simulation driver: force field + neighbor list + integrator + hooks.
 //
 // Plays the role ddcMD/AMBER play in the paper: advance the system, emit
-// trajectory frames at a fixed cadence for the in-situ analysis, checkpoint
-// every N steps, and restore exactly after a crash.
+// trajectory frames at a fixed cadence for the in-situ analysis.
 #pragma once
 
 #include <functional>
@@ -11,7 +10,6 @@
 #include "mdengine/force_field.hpp"
 #include "mdengine/integrator.hpp"
 #include "mdengine/system.hpp"
-#include "util/checkpoint.hpp"
 
 namespace mummi::util {
 class ThreadPool;
@@ -23,8 +21,6 @@ struct SimulationConfig {
   real dt = 0.02;            // ps (Martini-scale); AA uses ~0.002
   static constexpr real skin = 0.3;  // neighbor-list skin, nm
   int frame_interval = 100;  // steps between frame callbacks (0 = off)
-  int checkpoint_interval = 0;  // steps between checkpoints (0 = off)
-  std::string checkpoint_path;  // required if checkpoint_interval > 0
   /// Pool the kernels thread through; null is serial. Output is
   /// bit-identical either way.
   util::ThreadPool* pool = nullptr;
@@ -45,8 +41,8 @@ class Simulation {
 
   void on_frame(FrameFn fn) { frame_fn_ = std::move(fn); }
 
-  /// Advances `nsteps`, maintaining the neighbor list, firing frame
-  /// callbacks and checkpoints on schedule.
+  /// Advances `nsteps`, maintaining the neighbor list and firing frame
+  /// callbacks on schedule.
   void run(long nsteps);
 
   /// Steepest-descent relaxation (does not advance step count).
@@ -59,13 +55,6 @@ class Simulation {
   [[nodiscard]] std::size_t neighbor_rebuilds() const { return rebuilds_; }
   [[nodiscard]] const NeighborList& neighbors() const { return neighbors_; }
   [[nodiscard]] util::ThreadPool* pool() const { return config_.pool; }
-
-  /// Writes a checkpoint now (also called on schedule during run()).
-  void checkpoint() const;
-
-  /// Restores step count and system state from the checkpoint, if present.
-  /// Returns whether a checkpoint was found.
-  bool restore();
 
  private:
   [[nodiscard]] ForceFn force_fn();

@@ -44,26 +44,4 @@ std::vector<float> Mlp::forward(const std::vector<float>& input) const {
   return x;
 }
 
-util::Bytes Mlp::serialize() const {
-  util::ByteWriter w;
-  w.vec(widths_);
-  for (std::size_t l = 0; l < weights_.size(); ++l) {
-    w.vec(weights_[l]);
-    w.vec(biases_[l]);
-  }
-  return std::move(w).take();
-}
-
-Mlp Mlp::deserialize(const util::Bytes& bytes) {
-  util::ByteReader r(bytes);
-  Mlp mlp;
-  mlp.widths_ = r.vec<int>();
-  MUMMI_CHECK_MSG(mlp.widths_.size() >= 2, "corrupt MLP stream");
-  for (std::size_t l = 0; l + 1 < mlp.widths_.size(); ++l) {
-    mlp.weights_.push_back(r.vec<float>());
-    mlp.biases_.push_back(r.vec<float>());
-  }
-  return mlp;
-}
-
 }  // namespace mummi::ml

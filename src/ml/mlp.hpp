@@ -3,13 +3,12 @@
 // The paper's Patch Selector consumes a 9-D "reduced representation
 // generated by a metric learning approach implemented using a deep neural
 // network". Mlp is that inference engine: dense layers with tanh hidden
-// activations, deterministically initialized (or loaded), forward-only.
+// activations, deterministically initialized from a seed, forward-only.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::ml {
@@ -27,13 +26,7 @@ class Mlp {
   [[nodiscard]] int input_dim() const { return widths_.front(); }
   [[nodiscard]] int output_dim() const { return widths_.back(); }
 
-  /// Weight (de)serialization so trained encoders can be shipped.
-  [[nodiscard]] util::Bytes serialize() const;
-  static Mlp deserialize(const util::Bytes& bytes);
-
  private:
-  Mlp() = default;
-
   std::vector<int> widths_;
   // weights_[l] is (out x in) row-major; biases_[l] length out.
   std::vector<std::vector<float>> weights_;

@@ -37,7 +37,7 @@ Scheduler::Scheduler(ClusterSpec cluster, MatchPolicy policy,
 }
 
 void Scheduler::update_depth_gauges() {
-  tm_.queue_depth->set(static_cast<double>(queue_.size()));
+  tm_.queue_depth->set(static_cast<double>(pending_count()));
   tm_.running->set(static_cast<double>(running_));
 }
 
@@ -83,8 +83,10 @@ Scheduler::PumpResult Scheduler::pump_one() {
   PumpResult result;
   // Skip cancelled tombstones at the head.
   while (!queue_.empty() &&
-         jobs_.at(queue_.front()).state != JobState::kPending)
+         jobs_.at(queue_.front()).state != JobState::kPending) {
     queue_.pop_front();
+    --cancelled_queued_;
+  }
   if (queue_.empty()) return result;
 
   result.attempted = true;
@@ -130,7 +132,9 @@ bool Scheduler::cancel(JobId id) {
   if (job.state == JobState::kPending) {
     job.state = JobState::kCancelled;  // queue tombstone skipped in pump
     job.end_time = clock_.now();
+    ++cancelled_queued_;
     tm_.cancelled->inc();
+    update_depth_gauges();
     for (const auto& fn : finish_callbacks_) fn(job);
     return true;
   }

@@ -63,7 +63,9 @@ class Scheduler {
   [[nodiscard]] const Job& job(JobId id) const;
   [[nodiscard]] JobState state(JobId id) const { return job(id).state; }
 
-  [[nodiscard]] std::size_t pending_count() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending_count() const {
+    return queue_.size() - cancelled_queued_;
+  }
   [[nodiscard]] std::size_t running_count() const { return running_; }
 
   /// Ids of all jobs currently pending or running (for end-of-allocation
@@ -122,6 +124,8 @@ class Scheduler {
   const util::Clock& clock_;
   std::unordered_map<JobId, Job> jobs_;
   std::deque<JobId> queue_;
+  /// Cancelled jobs still in `queue_`, dropped when they reach its head.
+  std::size_t cancelled_queued_ = 0;
   std::size_t running_ = 0;
   JobId next_id_ = 1;
   std::vector<JobCallback> start_callbacks_;

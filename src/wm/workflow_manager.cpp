@@ -353,8 +353,13 @@ void WorkflowManager::serialize(util::ByteWriter& w) const {
   write_deque(w, ready_aa_);
   write_deque(w, requeued_cg_setup_);
   write_deque(w, requeued_aa_setup_);
-  w.u64(restarts_.size());
-  for (const auto& [payload, tries] : restarts_) {
+  // In payload order: the hash map's iteration order is the library's, not
+  // the campaign's.
+  std::vector<std::pair<std::uint64_t, int>> restarts(restarts_.begin(),
+                                                      restarts_.end());
+  std::sort(restarts.begin(), restarts.end());
+  w.u64(restarts.size());
+  for (const auto& [payload, tries] : restarts) {
     w.u64(payload);
     w.u32(static_cast<std::uint32_t>(tries));
   }

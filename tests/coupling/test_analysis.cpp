@@ -54,7 +54,7 @@ TEST(CgAnalysis, TakeResetsAccumulation) {
 
 TEST(CgAnalysis, SharedAnalyzeMatchesOwnAccumulator) {
   // The const form tags the frame with the caller's sim id and adds to the
-  // caller's RdfSet; otherwise it is the same analysis, byte for byte.
+  // caller's RdfSet; otherwise it is the same analysis, bit for bit.
   util::Rng rng(4);
   const auto cg = small_cg(rng);
   CgAnalysis own(cg, 42);
@@ -63,7 +63,9 @@ TEST(CgAnalysis, SharedAnalyzeMatchesOwnAccumulator) {
   for (long step = 1; step <= 2; ++step) {
     const auto want = own.analyze(cg.system, step);
     const auto got = shared.analyze(cg.system, 42, step, rdfs);
-    EXPECT_EQ(got.serialize(), want.serialize());
+    EXPECT_EQ(got.sim_id, want.sim_id);
+    EXPECT_EQ(got.step, want.step);
+    EXPECT_EQ(got.descriptor(), want.descriptor());
   }
   EXPECT_EQ(rdfs.serialize(), own.take_rdfs().serialize());
   rdfs.clear();

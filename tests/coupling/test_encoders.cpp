@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "coupling/patch.hpp"
 #include "ml/point.hpp"
@@ -59,48 +58,6 @@ TEST(PatchEncoder, SensitiveToProteinState) {
 TEST(PatchEncoder, SpeciesMismatchRejected) {
   PatchEncoder enc(6, 42);
   EXPECT_THROW(enc.encode(make_patch(1, 4)), util::Error);
-}
-
-TEST(CgFrameInfo, SerializeIsRecordSized) {
-  CgFrameInfo info;
-  info.sim_id = 77;
-  info.step = 4200;
-  info.tilt = 33.5f;
-  info.rotation = 120.0f;
-  info.separation = 1.25f;
-  const auto bytes = info.serialize();
-  // The paper's "identifying information (~850 B)".
-  EXPECT_EQ(bytes.size(), 850u);
-  const auto back = CgFrameInfo::deserialize(bytes);
-  EXPECT_EQ(back.sim_id, 77u);
-  EXPECT_EQ(back.step, 4200);
-  EXPECT_FLOAT_EQ(back.tilt, 33.5f);
-  EXPECT_FLOAT_EQ(back.rotation, 120.0f);
-  EXPECT_FLOAT_EQ(back.separation, 1.25f);
-}
-
-TEST(CgFrameInfo, DeserializeRejectsTruncation) {
-  CgFrameInfo info;
-  info.sim_id = 1;
-  const auto bytes = info.serialize();
-  for (const std::size_t keep : {0u, 7u, 8u, 15u, 16u, 23u}) {
-    const util::Bytes cut(bytes.begin(), bytes.begin() + keep);
-    EXPECT_THROW((void)CgFrameInfo::deserialize(cut), util::FormatError)
-        << "kept " << keep << " bytes";
-  }
-}
-
-TEST(CgFrameInfo, DeserializeRejectsNonFiniteDescriptor) {
-  CgFrameInfo info;
-  info.sim_id = 9;
-  info.step = 1;
-  info.tilt = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_THROW((void)CgFrameInfo::deserialize(info.serialize()),
-               util::FormatError);
-  info.tilt = 10.0f;
-  info.separation = std::numeric_limits<float>::infinity();
-  EXPECT_THROW((void)CgFrameInfo::deserialize(info.serialize()),
-               util::FormatError);
 }
 
 TEST(CgFrameInfo, DescriptorIsThreeD) {

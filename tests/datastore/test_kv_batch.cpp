@@ -133,43 +133,6 @@ TEST(KvBatch, MgetMatchesGetLoopByteIdentical) {
   EXPECT_GT(batch_kv.total_sim_seconds(), 0.0);
 }
 
-TEST(KvBatch, MsetMatchesSetLoop) {
-  KvCluster loop_kv(4), batch_kv(4);
-  const auto records = make_records("w", 150);
-  loop_kv.reset_sim_time();
-  batch_kv.reset_sim_time();
-  for (const auto& [key, value] : records) loop_kv.set(key, value);
-  batch_kv.mset(records);
-
-  EXPECT_EQ(loop_kv.total_keys(), batch_kv.total_keys());
-  EXPECT_EQ(loop_kv.keys("*"), batch_kv.keys("*"));
-  for (const auto& [key, value] : records)
-    EXPECT_EQ(*batch_kv.get(key), value);
-  EXPECT_LE(batch_kv.sim_seconds_writes(), loop_kv.sim_seconds_writes());
-}
-
-TEST(KvBatch, MdelMatchesDelLoop) {
-  KvCluster loop_kv(4), batch_kv(4);
-  const auto records = make_records("d", 100);
-  for (const auto& [key, value] : records) {
-    loop_kv.set(key, value);
-    batch_kv.set(key, value);
-  }
-  std::vector<std::string> keys;
-  for (int i = 0; i < 120; ++i) keys.push_back("d:" + std::to_string(i));
-
-  loop_kv.reset_sim_time();
-  batch_kv.reset_sim_time();
-  std::size_t loop_deleted = 0;
-  for (const auto& key : keys) loop_deleted += loop_kv.del(key) ? 1 : 0;
-  const std::size_t batch_deleted = batch_kv.mdel(keys);
-
-  EXPECT_EQ(batch_deleted, loop_deleted);
-  EXPECT_EQ(batch_deleted, 100u);
-  EXPECT_EQ(batch_kv.total_keys(), 0u);
-  EXPECT_LE(batch_kv.sim_seconds_deletes(), loop_kv.sim_seconds_deletes());
-}
-
 TEST(KvBatch, MrenameMatchesRenameLoop) {
   KvCluster loop_kv(4), batch_kv(4);
   const auto records = make_records("pending", 120);
@@ -204,8 +167,6 @@ TEST(KvBatch, EmptyBatchesAreFreeNoops) {
   KvCluster kv(4);
   kv.reset_sim_time();
   EXPECT_TRUE(kv.mget({}).empty());
-  kv.mset({});
-  EXPECT_EQ(kv.mdel({}), 0u);
   EXPECT_EQ(kv.mrename({}), 0u);
   EXPECT_DOUBLE_EQ(kv.total_sim_seconds(), 0.0);
 }
@@ -241,10 +202,8 @@ TEST(SharedLockStress, ConcurrentReadersAndWritersStayConsistent) {
         for (int i = 0; i < 20; ++i)
           batch.emplace_back(ns + ":" + std::to_string(i),
                              util::to_bytes(std::to_string(round)));
-        kv.mset(batch);
-        std::vector<std::string> keys;
-        for (const auto& [key, value] : batch) keys.push_back(key);
-        EXPECT_EQ(kv.mdel(keys), 20u);
+        for (const auto& [key, value] : batch) kv.set(key, value);
+        for (const auto& [key, value] : batch) EXPECT_TRUE(kv.del(key));
       }
     });
 

@@ -162,7 +162,7 @@ class FsStoreFaultTest : public ::testing::Test {
 };
 
 TEST_F(FsStoreFaultTest, InjectedFirstAttemptFailureIsRetriedAndSucceeds) {
-  ds::FsStore store(dir_, 0.0, recorded_policy(4));
+  ds::FsStore store(dir_, recorded_policy(4));
   store.inject_failures(1);
   store.put("ns", "key", util::to_bytes("value"));  // survives the fault
   EXPECT_EQ(store.io_retries(), 1u);
@@ -173,7 +173,7 @@ TEST_F(FsStoreFaultTest, InjectedFirstAttemptFailureIsRetriedAndSucceeds) {
 }
 
 TEST_F(FsStoreFaultTest, ExhaustedRetriesThrowUnavailable) {
-  ds::FsStore store(dir_, 0.0, recorded_policy(3));
+  ds::FsStore store(dir_, recorded_policy(3));
   store.inject_failures(3);  // one per attempt: the armor gives up
   EXPECT_THROW(store.put("ns", "key", util::to_bytes("v")),
                util::UnavailableError);
@@ -185,7 +185,7 @@ TEST_F(FsStoreFaultTest, ExhaustedRetriesThrowUnavailable) {
 }
 
 TEST_F(FsStoreFaultTest, GetAndMoveAreArmoredToo) {
-  ds::FsStore store(dir_, 0.0, recorded_policy(4));
+  ds::FsStore store(dir_, recorded_policy(4));
   store.put("src", "key", util::to_bytes("v"));
   store.inject_failures(2);
   EXPECT_EQ(util::to_string(store.get("src", "key")), "v");  // 2 retries
@@ -198,7 +198,7 @@ TEST_F(FsStoreFaultTest, GetAndMoveAreArmoredToo) {
 
 TEST_F(FsStoreFaultTest, ZeroMaxAttemptsStillRunsTheOperationOnce) {
   // max_attempts <= 1 means "no retries", never "skip the operation".
-  ds::FsStore store(dir_, 0.0, recorded_policy(0));
+  ds::FsStore store(dir_, recorded_policy(0));
   store.put("ns", "key", util::to_bytes("value"));
   EXPECT_EQ(util::to_string(store.get("ns", "key")), "value");
   EXPECT_EQ(store.io_retries(), 0u);
@@ -206,7 +206,7 @@ TEST_F(FsStoreFaultTest, ZeroMaxAttemptsStillRunsTheOperationOnce) {
 }
 
 TEST_F(FsStoreFaultTest, MissingRecordIsNotRetried) {
-  ds::FsStore store(dir_, 0.0, recorded_policy(4));
+  ds::FsStore store(dir_, recorded_policy(4));
   EXPECT_THROW(store.get("ns", "absent"), util::StoreError);
   EXPECT_EQ(store.io_retries(), 0u);  // a definitive miss, not a fault
 }

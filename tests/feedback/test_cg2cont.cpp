@@ -41,10 +41,10 @@ class Cg2ContTest : public ::testing::Test {
   Cg2ContTest() : store_(std::make_shared<ds::RedStore>(4)) {}
 
   void publish(const std::string& key, cont::ProteinState state,
-               double contact_g) {
+               double contact_g, int n_species = 3) {
     FeedbackRecord rec;
     rec.state = state;
-    rec.rdfs = synthetic_rdfs(3, contact_g);
+    rec.rdfs = synthetic_rdfs(n_species, contact_g);
     store_->put("rdf-pending", key, rec.serialize());
   }
 
@@ -135,6 +135,40 @@ TEST_F(Cg2ContTest, AggregatesPerState) {
   const auto raf = static_cast<std::size_t>(cont::ProteinState::kRasRafA) * 3;
   EXPECT_LT(w[ras], 0.0);
   EXPECT_GT(w[raf], 0.0);
+}
+
+TEST_F(Cg2ContTest, RejectsRecordWithOtherSpeciesCount) {
+  // The first record fixes the weight table at 4 species; a later 1-species
+  // record for another state would be read at species 1..3.
+  publish("a", cont::ProteinState::kRasA, 4.0, 4);
+  CgToContinuumFeedback feedback(store_, nullptr);
+  feedback.iterate();
+  ASSERT_EQ(feedback.n_species(), 4);
+  const std::vector<double> before = feedback.last_weights();
+  publish("b", cont::ProteinState::kRasRafA, 0.2, 1);
+  EXPECT_THROW(feedback.iterate(), util::FormatError);
+  EXPECT_EQ(feedback.last_weights(), before);
+}
+
+TEST_F(Cg2ContTest, RejectsRecordNotMatchingTheContinuum) {
+  cont::ContinuumConfig ccfg;
+  ccfg.grid = 16;
+  ccfg.extent = 80.0;
+  ccfg.inner_species = 2;
+  ccfg.outer_species = 1;
+  ccfg.n_proteins = 2;
+  cont::GridSim2D sim(ccfg);
+  CgToContinuumFeedback feedback(store_, &sim);
+  const double coupling =
+      sim.protein_lipid_coupling(cont::ProteinState::kRasA, 0);
+  for (const int n : {2, 4}) {
+    publish("f", cont::ProteinState::kRasA, 4.0, n);
+    EXPECT_THROW(feedback.iterate(), util::FormatError) << n << " species";
+    EXPECT_TRUE(feedback.last_weights().empty());
+    EXPECT_EQ(sim.protein_lipid_coupling(cont::ProteinState::kRasA, 0),
+              coupling);
+    (void)store_->erase("rdf-pending", "f");
+  }
 }
 
 TEST_F(Cg2ContTest, BackendCostModelsDiffer) {

@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <cmath>
 
 #include "mdengine/integrator.hpp"
-#include "util/checkpoint.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mummi::md {
@@ -86,78 +84,6 @@ TEST(Simulation, NeighborRebuildsHappen) {
   auto sim = make_sim();
   sim.run(200);
   EXPECT_GT(sim.neighbor_rebuilds(), 1u);
-}
-
-class SimulationCheckpoint : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("mummi_simckpt_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
-};
-
-TEST_F(SimulationCheckpoint, RestoreReproducesState) {
-  SimulationConfig cfg;
-  cfg.checkpoint_interval = 25;
-  cfg.checkpoint_path = (dir_ / "sim.ckpt").string();
-  auto sim = make_sim(cfg);
-  sim.run(50);  // checkpoints at 25 and 50
-  const auto pos_at_50 = sim.system().pos;
-
-  auto restored = make_sim(cfg, 27, 99);  // different seed/state
-  EXPECT_TRUE(restored.restore());
-  EXPECT_EQ(restored.step_count(), 50);
-  for (std::size_t i = 0; i < pos_at_50.size(); ++i) {
-    EXPECT_DOUBLE_EQ(restored.system().pos[i].x, pos_at_50[i].x);
-    EXPECT_DOUBLE_EQ(restored.system().vel[i].y, sim.system().vel[i].y);
-  }
-}
-
-TEST_F(SimulationCheckpoint, RestoreWithoutCheckpointReturnsFalse) {
-  SimulationConfig cfg;
-  cfg.checkpoint_interval = 10;
-  cfg.checkpoint_path = (dir_ / "none.ckpt").string();
-  auto sim = make_sim(cfg);
-  EXPECT_FALSE(sim.restore());
-}
-
-TEST_F(SimulationCheckpoint, ExplicitCheckpointAnytime) {
-  SimulationConfig cfg;
-  cfg.checkpoint_interval = 1000000;  // never on schedule
-  cfg.checkpoint_path = (dir_ / "manual.ckpt").string();
-  auto sim = make_sim(cfg);
-  sim.run(7);
-  sim.checkpoint();
-  auto restored = make_sim(cfg);
-  EXPECT_TRUE(restored.restore());
-  EXPECT_EQ(restored.step_count(), 7);
-}
-
-TEST_F(SimulationCheckpoint, RestoreRejectsForgedSystemBytes) {
-  // A checkpoint whose system has a bond past the last particle: the force
-  // loops would index out of bounds, so restore throws instead.
-  SimulationConfig cfg;
-  cfg.checkpoint_interval = 1000000;
-  cfg.checkpoint_path = (dir_ / "forged.ckpt").string();
-  System forged = small_fluid(8, 3.0, 1);
-  forged.bonds.push_back({0, 8, 0.47, 1250});
-  util::ByteWriter w;
-  w.i64(5);
-  w.f64(0.0);
-  w.bytes(forged.serialize());
-  util::CheckpointFile(cfg.checkpoint_path).save(w.data());
-  auto sim = make_sim(cfg);
-  EXPECT_THROW(sim.restore(), util::FormatError);
-  EXPECT_EQ(sim.step_count(), 0);  // nothing committed from the bad payload
-}
-
-TEST_F(SimulationCheckpoint, MissingPathRejected) {
-  SimulationConfig cfg;
-  cfg.checkpoint_interval = 10;
-  EXPECT_THROW(make_sim(cfg), util::Error);
 }
 
 TEST(Simulation, RestraintsHoldParticleNearReference) {

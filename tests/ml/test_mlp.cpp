@@ -62,15 +62,6 @@ TEST(Mlp, DegenerateArchitectureRejected) {
   EXPECT_THROW(Mlp({5, 0, 2}, 1), util::Error);
 }
 
-TEST(Mlp, SerializeRoundTrip) {
-  Mlp a({6, 12, 9}, 42);
-  const Mlp b = Mlp::deserialize(a.serialize());
-  EXPECT_EQ(b.input_dim(), 6);
-  EXPECT_EQ(b.output_dim(), 9);
-  const std::vector<float> x{0.1f, -0.2f, 0.3f, 0.4f, -0.5f, 0.6f};
-  EXPECT_EQ(a.forward(x), b.forward(x));
-}
-
 TEST(Mlp, MinimalTwoLayerIsLinear) {
   // No hidden layers -> affine map; check additivity with zero bias.
   Mlp mlp({2, 2}, 9);

@@ -1,6 +1,7 @@
 // Property-style parameterized sweeps over the library's core invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <numeric>
 #include <set>
@@ -29,11 +30,54 @@ TEST_P(SchedulerConservation, ResourcesNeverLeakOrOversubscribe) {
   const auto& c = GetParam();
   util::ManualClock clock;
   sched::Scheduler scheduler(c.spec, sched::MatchPolicy::kFirstMatch, clock);
-  const int total_cores = c.spec.nodes * c.spec.cores_per_node();
-  const int total_gpus = c.spec.nodes * c.spec.gpus_per_node;
+  const auto& graph = scheduler.graph();
+  const int nodes = c.spec.nodes;
 
-  // Churn: submit, start, randomly complete, repeat.
+  // The scheduler's books against what its running jobs hold: per node, free
+  // plus allocated is the node's capacity, the totals are the jobs' sums, and
+  // every active job is either pending or running.
   std::vector<sched::JobId> running;
+  const auto check = [&](const char* after) {
+    SCOPED_TRACE(after);
+    std::vector<int> cores(nodes, 0), gpus(nodes, 0);
+    int used_cores = 0, used_gpus = 0;
+    for (const auto id : running) {
+      const sched::Job& job = scheduler.job(id);
+      ASSERT_EQ(job.state, sched::JobState::kRunning) << "job " << id;
+      for (const auto& slot : job.alloc.slots) {
+        cores[slot.node] += static_cast<int>(slot.cores.size());
+        gpus[slot.node] += static_cast<int>(slot.gpus.size());
+        used_cores += static_cast<int>(slot.cores.size());
+        used_gpus += static_cast<int>(slot.gpus.size());
+      }
+    }
+    for (int n = 0; n < nodes; ++n) {
+      ASSERT_EQ(graph.free_cores(n) + cores[n], c.spec.cores_per_node())
+          << "node " << n;
+      ASSERT_EQ(graph.free_gpus(n) + gpus[n], c.spec.gpus_per_node)
+          << "node " << n;
+    }
+    ASSERT_EQ(graph.used_cores(), used_cores);
+    ASSERT_EQ(graph.used_gpus(), used_gpus);
+    ASSERT_EQ(used_cores, static_cast<int>(running.size()) * c.cores_per_job);
+    ASSERT_EQ(used_gpus, static_cast<int>(running.size()) * c.gpus_per_job);
+    ASSERT_EQ(scheduler.running_count(), running.size());
+    ASSERT_EQ(scheduler.pending_count() + scheduler.running_count(),
+              scheduler.active_jobs().size());
+  };
+  const auto forget = [&](sched::JobId id) {
+    running.erase(std::find(running.begin(), running.end(), id));
+  };
+  const auto pump = [&](int drained) {
+    for (const auto id : scheduler.pump()) {
+      for (const auto& slot : scheduler.job(id).alloc.slots)
+        ASSERT_NE(slot.node, drained) << "job " << id << " on a drained node";
+      running.push_back(id);
+    }
+  };
+
+  // Churn: submit and start; cancel pending and running jobs; kill a node
+  // and bring it back; drain a node and undrain it; complete a random half.
   util::Rng churn(99);
   for (int round = 0; round < 30; ++round) {
     for (int i = 0; i < 10; ++i) {
@@ -42,15 +86,40 @@ TEST_P(SchedulerConservation, ResourcesNeverLeakOrOversubscribe) {
       spec.request.slot = sched::Slot{c.cores_per_job, c.gpus_per_job};
       scheduler.submit(spec);
     }
-    for (const auto id : scheduler.pump()) running.push_back(id);
-    // Invariants after every pump.
-    ASSERT_LE(scheduler.graph().used_cores(), total_cores);
-    ASSERT_LE(scheduler.graph().used_gpus(), total_gpus);
-    ASSERT_EQ(scheduler.graph().used_cores(),
-              static_cast<int>(running.size()) * c.cores_per_job);
-    ASSERT_EQ(scheduler.graph().used_gpus(),
-              static_cast<int>(running.size()) * c.gpus_per_job);
-    // Complete a random half.
+    pump(-1);
+    check("pump");
+
+    auto active = scheduler.active_jobs();
+    std::sort(active.begin(), active.end());
+    for (const auto id : active) {
+      const bool pending = scheduler.state(id) == sched::JobState::kPending;
+      if (churn.uniform() >= (pending ? 0.2 : 0.1)) continue;
+      ASSERT_TRUE(scheduler.cancel(id));
+      if (!pending) forget(id);
+      check(pending ? "cancel pending" : "cancel running");
+      ASSERT_FALSE(scheduler.cancel(id));
+      check("cancel again");
+    }
+
+    const int node = static_cast<int>(churn.uniform_index(nodes));
+    if (round % 3 == 0) {
+      for (const auto id : scheduler.fail_node(node)) forget(id);
+      check("fail_node");
+      pump(node);
+      check("pump after fail_node");
+      scheduler.recover_node(node);
+      check("recover_node");
+    } else if (round % 3 == 1) {
+      scheduler.drain_node(node);
+      check("drain_node");
+      pump(node);
+      check("pump while drained");
+      scheduler.undrain_node(node);
+      check("undrain_node");
+    }
+    pump(-1);
+    check("pump after node churn");
+
     std::vector<sched::JobId> keep;
     for (const auto id : running) {
       if (churn.uniform() < 0.5)
@@ -59,10 +128,15 @@ TEST_P(SchedulerConservation, ResourcesNeverLeakOrOversubscribe) {
         keep.push_back(id);
     }
     running = std::move(keep);
+    check("complete");
   }
-  for (const auto id : running) scheduler.complete(id, true);
-  EXPECT_EQ(scheduler.graph().used_cores(), 0);
-  EXPECT_EQ(scheduler.graph().used_gpus(), 0);
+  for (const auto id : std::vector<sched::JobId>(running)) {
+    scheduler.complete(id, true);
+    forget(id);
+  }
+  check("drain out");
+  EXPECT_EQ(graph.used_cores(), 0);
+  EXPECT_EQ(graph.used_gpus(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

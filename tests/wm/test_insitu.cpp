@@ -14,11 +14,19 @@ namespace mummi::wm {
 namespace {
 
 // Canonical byte encoding of one fold callback's payload — what the
-// determinism sweeps compare across pool sizes and plane rebuilds.
+// determinism sweeps compare across pool sizes and plane rebuilds. The frame
+// is the paper's ~850 B identifying-information record: length word, sim id,
+// step, the 3-D descriptor, zero padding.
 util::Bytes encode(const InSituResult& r) {
+  constexpr std::size_t kFrameRecordBytes = 850;
   util::ByteWriter w;
   w.u64(r.sim);
-  w.bytes(r.frame.serialize());
+  w.u64(kFrameRecordBytes);
+  const std::size_t frame_at = w.size();
+  w.u64(r.frame.sim_id);
+  w.i64(r.frame.step);
+  for (const float v : r.frame.descriptor()) w.f32(v);
+  while (w.size() - frame_at < kFrameRecordBytes) w.u8(0);
   w.u32(r.candidates);
   w.u64(r.extra.size());
   for (const auto& d : r.extra)
